@@ -283,57 +283,25 @@ class ChainAnalysis:
 
     def alpha_square(self, n: int) -> Fraction:
         """Exact square of det(alpha_n): Gram determinant of the orthogonal
-        projections of the H_n(C)_f basis lifts onto the harmonic subspace."""
+        projections of the H_n(C)_f basis lifts onto the harmonic subspace.
+
+        With W the harmonic basis and Z the lifts, both b_n columns wide, that
+        Gram matrix is (W^T Z)^T (W^T W)^{-1} (W^T Z), whose determinant is
+        det(W^T Z)^2 / det(W^T W).
+        """
         b = self.betti(n)
         if b == 0:
             return Fraction(1)
         W = self.harmonic(n)
-        Z = self.free_lifts(n)
-        WtW = _int_gram(W)
-        WtZ = _int_product(W.transpose(), Z)
-        # Gram of projections: (W^T Z)^T (W^T W)^{-1} (W^T Z)
-        inv_wtw = _fraction_inverse(WtW)
-        k = len(WtW)
-        proj_gram = [
-            [
-                sum(
-                    Fraction(WtZ[a][i]) * inv_wtw[a][c] * WtZ[c][j]
-                    for a in range(k) for c in range(k)
-                )
-                for j in range(b)
-            ]
-            for i in range(b)
-        ]
-        sq = det_fraction(proj_gram)
+        if W.cols != b:
+            raise IdentityViolation(
+                f"harmonic lattice has rank {W.cols}, b_{n} = {b}")
+        Wt = W.transpose()
+        cross = det_fraction((Wt @ self.free_lifts(n)).to_lists())
+        sq = cross * cross / det_fraction((Wt @ W).to_lists())
         if sq <= 0:
             raise IdentityViolation("alpha determinant vanished")
         return sq
-
-
-def _int_product(A: IntMatrix, B: IntMatrix) -> list:
-    return (A @ B).to_lists()
-
-
-def _int_gram(B: IntMatrix) -> list:
-    from .exact_linalg import _gram_int
-    return _gram_int(B)
-
-
-def _fraction_inverse(M: list) -> list:
-    """Inverse of a nonsingular integer/rational matrix as Fractions."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if A[i][k] != 0)
-        A[k], A[piv] = A[piv], A[k]
-        inv = 1 / A[k][k]
-        A[k] = [x * inv for x in A[k]]
-        for i in range(n):
-            if i != k and A[i][k]:
-                f = A[i][k]
-                A[i] = [x - f * y for x, y in zip(A[i], A[k])]
-    return [row[n:] for row in A]
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +383,11 @@ def rho_2(C: IntChainComplex) -> float:
     return rho_2_exact(ChainAnalysis(C))[0]
 
 
-def rho_2_exact(an: ChainAnalysis, check_laplacian: bool = True):
-    """(float value, exact Fraction equal to exp(2 * rho_2))."""
+def rho_2_exact(an: ChainAnalysis):
+    """(float value, exact Fraction equal to exp(2 * rho_2)).
+
+    The Laplacian determinant identity is always checked on the way.
+    """
     C = an.complex
     sq = Fraction(1)
     for n in range(1, C.top_degree + 1):
@@ -426,24 +397,22 @@ def rho_2_exact(an: ChainAnalysis, check_laplacian: bool = True):
         else:
             sq /= s
     value = 0.5 * ln_of_fraction(sq) if sq != 1 else 0.0
-    if check_laplacian:
-        delta_sq = Fraction(1)
-        exponent_sum = 0.0
-        for n in range(C.top_degree + 1):
-            dn = an.fk_laplacian(n).square_exact
-            cn = an.fk_differential(n).square_exact
-            cn1 = an.fk_differential(n + 1).square_exact
-            if dn != (cn * cn1) ** 2:
-                raise IdentityViolation(
-                    f"Laplacian determinant identity fails in degree {n}")
-            if n:
-                if n % 2 == 0:
-                    exponent_sum -= 0.5 * n * 0.5 * ln_of_fraction(dn)
-                else:
-                    exponent_sum += 0.5 * n * 0.5 * ln_of_fraction(dn)
-        if abs(exponent_sum - value) > 1e-9 * max(1.0, abs(value)):
+    exponent_sum = 0.0
+    for n in range(C.top_degree + 1):
+        dn = an.fk_laplacian(n).square_exact
+        cn = an.fk_differential(n).square_exact
+        cn1 = an.fk_differential(n + 1).square_exact
+        if dn != (cn * cn1) ** 2:
             raise IdentityViolation(
-                f"rho_2 routes disagree: {value} vs {exponent_sum}")
+                f"Laplacian determinant identity fails in degree {n}")
+        if n:
+            if n % 2 == 0:
+                exponent_sum -= 0.5 * n * 0.5 * ln_of_fraction(dn)
+            else:
+                exponent_sum += 0.5 * n * 0.5 * ln_of_fraction(dn)
+    if abs(exponent_sum - value) > 1e-9 * max(1.0, abs(value)):
+        raise IdentityViolation(
+            f"rho_2 routes disagree: {value} vs {exponent_sum}")
     return value, sq
 
 
@@ -471,9 +440,11 @@ def verify_rho_identity(C: IntChainComplex) -> dict:
 
 
 def rho_identity_from_analysis(an: ChainAnalysis) -> dict:
+    # alpha first: the free-lift Hermite transform is dense, and building it
+    # before the FK determinants fill the caches keeps peak memory lower
+    alpha = alpha_from_analysis(an)
     rz, rz_ratio = rho_Z_exact(an)
     r2, r2_sq = rho_2_exact(an)
-    alpha = alpha_from_analysis(an)
     rhs = sum((-1) ** n * alpha.log_det_alpha[n]
               for n in range(len(alpha.log_det_alpha)))
     lhs = rz - r2
@@ -496,6 +467,7 @@ def rho_identity_from_analysis(an: ChainAnalysis) -> dict:
         "alpha_sum": rhs,
         "lhs_square": lhs_sq,
         "rhs_square": rhs_sq,
+        "alpha": alpha,
     }
 
 

@@ -23,7 +23,13 @@ from .chain_complex import (
     rho_2_exact,
     rho_Z_exact,
 )
-from .errors import HomgrowError, IdentityViolation, ParseError
+from .errors import (
+    DimensionMismatch,
+    HomgrowError,
+    IdentityViolation,
+    NonSquareMatrix,
+    ParseError,
+)
 from .exact_linalg import IntMatrix, fk_factorization_check
 from .group_ring import (
     LaurentChainComplex,
@@ -65,9 +71,10 @@ def builtin_complex(name: str) -> LaurentChainComplex:
         try:
             data = json.loads(name.split(":", 1)[1])
             A = IntMatrix.from_rows([[int(x) for x in row] for row in data])
-        except (ValueError, TypeError, IndexError) as exc:
+            return mapping_torus_complex(A)
+        except (ValueError, TypeError, IndexError, DimensionMismatch,
+                NonSquareMatrix) as exc:
             raise ParseError(f"bad mapping torus matrix: {exc}") from exc
-        return mapping_torus_complex(A)
     raise ParseError(
         f"unknown example {name!r}; choose circle, torus2, torus3, s1_cross "
         f"or mapping_torus:[[a,b],[c,d]]")
@@ -110,7 +117,10 @@ def _parse_moduli_pattern(pattern: Optional[str], m: int,
                 moduli.append(int(t))
             except ValueError as exc:
                 raise ParseError(f"bad moduli token {t!r}") from exc
-    return QuotientSpec(tuple(moduli))
+    try:
+        return QuotientSpec(tuple(moduli))
+    except DimensionMismatch as exc:
+        raise ParseError(f"bad quotient {tuple(moduli)}: {exc}") from exc
 
 
 def _load_input(args) -> LaurentChainComplex:
@@ -129,7 +139,10 @@ def _primes(text: str) -> List[int]:
         tok = tok.strip()
         if not tok:
             continue
-        p = int(tok)
+        try:
+            p = int(tok)
+        except ValueError as exc:
+            raise ParseError(f"bad --primes token {tok!r}") from exc
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
             raise ParseError(f"{p} is not prime")
         out.append(p)

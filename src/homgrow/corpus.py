@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence
 
 from .chain_complex import IntChainComplex, direct_sum
-from .exact_linalg import IntMatrix
+from .errors import IdentityViolation
+from .exact_linalg import IntMatrix, _colhnf_with_transform
 from .group_ring import ModuleWithAction
 
 __all__ = [
@@ -56,20 +56,11 @@ def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
 
 
 def invert_unimodular(U: IntMatrix) -> IntMatrix:
-    n = U.rows
-    M = [[Fraction(U[i, j]) for j in range(n)]
-         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if M[i][k] != 0)
-        M[k], M[piv] = M[piv], M[k]
-        inv = 1 / M[k][k]
-        M[k] = [x * inv for x in M[k]]
-        for i in range(n):
-            if i != k and M[i][k]:
-                f = M[i][k]
-                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-    ints = [[int(M[i][j + n]) for j in range(n)] for i in range(n)]
-    return IntMatrix.from_rows(ints) if n else IntMatrix.zeros(0, 0)
+    """U^{-1}, the column Hermite transform V with U @ V = I."""
+    H, V = _colhnf_with_transform(U)
+    if H != IntMatrix.identity(U.cols):
+        raise IdentityViolation("matrix is not unimodular")
+    return V
 
 
 def random_complex(rng: random.Random, max_top: int = 3, max_entry: int = 5,

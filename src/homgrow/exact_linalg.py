@@ -7,17 +7,18 @@ only when a natural logarithm of an exact value is finally requested.
 
 The Fuglede-Kadison determinant of an integer matrix A is the product of its
 nonzero singular values.  Its square is an integer: the sum of the squares of
-all maximal-rank minors (Cauchy-Binet).  Three independent evaluation routes
-are implemented:
+all maximal-rank minors (Cauchy-Binet).  `fk_determinant` evaluates it by one
+of two factorizations, whichever does less dense work for the rank r of A:
 
-  * minor-sum enumeration (small matrices; the literal Cauchy-Binet sum),
-  * image-lattice factorization det(J^T J) * det(S S^T) where A = J S with J a
-    basis of the column lattice (medium),
-  * kernel/torsion/cokernel factorization whose dense work scales with the
-    corank rather than the rank (large, sparse tower matrices).
+  * image lattice, det(J^T J) * det(S S^T) where A = J S with J a basis of the
+    column lattice: two r x r Gram determinants;
+  * structure, kernel Gram x |tors coker A|^2 x cokernel-projection Gram:
+    Gram determinants whose sizes are the coranks cols - r and rows - r.
 
-The routes cross-check each other in the test suite; `fk_factorization_check`
-keeps the first two strictly independent of the third.
+The literal Cauchy-Binet minor sum is kept as an independent oracle: the
+test suite compares all three, and `fk_factorization_check` compares the
+minor sum (or, past its work budget, the image-lattice route) with the
+structure factors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "gram_determinant",
     "column_hnf",
     "solve_in_lattice",
-    "lattice_contains",
     "det_bareiss",
     "ln_of_fraction",
 ]
@@ -224,13 +224,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
     # -- block helpers ---------------------------------------------------------
-
-    @staticmethod
-    def vstack(top: "IntMatrix", bottom: "IntMatrix") -> "IntMatrix":
-        if top.cols != bottom.cols:
-            raise DimensionMismatch("vstack column mismatch")
-        return IntMatrix._raw(top.rows + bottom.rows, top.cols,
-                               top.entries + bottom.entries)
 
     @staticmethod
     def hstack(left: "IntMatrix", right: "IntMatrix") -> "IntMatrix":
@@ -503,12 +496,6 @@ def solve_in_lattice(B: IntMatrix, C: IntMatrix) -> Optional[IntMatrix]:
     return IntMatrix.from_columns(out_cols, B.cols)
 
 
-def lattice_contains(B: IntMatrix, v: Sequence[int]) -> bool:
-    """Whether the vector v lies in the column lattice of column-Hermite B."""
-    C = IntMatrix.from_columns([list(v)], B.rows)
-    return solve_in_lattice(B, C) is not None
-
-
 def _colhnf_with_transform(A: IntMatrix):
     """Column HNF with transform: returns (H, V) with A @ V = [H | 0].
 
@@ -519,24 +506,6 @@ def _colhnf_with_transform(A: IntMatrix):
     H = _dicts_to_matrix(hrows, A.rows).transpose()
     V = _dicts_to_matrix(urows, A.cols).transpose()
     return H, V
-
-
-def solve_general(A: IntMatrix, C: IntMatrix) -> Optional[IntMatrix]:
-    """Any integer solution X of A @ X = C, or None if none exists."""
-    H, V = _colhnf_with_transform(A)
-    Y = solve_in_lattice(H, C) if H.cols else (
-        IntMatrix.zeros(0, C.cols) if C.is_zero() else None)
-    if Y is None:
-        return None
-    # pad Y with zero rows for the non-pivot transform columns
-    pad = IntMatrix.vstack(Y, IntMatrix.zeros(A.cols - H.cols, C.cols))
-    return V @ pad
-
-
-def saturation(A: IntMatrix) -> IntMatrix:
-    """Saturation of the column lattice of A inside Z^rows (column-Hermite)."""
-    D = kernel_lattice(A.transpose())
-    return kernel_lattice(D.transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -814,14 +783,6 @@ def smith_normal_form(A: IntMatrix, with_transforms: bool = False) -> SmithForm:
                      IntMatrix.from_rows(L), IntMatrix.from_rows(R))
 
 
-def invariant_factors(A: IntMatrix, drop_units: bool = False) -> tuple:
-    """Chained invariant factors of A; optionally without the unit factors."""
-    f = smith_normal_form(A).invariant_factors
-    if drop_units:
-        f = tuple(x for x in f if x != 1)
-    return f
-
-
 def rank(A: IntMatrix) -> int:
     rows = _sparse_rows(A.transpose())
     pivots, _, _ = _row_hnf_clean(rows, A.rows, reduce_off_pivots=False)
@@ -1015,14 +976,14 @@ class FKDet:
 _MINOR_BUDGET = 2_000_000
 
 
-def _fk_square_minor_sum(A: IntMatrix, r: Optional[int] = None):
+def _fk_square_minor_sum(A: IntMatrix):
     """Cauchy-Binet: sum of squares of all rank x rank minors.
 
-    Returns None when the enumeration exceeds the work budget (the number of
-    minors weighted by the cubed minor size).
+    The test oracle for the two production routes.  Returns None when the
+    enumeration exceeds the work budget (the number of minors weighted by
+    the cubed minor size).
     """
-    if r is None:
-        r = rank(A)
+    r = rank(A)
     if r == 0:
         return 1
     nrow, ncol = A.rows, A.cols
@@ -1094,31 +1055,25 @@ def _fk_square_structure(A: IntMatrix, K: Optional[IntMatrix] = None,
     return sq
 
 
-_DENSE_LIMIT = 64
-
-
 def fk_determinant(A: IntMatrix, kernel: Optional[IntMatrix] = None,
                    left_kernel: Optional[IntMatrix] = None) -> FKDet:
     """Fuglede-Kadison determinant of A over the trivial group, exactly.
 
     square_exact equals the Cauchy-Binet sum of squared maximal-rank minors;
-    rank 0 gives the empty product 1.  Saturated kernel bases of A and A^T
-    may be supplied to avoid recomputing them.
+    rank 0 gives the empty product 1.  The image-lattice route runs when its
+    two rank-sized Grams cost less than the two corank-sized ones of the
+    structure route (2 r^3 < (cols - r)^3 + (rows - r)^3), else the
+    structure route.  Saturated kernel bases of A and A^T may be supplied:
+    the kernel gives r without a rank computation, and the structure route
+    reuses both.
     """
     if A.rows == 0 or A.cols == 0 or A.is_zero():
         return FKDet(0.0, Fraction(1))
-    if max(A.rows, A.cols) <= _DENSE_LIMIT:
-        sq = _fk_square_minor_sum(A)
-        if sq is None:
-            sq = _fk_square_image_lattice(A)
-        sq = Fraction(sq)
+    r = A.cols - kernel.cols if kernel is not None else rank(A)
+    if 2 * r ** 3 < (A.cols - r) ** 3 + (A.rows - r) ** 3:
+        sq = Fraction(_fk_square_image_lattice(A))
     else:
-        r = A.cols - kernel.cols if kernel is not None else rank(A)
-        corank_cost = (A.cols - r) ** 3 + (A.rows - r) ** 3
-        if kernel is None and left_kernel is None and 2 * r ** 3 < corank_cost:
-            sq = Fraction(_fk_square_image_lattice(A))
-        else:
-            sq = Fraction(_fk_square_structure(A, kernel, left_kernel))
+        sq = _fk_square_structure(A, kernel, left_kernel)
     return FKDet(0.5 * ln_of_fraction(sq), sq)
 
 

@@ -272,9 +272,6 @@ class ModuleWithAction:
             return None
         return column_hnf(self.presentation)
 
-    def relation_hnf(self) -> Optional[IntMatrix]:
-        return self._relation_lattice()
-
     @property
     def num_generators(self) -> int:
         return self.presentation.rows
@@ -284,21 +281,6 @@ class ModuleWithAction:
         sf = smith_normal_form(self.presentation)
         facs = tuple(d for d in sf.invariant_factors if d != 1)
         return self.presentation.rows - sf.rank, facs
-
-    def order(self) -> Optional[int]:
-        free, facs = self.structure()
-        if free:
-            return None
-        out = 1
-        for d in facs:
-            out *= d
-        return out
-
-    def group_order(self) -> int:
-        out = 1
-        for n in self.generator_orders:
-            out *= n
-        return out
 
 
 def _maps_into(M: IntMatrix, lattice_hnf: Optional[IntMatrix]) -> bool:

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .chain_complex import (
     ChainAnalysis,
-    alpha_from_analysis,
     homology_from_analysis,
     rho_identity_from_analysis,
 )
@@ -141,10 +140,9 @@ def _analyze_level(C: LaurentChainComplex, spec: QuotientSpec,
     top = qc.complex.top_degree
     d = min(max_degree, top)
     summary = homology_from_analysis(an, primes)
-    alpha = alpha_from_analysis(an)
     # exact levelwise identity rho_Z - rho_2 = alternating alpha sum
     ident = rho_identity_from_analysis(an)
-    rz, r2 = ident["rho_Z"], ident["rho_2"]
+    rz, r2, alpha = ident["rho_Z"], ident["rho_2"], ident["alpha"]
     ln_det_c = [0.0]
     for n in range(1, d + 1):
         ln_det_c.append(an.fk_differential(n).log_value)

@@ -193,6 +193,23 @@ class TestTorsionInvariants:
             laplacian(circle_level(2), 5)
 
 
+def _fraction_inverse(M: list) -> list:
+    """Inverse of a nonsingular integer matrix as Fractions (Gauss-Jordan)."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if A[i][k] != 0)
+        A[k], A[piv] = A[piv], A[k]
+        inv = 1 / A[k][k]
+        A[k] = [x * inv for x in A[k]]
+        for i in range(n):
+            if i != k and A[i][k]:
+                f = A[i][k]
+                A[i] = [x - f * y for x, y in zip(A[i], A[k])]
+    return [row[n:] for row in A]
+
+
 class TestAlpha:
     def test_circle_values(self):
         for i in (1, 2, 3, 5, 16):
@@ -208,11 +225,11 @@ class TestAlpha:
     def test_invariance_under_homology_rebasing(self):
         # the alpha square does not depend on the Z-basis chosen for H_n(C)_f
         from homgrow.chain_complex import ChainAnalysis
-        from homgrow.exact_linalg import _gram_int
-        from fractions import Fraction
-        from homgrow.chain_complex import _fraction_inverse
+        from homgrow.exact_linalg import _gram_int, det_fraction
 
         def alpha_square_with_lifts(an, n, Z):
+            # the definition: Gram determinant of the projections of the
+            # lifts onto the harmonic subspace, via (W^T W)^{-1}
             W = an.harmonic(n)
             WtW = _gram_int(W)
             WtZ = (W.transpose() @ Z).to_lists()
@@ -222,7 +239,6 @@ class TestAlpha:
             gram = [[sum(Fraction(WtZ[a][i]) * inv[a][c] * WtZ[c][j]
                          for a in range(k) for c in range(k))
                      for j in range(b)] for i in range(b)]
-            from homgrow.exact_linalg import det_fraction
             return det_fraction(gram)
 
         rng = random.Random(205)

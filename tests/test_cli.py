@@ -129,6 +129,19 @@ class TestCommands:
         rc = main(["homology", "--example", "klein_bottle"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--example", "circle", "--primes", "x"],
+        ["tower", "--example", "circle", "--levels", "0"],
+        ["homology", "--example", "circle", "--levels", "2",
+         "--moduli-pattern", "0"],
+        ["homology", "--example", "mapping_torus:[[0]]"],
+    ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix"])
+    def test_bad_input_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "verification failure" not in err
+
 
 class TestVerify:
     def test_single_suite(self, capsys):

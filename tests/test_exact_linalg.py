@@ -7,7 +7,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from homgrow.errors import DimensionMismatch
+from homgrow.corpus import invert_unimodular, random_unimodular
+from homgrow.errors import DimensionMismatch, IdentityViolation
 from homgrow.exact_linalg import (
     IntMatrix,
     cokernel_structure,
@@ -26,6 +27,12 @@ from homgrow.exact_linalg import (
     _fk_square_minor_sum,
     _fk_square_structure,
     _gram_int,
+)
+from homgrow.group_ring import (
+    QuotientSpec,
+    base_change,
+    circle_complex,
+    torus_complex,
 )
 
 
@@ -124,6 +131,14 @@ class TestKernelLattice:
             Y = solve_in_lattice(K, B)
             assert Y == X
 
+    def test_unimodular_inverse(self):
+        rng = random.Random(106)
+        for n in range(6):
+            U = random_unimodular(n, rng)
+            assert U @ invert_unimodular(U) == IntMatrix.identity(n)
+        with pytest.raises(IdentityViolation):
+            invert_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
 
 class TestCokernelStructure:
     def test_crt_merge(self):
@@ -158,6 +173,26 @@ class TestFKDeterminant:
             s2 = _fk_square_image_lattice(A)
             s3 = _fk_square_structure(A)
             assert s1 == s2 == s3
+            # the call ChainAnalysis makes, with both kernels supplied
+            d = fk_determinant(A, kernel=kernel_lattice(A),
+                               left_kernel=kernel_lattice(A.transpose()))
+            assert d.square_exact == s1
+
+    @pytest.mark.parametrize("example, moduli, n", [
+        ("torus3", (2, 2, 2), 1),     # rank 7 of 8x24: image lattice
+        ("torus3", (2, 2, 2), 2),     # rank 14 of 24x24: structure
+        ("torus3", (2, 2, 2), 3),     # rank 7 of 24x8: image lattice
+        ("circle", (64,), 1),         # rank 63 of 64x64: structure
+    ])
+    def test_routes_agree_on_tower_differentials(self, example, moduli, n):
+        C = circle_complex() if example == "circle" else torus_complex(3)
+        A = base_change(C, QuotientSpec(moduli)).complex.differential(n)
+        sq = _fk_square_structure(A)
+        assert _fk_square_image_lattice(A) == sq
+        assert fk_determinant(A).square_exact == sq
+        d = fk_determinant(A, kernel=kernel_lattice(A),
+                           left_kernel=kernel_lattice(A.transpose()))
+        assert d.square_exact == sq
 
     def test_float_eigenvalue_crosscheck(self):
         # square_exact equals the product of nonzero eigenvalues of A^T A
