@@ -361,15 +361,14 @@ def laplacian(C: IntChainComplex, n: int) -> IntMatrix:
     """Combinatorial Laplacian c_n^T c_n + c_{n+1} c_{n+1}^T on C_n."""
     if not (0 <= n <= C.top_degree):
         raise DegreeOutOfRange(f"degree {n} outside 0..{C.top_degree}")
-    d = C.dim(n)
-    out = IntMatrix.zeros(d, d)
     cn = C.differential(n)
-    if cn.rows:
-        out = out + (cn.transpose() @ cn)
     cnext = C.differential(n + 1)
-    if cnext.cols:
-        out = out + (cnext @ cnext.transpose())
-    return out
+    if not cnext.cols:
+        if not cn.rows:
+            return IntMatrix.zeros(C.dim(n), C.dim(n))
+        return cn.transpose() @ cn
+    up = cnext @ cnext.transpose()
+    return cn.transpose() @ cn + up if cn.rows else up
 
 
 def rho_2(C: IntChainComplex) -> float:

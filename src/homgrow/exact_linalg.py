@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd
 from typing import Optional, Sequence
 
@@ -97,14 +98,16 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch("negative matrix dimensions")
+        return cls._raw(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         e = [0] * (n * n)
         for i in range(n):
             e[i * n + i] = 1
-        return cls(n, n, e)
+        return cls._raw(n, n, tuple(e))
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None,
@@ -525,8 +528,14 @@ class SmithForm:
 
 
 def _chain_divisibility(diag: list) -> list:
-    """Normalize a diagonal multiset into the divisibility chain."""
+    """Normalize a diagonal multiset into the divisibility chain.
+
+    Units divide everything, so they are set aside before the pairwise
+    gcd/lcm loop and lead the chain.
+    """
     d = [abs(x) for x in diag if x]
+    units = d.count(1)
+    d = [x for x in d if x != 1]
     changed = True
     while changed:
         changed = False
@@ -538,7 +547,7 @@ def _chain_divisibility(diag: list) -> list:
                     d[i], d[j] = g, l
                     changed = True
         d.sort()
-    return d
+    return [1] * units + d
 
 
 def _nearest_quotient(b: int, a: int) -> int:
@@ -551,8 +560,18 @@ def _nearest_quotient(b: int, a: int) -> int:
 def _snf_diagonal_sparse(A: IntMatrix) -> list:
     """Diagonal entries (no chain normalization) of a Smith form of A.
 
-    Textbook alternating row/column reduction on a sparse row-dict store,
-    with pivots chosen by minimal absolute value then Markowitz fill count.
+    Textbook alternating row/column reduction on a sparse row-dict store.
+    Pivots come from one min-heap of candidate entries keyed by
+    (|value|, Markowitz count, row, column), after Dumas, Saunders and
+    Villard (JSC 2001), heapified once.  Each nonempty row has one live
+    record, its best entry under that key.  A pivot step pushes a fresh
+    record for every row it changed, superseding the older ones.  On pop,
+    a superseded record is skipped, and a live one whose row's best key
+    has since grown (a column count rose) is pushed again.  Candidates are
+    per row, not per entry: a step with heavy fill changes nearly every
+    entry of the rows it touches, and one push per changed entry then costs
+    more than rescanning every nonzero did.  Only the order of pivots
+    depends on the heap; the invariant factors do not.
     """
     rows = _sparse_rows(A)
     colindex: dict = {}
@@ -560,9 +579,29 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
         for j in r:
             colindex.setdefault(j, set()).add(i)
 
+    def best(i: int) -> tuple:
+        """(|v|, Markowitz count, i, j) of the best entry of nonempty row i."""
+        n = len(rows[i]) - 1
+        ba = bm = bj = None
+        for j, v in rows[i].items():
+            a = v if v > 0 else -v
+            if ba is None or a <= ba:
+                m = n * (len(colindex[j]) - 1)
+                if ba is None or a < ba or m < bm or (m == bm and j < bj):
+                    ba, bm, bj = a, m, j
+        return ba, bm, i, bj
+
+    heap = [best(i) for i, r in enumerate(rows) if r]
+    live = [None] * len(rows)
+    for rec in heap:
+        live[rec[2]] = rec
+    heapify(heap)
+    touched: set = set()
+
     def row_axpy_idx(dst: int, src: int, q: int) -> None:
         if not q:
             return
+        touched.add(dst)
         drow = rows[dst]
         for j, v in rows[src].items():
             w = drow.get(j, 0) + q * v
@@ -580,6 +619,7 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
         for i in list(colindex.get(src, ())):
             v = rows[i].get(src, 0)
             if v:
+                touched.add(i)
                 w = rows[i].get(dst, 0) + q * v
                 if w:
                     if dst not in rows[i]:
@@ -589,29 +629,23 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
                     del rows[i][dst]
                     colindex[dst].discard(i)
 
-    def pick_pivot():
-        best = None
-        best_key = None
-        for j, rowset in colindex.items():
-            for i in rowset:
-                v = rows[i].get(j)
-                if not v:
-                    continue
-                a = abs(v)
-                key = (a, (len(rows[i]) - 1) * (len(rowset) - 1), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-                    if a == 1 and key[1] <= 1:
-                        return best
-        return best
-
+    # Each pivot step empties its row and column for good, so at most
+    # min(rows, cols) pivots exist; stopping there skips draining the heap
+    # of superseded records.
     diag = []
-    while True:
-        pv = pick_pivot()
-        if pv is None:
-            break
-        pi, pj = pv
+    limit = min(A.rows, A.cols)
+    while heap and len(diag) < limit:
+        rec = heappop(heap)
+        i0 = rec[2]
+        if live[i0] is not rec:
+            continue
+        cur = best(i0)
+        if cur > rec:
+            live[i0] = cur
+            heappush(heap, cur)
+            continue
+        live[i0] = None
+        pi, pj = i0, cur[3]
         while True:
             # Row ops until column pj holds only the pivot.
             while True:
@@ -660,6 +694,18 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
         for j in list(rows[pi]):
             colindex[j].discard(pi)
         rows[pi] = {}
+        # Every nonempty row needs a live record, or its invariant factor is
+        # lost.  Row i0 lost its record when popped.  If the pivot migrated
+        # away from it, row ops have already touched it; adding it here
+        # keeps the invariant without relying on that.
+        touched.add(i0)
+        for i in touched:
+            if rows[i]:
+                live[i] = best(i)
+                heappush(heap, live[i])
+            else:
+                live[i] = None
+        touched.clear()
     return diag
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from .chain_complex import IntChainComplex
@@ -225,12 +226,40 @@ class QuotientComplex:
     """Base-changed complex with the deck action of each group generator."""
     complex: IntChainComplex
     quotient: QuotientSpec
-    actions: List[List[IntMatrix]]     # per degree, one matrix per generator
     source: "LaurentChainComplex" = None
 
     @property
     def index(self) -> int:
         return self.quotient.index
+
+    @cached_property
+    def actions(self) -> List[List[IntMatrix]]:
+        """Per degree, the permutation matrix of each generator of G/G_i.
+
+        Built on first access: only homology with action reads them.
+        """
+        positions = {g: k for k, g in enumerate(self.quotient.elements())}
+        moduli = self.quotient.moduli
+        perms = []
+        for j in range(self.quotient.m):
+            perm = [0] * len(positions)
+            for g, k in positions.items():
+                g2 = list(g)
+                g2[j] = (g2[j] + 1) % moduli[j]
+                perm[k] = positions[tuple(g2)]
+            perms.append(perm)
+        n_g = len(positions)
+        out = []
+        for dim in self.complex.dims:
+            level = []
+            for perm in perms:
+                e = [0] * (dim * dim)
+                for blk in range(0, dim, n_g):
+                    for k, pk in enumerate(perm):
+                        e[(blk + pk) * dim + blk + k] = 1
+                level.append(IntMatrix._raw(dim, dim, tuple(e)))
+            out.append(level)
+        return out
 
 
 @dataclass
@@ -315,7 +344,7 @@ def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
 
     Output dims are index * input dims; the composite of consecutive
     differentials is re-verified; the action matrices of the group generators
-    on every chain level are returned alongside.
+    on every chain level are built on first access to `actions`.
     """
     if q.m != C.m:
         raise DimensionMismatch("quotient arity differs from complex arity")
@@ -334,28 +363,9 @@ def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
                 if not p.is_zero():
                     _regular_entry_add(entries, cols, i * n_g, j * n_g, p, q,
                                        positions)
-        diffs.append(IntMatrix(rows, cols, entries))
+        diffs.append(IntMatrix._raw(rows, cols, tuple(entries)))
     complex_ = IntChainComplex(dims, diffs)   # re-checks boundary composition
-    actions = []
-    perms = []
-    for j in range(q.m):
-        perm = [0] * n_g
-        for g, k in positions.items():
-            g2 = list(g)
-            g2[j] = (g2[j] + 1) % q.moduli[j]
-            perm[k] = positions[tuple(g2)]
-        perms.append(perm)
-    for n in range(C.top_degree + 1):
-        level = []
-        d = C.dims[n]
-        for j in range(q.m):
-            e = [0] * (dims[n] * dims[n])
-            for blk in range(d):
-                for k, pk in enumerate(perms[j]):
-                    e[(blk * n_g + pk) * dims[n] + blk * n_g + k] = 1
-            level.append(IntMatrix(dims[n], dims[n], e))
-        actions.append(level)
-    return QuotientComplex(complex_, q, actions, C)
+    return QuotientComplex(complex_, q, C)
 
 
 def homology_with_action(C: LaurentChainComplex, q: QuotientSpec,

@@ -6,6 +6,10 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
 from homgrow.corpus import invert_unimodular, random_unimodular
 from homgrow.errors import DimensionMismatch, IdentityViolation
@@ -23,6 +27,7 @@ from homgrow.exact_linalg import (
     solve_in_lattice,
 )
 from homgrow.exact_linalg import (
+    _chain_divisibility,
     _fk_square_image_lattice,
     _fk_square_minor_sum,
     _fk_square_structure,
@@ -39,6 +44,15 @@ from homgrow.group_ring import (
 def _random_matrix(rng, max_dim=6, bound=5):
     n, m = rng.randint(0, max_dim), rng.randint(0, max_dim)
     return IntMatrix(n, m, [rng.randint(-bound, bound) for _ in range(n * m)])
+
+
+@st.composite
+def _small_matrices(draw, max_dim=8, bound=5):
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim))
+    entries = draw(st.lists(st.integers(-bound, bound),
+                            min_size=n * m, max_size=n * m))
+    return IntMatrix(n, m, entries)
 
 
 def _minor_gcd(A, k):
@@ -90,6 +104,37 @@ class TestSmithNormalForm:
             assert diag == sf.invariant_factors
             assert abs(det_bareiss(sf.left_transform.to_lists())) == 1
             assert abs(det_bareiss(sf.right_transform.to_lists())) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_matrices())
+    def test_sparse_agrees_with_dense_and_sympy(self, A):
+        sparse = smith_normal_form(A).invariant_factors
+        dense = smith_normal_form(A, with_transforms=True).invariant_factors
+        reference = tuple(abs(int(d)) for d in sympy_factors(
+            Matrix(A.to_lists()), domain=ZZ) if d)
+        assert sparse == dense == reference
+
+    def test_permutation_invariance(self):
+        rng = random.Random(103)
+        for _ in range(60):
+            A = _random_matrix(rng, max_dim=8)
+            expected = smith_normal_form(A).invariant_factors
+            rows, cols = list(range(A.rows)), list(range(A.cols))
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            P = IntMatrix.from_rows([[A[i, j] for j in cols] for i in rows])
+            assert smith_normal_form(P).invariant_factors == expected
+
+    def test_migrated_pivot_is_not_lost(self):
+        # The first pivot migrates away from the row it was popped from;
+        # that row survives the step holding 12, and dropping it as a
+        # candidate loses the factor.
+        A = IntMatrix(5, 4, [0, 0, 2, 2, -2, -2, 0, 5, 0, 0, 3, 0,
+                             -2, -2, 1, 3, 3, 2, 0, 1])
+        assert smith_normal_form(A).invariant_factors == (1, 1, 1, 12)
+
+    def test_chain_sets_units_aside(self):
+        assert _chain_divisibility([6, 1, -4, 0, 1, 9]) == [1, 1, 1, 6, 36]
 
 
 class TestKernelLattice:

@@ -60,6 +60,26 @@ class TestBaseChange:
             for j in range(2):
                 assert qc.actions[n - 1][j] @ c == c @ qc.actions[n][j]
 
+    def test_actions_built_lazily_by_formula(self):
+        q = QuotientSpec((2, 3))
+        qc = base_change(torus_complex(2), q)
+        assert "actions" not in vars(qc)
+        elements = q.elements()
+        position = {g: k for k, g in enumerate(elements)}
+        n_g = q.index
+        for n, dim in enumerate(qc.complex.dims):
+            for j in range(q.m):
+                A = qc.actions[n][j]
+                expected = [[0] * dim for _ in range(dim)]
+                for blk in range(dim // n_g):
+                    for k, g in enumerate(elements):
+                        h = list(g)
+                        h[j] = (h[j] + 1) % q.moduli[j]
+                        expected[blk * n_g + position[tuple(h)]][
+                            blk * n_g + k] = 1
+                assert A.to_lists() == expected
+        assert qc.actions is qc.actions
+
     def test_functoriality_along_divisors(self):
         # collapsing the level-N complex by the extra deck translations gives
         # the level-N' complex, up to identical homology
