@@ -763,25 +763,31 @@ def smith_normal_form(A: IntMatrix, with_transforms: bool = False) -> SmithForm:
         swap_rows(t, bi)
         swap_cols(t, bj)
         while True:
-            done = True
-            for i in range(t + 1, n):
-                if M[i][t]:
-                    q = _symmetric_quotient(M[i][t], M[t][t]) if M[t][t] > 0 \
-                        else -_symmetric_quotient(M[i][t], -M[t][t])
-                    row_op(i, t, q)
+            # Row ops until column t holds only the pivot.
+            while True:
+                done = True
+                for i in range(t + 1, n):
                     if M[i][t]:
-                        swap_rows(i, t)
-                        done = False
+                        row_op(i, t, _nearest_quotient(M[i][t], M[t][t]))
+                        if M[i][t]:
+                            swap_rows(i, t)
+                            done = False
+                if done:
+                    break
+            # Column ops run only from the clean column t, so they touch row
+            # t alone.  Run while column t still had other entries, they
+            # spread multiples over the whole block, and on random 8 x 7
+            # inputs entries reached thousands of digits.  The smallest
+            # remainder, if any, becomes the pivot.
+            small = t
             for j in range(t + 1, m):
                 if M[t][j]:
-                    q = _symmetric_quotient(M[t][j], M[t][t]) if M[t][t] > 0 \
-                        else -_symmetric_quotient(M[t][j], -M[t][t])
-                    col_op(j, t, q)
-                    if M[t][j]:
-                        swap_cols(j, t)
-                        done = False
-            if done:
+                    col_op(j, t, _nearest_quotient(M[t][j], M[t][t]))
+                    if M[t][j] and abs(M[t][j]) < abs(M[t][small]):
+                        small = j
+            if small == t:
                 break
+            swap_cols(t, small)
         if M[t][t] < 0:
             for j in range(m):
                 M[t][j] = -M[t][j]
