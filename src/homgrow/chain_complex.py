@@ -240,9 +240,8 @@ class ChainAnalysis:
                 from .exact_linalg import _colhnf_with_transform
                 H, V = _colhnf_with_transform(D.transpose())
                 assert H.cols == b
-                zcols = [V.column(j) for j in range(b)]
-                Z = IntMatrix.from_columns(zcols, K.cols)
-                self._free_lifts[n] = K @ Z
+                Zt = IntMatrix._raw(b, K.cols, V.transpose().data[:b])
+                self._free_lifts[n] = K @ Zt.transpose()
         return self._free_lifts[n]
 
     def harmonic(self, n: int) -> IntMatrix:
@@ -481,15 +480,9 @@ def direct_sum(C: IntChainComplex, D: IntChainComplex) -> IntChainComplex:
     for n in range(1, top + 1):
         a = C.differential(n) if n <= C.top_degree else IntMatrix.zeros(C.dim(n - 1), 0)
         b = D.differential(n) if n <= D.top_degree else IntMatrix.zeros(D.dim(n - 1), 0)
-        rows = []
-        for i in range(a.rows):
-            rows.append(list(a.row(i)) + [0] * b.cols)
-        for i in range(b.rows):
-            rows.append([0] * a.cols + list(b.row(i)))
-        if not rows:
-            diffs.append(IntMatrix.zeros(0, a.cols + b.cols))
-        else:
-            diffs.append(IntMatrix.from_rows(rows))
+        shifted = [{a.cols + j: v for j, v in r.items()} for r in b.data]
+        diffs.append(IntMatrix._raw(a.rows + b.rows, a.cols + b.cols,
+                                    a.data + shifted))
     return IntChainComplex(dims, diffs)
 
 
@@ -526,37 +519,29 @@ def tensor(C: IntChainComplex, D: IntChainComplex) -> IntChainComplex:
         for p, q in dst:
             dst_offsets[(p, q)] = off
             off += C.dim(p) * D.dim(q)
-        rows = dims[n - 1]
-        cols = dims[n]
-        entries = [0] * (rows * cols)
+        # Each entry is written once: the two parts of one source block land
+        # in different target blocks, and source blocks own disjoint columns.
+        rows = [{} for _ in range(dims[n - 1])]
         coff = 0
         for p, q in src:
             cp, dq = C.dim(p), D.dim(q)
             # dx @ y lands in (p-1, q)
             if p >= 1 and (p - 1, q) in dst_offsets:
                 roff = dst_offsets[(p - 1, q)]
-                cmat = C.differential(p)
-                for a in range(cmat.rows):
-                    for b in range(cmat.cols):
-                        v = cmat[a, b]
-                        if v:
-                            for y in range(dq):
-                                r = roff + a * dq + y
-                                c = coff + b * dq + y
-                                entries[r * cols + c] += v
+                for a, crow in enumerate(C.differential(p).data):
+                    for b, v in crow.items():
+                        for y in range(dq):
+                            rows[roff + a * dq + y][coff + b * dq + y] = v
             # (-1)^p x @ dy lands in (p, q-1)
             if q >= 1 and (p, q - 1) in dst_offsets:
                 roff = dst_offsets[(p, q - 1)]
                 dmat = D.differential(q)
                 sgn = -1 if p % 2 else 1
-                for a in range(dmat.rows):
-                    for b in range(dmat.cols):
-                        v = dmat[a, b]
-                        if v:
-                            for x in range(cp):
-                                r = roff + x * dmat.rows + a
-                                c = coff + x * dmat.cols + b
-                                entries[r * cols + c] += sgn * v
+                for a, drow in enumerate(dmat.data):
+                    for b, v in drow.items():
+                        for x in range(cp):
+                            rows[roff + x * dmat.rows + a][
+                                coff + x * dmat.cols + b] = sgn * v
             coff += cp * dq
-        diffs.append(IntMatrix(rows, cols, entries))
+        diffs.append(IntMatrix._raw(dims[n - 1], dims[n], rows))
     return IntChainComplex(dims, diffs)

@@ -213,6 +213,11 @@ def cmd_tower(args) -> int:
     levels = _parse_levels(args.levels) if args.levels else [1, 2, 4, 8]
     specs = [_parse_moduli_pattern(args.moduli_pattern, C.m, i)
              for i in levels]
+    if any(b.index <= a.index for a, b in zip(specs, specs[1:])):
+        raise ParseError("--levels must give quotients of increasing index")
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ParseError(f"--max-degree must be nonnegative, got "
+                         f"{args.max_degree}")
     primes = _primes(args.primes)
     report = growth.run_tower(C, specs, primes=primes,
                               max_degree=args.max_degree, jobs=args.jobs)
@@ -378,6 +383,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise ParseError(f"--count must be positive, got {args.count}")
     rng = random.Random(args.seed)
     names = [args.suite] if args.suite else list(_SUITES)
     for name in names:

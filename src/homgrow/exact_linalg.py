@@ -5,6 +5,15 @@ saturated kernel lattices, cokernel structure, Gram determinants, and exact
 Fuglede-Kadison determinants over the trivial group.  Floating point appears
 only when a natural logarithm of an exact value is finally requested.
 
+`IntMatrix` has one storage: a dict per row, {column: nonzero int}.  A
+base-changed differential has index x rank rows with only a few nonzeros
+each, so memory, transposes, sums and products follow the nonzeros, and the
+kernels work on the row dicts (or those of the transpose) directly.  No row
+dict stores a 0, and row dicts may be shared between matrices but are never
+mutated: a kernel copies a row before it works on it in place.  Dense lists
+appear only at the list constructors and `to_lists`, in the determinants,
+the minor-sum oracle and the transform-tracking Smith form.
+
 The Fuglede-Kadison determinant of an integer matrix A is the product of its
 nonzero singular values.  Its square is an integer: the sum of the squares of
 all maximal-rank minors (Cauchy-Binet).  `fk_determinant` evaluates it by one
@@ -55,34 +64,44 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class IntMatrix:
-    """Dense arbitrary-precision integer matrix, row-major, immutable.
+    """Sparse arbitrary-precision integer matrix, immutable.
+
+    The only storage is `data`, one dict per row mapping a column index to
+    a nonzero int, so memory and the O(nnz) operations (transpose, +, -, @,
+    hstack) follow the nonzeros, not rows * cols.  Two rules hold:
+
+      * no row dict ever stores a 0;
+      * row dicts may be shared between matrices and are never mutated, so a
+        kernel copies a row with dict(r) before it works on it in place.
 
     Empty matrices (0 rows and/or 0 columns) are legal and represent zero
     modules and empty maps.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        entries = tuple(int(x) for x in entries)
+        entries = [int(x) for x in entries]
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries, got {len(entries)}"
             )
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        dense = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+        self.data = [{j: v for j, v in enumerate(r) if v} for r in dense]
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+    def _raw(cls, rows: int, cols: int, data: list) -> "IntMatrix":
+        """Wrap a list of row dicts that already obeys the storage rules."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m.data = data
         return m
 
     @classmethod
@@ -100,14 +119,11 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        return cls._raw(rows, cols, (0,) * (rows * cols))
+        return cls._raw(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        e = [0] * (n * n)
-        for i in range(n):
-            e[i * n + i] = 1
-        return cls._raw(n, n, tuple(e))
+        return cls._raw(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None,
@@ -135,93 +151,94 @@ class IntMatrix:
 
     def __getitem__(self, ij) -> int:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
+        return self.data[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
-        c = self.cols
-        return self.entries[i * c:(i + 1) * c]
+        r = self.data[i]
+        return tuple(r.get(j, 0) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
-        c = self.cols
-        return tuple(self.entries[i * c + j] for i in range(self.rows))
+        return tuple(r.get(j, 0) for r in self.data)
 
     def to_lists(self) -> list:
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        out = []
+        for r in self.data:
+            row = [0] * self.cols
+            for j, v in r.items():
+                row[j] = v
+            out.append(row)
+        return out
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.data)
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
     def nnz(self) -> int:
-        return sum(1 for x in self.entries if x)
+        return sum(map(len, self.data))
 
     # -- arithmetic -----------------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        r, c, e = self.rows, self.cols, self.entries
-        if r == 0 or c == 0:
-            return IntMatrix._raw(c, r, ())
-        rows = [e[i * c:(i + 1) * c] for i in range(r)]
-        out = tuple(itertools.chain.from_iterable(zip(*rows)))
-        return IntMatrix._raw(c, r, out)
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, v in r.items():
+                out[j][i] = v
+        return IntMatrix._raw(self.cols, self.rows, out)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._raw(self.rows, self.cols,
-                              tuple(-x for x in self.entries))
+        return self.scale(-1)
+
+    def _combine(self, other: "IntMatrix", q: int) -> "IntMatrix":
+        """self + q * other for q = +-1, sharing rows left unchanged."""
+        if self.shape != other.shape:
+            raise DimensionMismatch(
+                "shape mismatch in " + ("+" if q > 0 else "-"))
+        out = []
+        for a, b in zip(self.data, other.data):
+            if b:
+                a = dict(a)
+                _row_axpy(a, b, q)
+            out.append(a)
+        return IntMatrix._raw(self.rows, self.cols, out)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in +")
-        return IntMatrix._raw(
-            self.rows, self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in -")
-        return IntMatrix._raw(
-            self.rows, self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [0] * (n * m)
-        for i in range(n):
-            abase = i * k
-            obase = i * m
-            for t in range(k):
-                v = a[abase + t]
-                if v:
-                    bbase = t * m
-                    if v == 1:
-                        for j in range(m):
-                            out[obase + j] += b[bbase + j]
-                    elif v == -1:
-                        for j in range(m):
-                            out[obase + j] -= b[bbase + j]
-                    else:
-                        for j in range(m):
-                            out[obase + j] += v * b[bbase + j]
-        return IntMatrix._raw(n, m, tuple(out))
+        b = other.data
+        out = []
+        for r in self.data:
+            acc: dict = {}
+            for t, v in r.items():
+                _row_axpy(acc, b[t], v)
+            out.append(acc)
+        return IntMatrix._raw(self.rows, other.cols, out)
 
     def scale(self, c: int) -> "IntMatrix":
+        if c == 0:
+            return IntMatrix.zeros(self.rows, self.cols)
         return IntMatrix._raw(self.rows, self.cols,
-                              tuple(c * x for x in self.entries))
+                              [{j: c * v for j, v in r.items()}
+                               for r in self.data])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.shape == other.shape
-                and self.entries == other.entries)
+                and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self.data)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -232,27 +249,23 @@ class IntMatrix:
     def hstack(left: "IntMatrix", right: "IntMatrix") -> "IntMatrix":
         if left.rows != right.rows:
             raise DimensionMismatch("hstack row mismatch")
+        off = left.cols
         out = []
-        for i in range(left.rows):
-            out.extend(left.row(i))
-            out.extend(right.row(i))
-        return IntMatrix(left.rows, left.cols + right.cols, out)
+        for a, b in zip(left.data, right.data):
+            if b:
+                a = dict(a)
+                for j, v in b.items():
+                    a[off + j] = v
+            out.append(a)
+        return IntMatrix._raw(left.rows, left.cols + right.cols, out)
 
 
 # ---------------------------------------------------------------------------
-# Sparse row machinery (private).  A sparse matrix is a list of row dicts
-# {col: value}; column index sets are rebuilt where needed.
+# Sparse row machinery (private).  Kernels read IntMatrix.data, the only
+# storage, or the .data of a transpose when they need columns.  Rows hold no
+# 0 and may be shared, so a kernel copies a row with dict(r) before it
+# changes it in place.
 # ---------------------------------------------------------------------------
-
-def _sparse_rows(A: IntMatrix) -> list:
-    c = A.cols
-    e = A.entries
-    out = []
-    for i in range(A.rows):
-        base = i * c
-        out.append({j: e[base + j] for j in range(c) if e[base + j]})
-    return out
-
 
 def _row_axpy(dst: dict, src: dict, q: int) -> None:
     """dst += q * src, in place, dropping zeros."""
@@ -400,65 +413,35 @@ def _row_hnf_clean(rows: list, ncols: int, transform: bool = False,
     return pivots, hrows, None
 
 
-def _dicts_to_matrix(rows: list, ncols: int) -> IntMatrix:
-    flat = []
-    for r in rows:
-        row = [0] * ncols
-        for j, v in r.items():
-            row[j] = v
-        flat.extend(row)
-    return IntMatrix._raw(len(rows), ncols, tuple(flat))
-
-
 def column_hnf(A: IntMatrix) -> IntMatrix:
     """Canonical basis of the column lattice of A, as columns in Hermite form.
 
     Columns are returned with strictly increasing pivot rows; the result has
     full column rank equal to rank(A).
     """
-    rows = _sparse_rows(A.transpose())
-    _, hrows, _ = _row_hnf_clean(rows, A.rows)
-    return _dicts_to_matrix(hrows, A.rows).transpose()
+    _, hrows, _ = _row_hnf_clean(A.transpose().data, A.rows)
+    return IntMatrix._raw(len(hrows), A.rows, hrows).transpose()
 
 
 def _is_identity(M: IntMatrix) -> bool:
-    if M.rows != M.cols:
-        return False
-    n = M.rows
-    e = M.entries
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            if e[base + j] != (1 if i == j else 0):
-                return False
-    return True
+    return M.rows == M.cols and all(
+        len(r) == 1 and r.get(i) == 1 for i, r in enumerate(M.data))
 
 
 def kernel_lattice(A: IntMatrix) -> IntMatrix:
     """Z-basis of ker(A) as a saturated sublattice, columns in Hermite form."""
     if A.rows == 0 or A.is_zero():
         return IntMatrix.identity(A.cols)
-    rows = _sparse_rows(A.transpose())
-    pivots, hrows, urows = _row_hnf_clean(rows, A.rows, transform=True,
-                                          reduce_off_pivots=False)
+    pivots, _, urows = _row_hnf_clean(A.transpose().data, A.rows,
+                                      transform=True, reduce_off_pivots=False)
     nker = A.cols - len(pivots)
     kvecs = urows[len(pivots):]
     assert len(kvecs) == nker
     if nker == 0:
         return IntMatrix.zeros(A.cols, 0)
-    K = _dicts_to_matrix(kvecs, A.cols)       # rows are kernel vectors
+    K = IntMatrix._raw(nker, A.cols, kvecs)   # rows are kernel vectors
     # canonicalize: column HNF of the basis matrix (kernel vectors as columns)
     return column_hnf(K.transpose())
-
-
-def _pivot_rows_of_colhnf(B: IntMatrix) -> list:
-    """Pivot row of each column of a column-Hermite matrix."""
-    piv = []
-    for j in range(B.cols):
-        col = B.column(j)
-        i = next(i for i, v in enumerate(col) if v)
-        piv.append(i)
-    return piv
 
 
 def solve_in_lattice(B: IntMatrix, C: IntMatrix) -> Optional[IntMatrix]:
@@ -471,32 +454,24 @@ def solve_in_lattice(B: IntMatrix, C: IntMatrix) -> Optional[IntMatrix]:
         raise DimensionMismatch("solve_in_lattice shape mismatch")
     if _is_identity(B):
         return C
-    piv = _pivot_rows_of_colhnf(B)
-    bcols = [B.column(j) for j in range(B.cols)]
-    out_cols = []
-    for j in range(C.cols):
-        resid = {i: v for i, v in enumerate(C.column(j)) if v}
-        y = [0] * B.cols
-        for t in range(B.cols):
-            p = piv[t]
+    bcols = B.transpose().data
+    piv = [min(col) for col in bcols]      # pivot row of each Hermite column
+    out = []                               # rows of X^T
+    for ccol in C.transpose().data:
+        resid = dict(ccol)
+        y = {}
+        for t, (p, bcol) in enumerate(zip(piv, bcols)):
             v = resid.get(p, 0)
             if v:
-                pivval = bcols[t][p]
-                q, r = divmod(v, pivval)
+                q, r = divmod(v, bcol[p])
                 if r:
                     return None
                 y[t] = q
-                for i, w in enumerate(bcols[t]):
-                    if w:
-                        nv = resid.get(i, 0) - q * w
-                        if nv:
-                            resid[i] = nv
-                        else:
-                            resid.pop(i, None)
+                _row_axpy(resid, bcol, -q)
         if resid:
             return None
-        out_cols.append(y)
-    return IntMatrix.from_columns(out_cols, B.cols)
+        out.append(y)
+    return IntMatrix._raw(C.cols, B.cols, out).transpose()
 
 
 def _colhnf_with_transform(A: IntMatrix):
@@ -504,10 +479,10 @@ def _colhnf_with_transform(A: IntMatrix):
 
     V is unimodular of size A.cols; H has rank(A) columns.
     """
-    rows = _sparse_rows(A.transpose())
-    pivots, hrows, urows = _row_hnf_clean(rows, A.rows, transform=True)
-    H = _dicts_to_matrix(hrows, A.rows).transpose()
-    V = _dicts_to_matrix(urows, A.cols).transpose()
+    _, hrows, urows = _row_hnf_clean(A.transpose().data, A.rows,
+                                     transform=True)
+    H = IntMatrix._raw(len(hrows), A.rows, hrows).transpose()
+    V = IntMatrix._raw(len(urows), A.cols, urows).transpose()
     return H, V
 
 
@@ -573,7 +548,7 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
     more than rescanning every nonzero did.  Only the order of pivots
     depends on the heap; the invariant factors do not.
     """
-    rows = _sparse_rows(A)
+    rows = [dict(r) for r in A.data]
     colindex: dict = {}
     for i, r in enumerate(rows):
         for j in r:
@@ -836,8 +811,8 @@ def smith_normal_form(A: IntMatrix, with_transforms: bool = False) -> SmithForm:
 
 
 def rank(A: IntMatrix) -> int:
-    rows = _sparse_rows(A.transpose())
-    pivots, _, _ = _row_hnf_clean(rows, A.rows, reduce_off_pivots=False)
+    pivots, _, _ = _row_hnf_clean(A.transpose().data, A.rows,
+                                  reduce_off_pivots=False)
     return len(pivots)
 
 
@@ -969,10 +944,7 @@ def gram_determinant(vectors: Sequence[Sequence]) -> Fraction:
 
 def _gram_int(B: IntMatrix) -> list:
     """B^T B as list-of-lists, using column sparsity."""
-    cols = [
-        {i: v for i, v in enumerate(B.column(j)) if v}
-        for j in range(B.cols)
-    ]
+    cols = B.transpose().data
     n = B.cols
     G = [[0] * n for _ in range(n)]
     for a in range(n):
@@ -1089,10 +1061,9 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
         prc_sq: Fraction = Fraction(1)
     else:
         L = column_hnf(D.transpose())
-        piv = _pivot_rows_of_colhnf(L)
         detL = 1
-        for j, p in enumerate(piv):
-            detL *= L[p, j]
+        for col in L.transpose().data:
+            detL *= col[min(col)]          # pivot entry of a Hermite column
         gram_d = det_bareiss_psd(_gram_int(D))
         prc_sq = Fraction(gram_d, detL * detL)
     return jk_sq, tors, prc_sq, r

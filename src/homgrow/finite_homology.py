@@ -19,7 +19,6 @@ on quotient complexes with their deck actions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -38,7 +37,13 @@ from .exact_linalg import (
     smith_normal_form,
     solve_in_lattice,
 )
-from .group_ring import ModuleWithAction, QuotientComplex, QuotientSpec
+from .group_ring import (
+    LaurentPoly,
+    ModuleWithAction,
+    QuotientComplex,
+    QuotientSpec,
+    _regular_entry_add,
+)
 
 __all__ = [
     "FinAbGroup",
@@ -113,23 +118,18 @@ def _expand_group_ring_matrix(entries: list, orders: Sequence[int]) -> IntMatrix
 
     `entries` is rows x cols of dicts {exponent tuple: coefficient} with
     exponents reduced mod the orders; the group elements are ordered
-    lexicographically.
+    lexicographically, as in `base_change`.
     """
-    elems = list(itertools.product(*[range(o) for o in orders]))
-    pos = {g: k for k, g in enumerate(elems)}
-    ng = len(elems)
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    out = [0] * ((rows * ng) * (cols * ng))
-    total_cols = cols * ng
-    for i in range(rows):
-        for j in range(cols):
-            for e, c in entries[i][j].items():
-                red = tuple(x % o for x, o in zip(e, orders))
-                for v, vk in pos.items():
-                    tgt = tuple((a + b) % o for a, b, o in zip(red, v, orders))
-                    out[(i * ng + pos[tgt]) * total_cols + j * ng + vk] += c
-    return IntMatrix(rows * ng, cols * ng, out)
+    q = QuotientSpec(tuple(orders))
+    ng = q.index
+    positions = {g: k for k, g in enumerate(q.elements())}
+    cols = len(entries[0]) if entries else 0
+    rows = [{} for _ in range(len(entries) * ng)]
+    for i, erow in enumerate(entries):
+        for j, entry in enumerate(erow):
+            _regular_entry_add(rows, i * ng, j * ng, LaurentPoly(q.m, entry),
+                               q, positions)
+    return IntMatrix._raw(len(rows), cols * ng, rows)
 
 
 def _periodic_entry(order: int, degree: int) -> dict:
@@ -262,37 +262,24 @@ def _apply_ring_element(entry: dict, acts: List[IntMatrix], g: int) -> IntMatrix
 
 
 def _block_matrix(blocks: list, g: int) -> IntMatrix:
-    rows_b = len(blocks)
-    cols_b = len(blocks[0]) if rows_b else 0
-    rows = rows_b * g
-    cols = cols_b * g
-    out = [0] * (rows * cols)
-    for bi in range(rows_b):
-        for bj in range(cols_b):
-            B = blocks[bi][bj]
-            if B is None or B.is_zero():
-                continue
-            for i in range(g):
-                base = (bi * g + i) * cols + bj * g
-                row = B.row(i)
-                for j in range(g):
-                    if row[j]:
-                        out[base + j] += row[j]
-    return IntMatrix(rows, cols, out)
+    """Matrix of g x g blocks."""
+    cols_b = len(blocks[0]) if blocks else 0
+    out = []
+    for brow in blocks:
+        for i in range(g):
+            row = {}
+            for bj, B in enumerate(brow):
+                row.update((bj * g + j, v) for j, v in B.data[i].items())
+            out.append(row)
+    return IntMatrix._raw(len(blocks) * g, cols_b * g, out)
 
 
 def _block_diag(P: IntMatrix, copies: int) -> IntMatrix:
-    g, q = P.rows, P.cols
-    rows, cols = g * copies, q * copies
-    out = [0] * (rows * cols)
-    for b in range(copies):
-        for i in range(g):
-            base = (b * g + i) * cols + b * q
-            row = P.row(i)
-            for j in range(q):
-                if row[j]:
-                    out[base + j] = row[j]
-    return IntMatrix(rows, cols, out)
+    q = P.cols
+    return IntMatrix._raw(
+        P.rows * copies, q * copies,
+        [{b * q + j: v for j, v in r.items()}
+         for b in range(copies) for r in P.data])
 
 
 def _preimage_generators(N: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
@@ -304,9 +291,7 @@ def _preimage_generators(N: IntMatrix, target_relations: IntMatrix) -> IntMatrix
     K = kernel_lattice(joint)
     if K.cols == 0:
         return IntMatrix.zeros(N.cols, 0)
-    proj = IntMatrix(N.cols, K.cols,
-                     [K[i, j] for i in range(N.cols) for j in range(K.cols)])
-    return column_hnf(proj)
+    return column_hnf(IntMatrix._raw(N.cols, K.cols, K.data[:N.cols]))
 
 
 def _quotient_structure(S: IntMatrix, R: IntMatrix) -> tuple:
@@ -515,14 +500,10 @@ def _augmented_complex(qc: QuotientComplex) -> IntChainComplex:
 def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
     """Sum over group coordinates on each free block of C[i]_n."""
     ng = qc.quotient.index
-    dim_ring = qc.complex.dim(n) // ng if ng else 0
-    rows = dim_ring
-    cols = qc.complex.dim(n)
-    out = [0] * (rows * cols)
-    for b in range(rows):
-        for gpos in range(ng):
-            out[b * cols + b * ng + gpos] = 1
-    return IntMatrix(rows, cols, out)
+    rows = qc.complex.dim(n) // ng if ng else 0
+    return IntMatrix._raw(rows, qc.complex.dim(n),
+                          [{b * ng + gpos: 1 for gpos in range(ng)}
+                           for b in range(rows)])
 
 
 def _homology_map_data(qc: QuotientComplex, n: int):

@@ -253,11 +253,11 @@ class QuotientComplex:
         for dim in self.complex.dims:
             level = []
             for perm in perms:
-                e = [0] * (dim * dim)
+                data = [None] * dim
                 for blk in range(0, dim, n_g):
                     for k, pk in enumerate(perm):
-                        e[(blk + pk) * dim + blk + k] = 1
-                level.append(IntMatrix._raw(dim, dim, tuple(e)))
+                        data[blk + pk] = {blk + k: 1}
+                level.append(IntMatrix._raw(dim, dim, data))
             out.append(level)
         return out
 
@@ -325,18 +325,25 @@ def _maps_into(M: IntMatrix, lattice_hnf: Optional[IntMatrix]) -> bool:
 # base change
 # ---------------------------------------------------------------------------
 
-def _regular_entry_add(entries: list, total_cols: int, row0: int, col0: int,
-                       poly: LaurentPoly, q: QuotientSpec,
-                       positions: Dict[tuple, int]) -> None:
-    """Add the regular-representation block of `poly` at block (row0, col0)."""
+def _regular_entry_add(rows: list, row0: int, col0: int, poly: LaurentPoly,
+                       q: QuotientSpec, positions: Dict[tuple, int]) -> None:
+    """Add the regular-representation block of `poly` at block (row0, col0).
+
+    `rows` are the row dicts of the matrix being built; terms that cancel
+    modulo the quotient leave no stored 0.
+    """
     idx = q.elements()
-    n = q.index
     mod = q.moduli
     for e, c in poly.terms.items():
         red = tuple(x % N for x, N in zip(e, mod))
         for vpos, v in enumerate(idx):
             target = tuple((a + b) % N for a, b, N in zip(red, v, mod))
-            entries[(row0 + positions[target]) * total_cols + col0 + vpos] += c
+            row = rows[row0 + positions[target]]
+            w = row.get(col0 + vpos, 0) + c
+            if w:
+                row[col0 + vpos] = w
+            else:
+                del row[col0 + vpos]
 
 
 def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
@@ -354,16 +361,15 @@ def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
     dims = [d * n_g for d in C.dims]
     diffs = []
     for n in range(1, C.top_degree + 1):
-        rows, cols = dims[n - 1], dims[n]
-        entries = [0] * (rows * cols)
+        rows = [{} for _ in range(dims[n - 1])]
         mat = C.differential(n)
         for i in range(C.dims[n - 1]):
             for j in range(C.dims[n]):
                 p = mat[i][j]
                 if not p.is_zero():
-                    _regular_entry_add(entries, cols, i * n_g, j * n_g, p, q,
+                    _regular_entry_add(rows, i * n_g, j * n_g, p, q,
                                        positions)
-        diffs.append(IntMatrix._raw(rows, cols, tuple(entries)))
+        diffs.append(IntMatrix._raw(dims[n - 1], dims[n], rows))
     complex_ = IntChainComplex(dims, diffs)   # re-checks boundary composition
     return QuotientComplex(complex_, q, C)
 

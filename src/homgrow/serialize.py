@@ -62,6 +62,9 @@ def complex_from_document(doc: dict) -> LaurentChainComplex:
         raw_diffs = doc["differentials"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
+    if m < 0 or any(d < 0 for d in dims):
+        raise ParseError(f"m and dims must be nonnegative: m = {m}, "
+                         f"dims = {dims}")
     if len(dims) != top + 1:
         raise ParseError(f"dims has {len(dims)} entries for top_degree {top}")
     if len(raw_diffs) != top:

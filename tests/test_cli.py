@@ -37,6 +37,14 @@ class TestSerialization:
         with pytest.raises(ParseError):
             complex_from_document({"m": 1, "top_degree": 1, "dims": [1]})
 
+    @pytest.mark.parametrize("doc", [
+        {"m": -1, "top_degree": 0, "dims": [1], "differentials": []},
+        {"m": 0, "top_degree": 0, "dims": [-3], "differentials": []},
+    ], ids=["negative-m", "negative-dims"])
+    def test_negative_sizes_rejected(self, doc):
+        with pytest.raises(ParseError):
+            complex_from_document(doc)
+
     def test_shape_mismatch(self):
         doc = {"m": 0, "top_degree": 1, "dims": [1, 1],
                "differentials": [[[]]]}
@@ -135,9 +143,19 @@ class TestCommands:
         ["homology", "--example", "circle", "--levels", "2",
          "--moduli-pattern", "0"],
         ["homology", "--example", "mapping_torus:[[0]]"],
-    ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix"])
-    def test_bad_input_exit_code(self, argv, capsys):
-        assert main(argv) == 2
+        ["homology", "--input", "{doc}"],
+        ["tower", "--example", "circle", "--levels", "2,1"],
+        ["tower", "--example", "circle", "--levels", "1,2",
+         "--max-degree", "-1"],
+        ["verify", "--suite", "rho-identity", "--count", "-1"],
+    ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix",
+            "negative-dims", "decreasing-levels", "negative-max-degree",
+            "negative-count"])
+    def test_bad_input_exit_code(self, argv, tmp_path, capsys):
+        doc = tmp_path / "negative_dims.json"
+        doc.write_text(json.dumps(
+            {"m": 0, "top_degree": 0, "dims": [-3], "differentials": []}))
+        assert main([a.replace("{doc}", str(doc)) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "verification failure" not in err

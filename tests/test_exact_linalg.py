@@ -16,6 +16,7 @@ from homgrow.errors import DimensionMismatch, IdentityViolation
 from homgrow.exact_linalg import (
     IntMatrix,
     cokernel_structure,
+    column_hnf,
     det_bareiss,
     det_bareiss_psd,
     fk_determinant,
@@ -55,6 +56,22 @@ def _small_matrices(draw, max_dim=8, bound=5):
     return IntMatrix(n, m, entries)
 
 
+@st.composite
+def _list_operands(draw, max_dim=7, bound=4):
+    """Shapes n, k, m, w and list-of-lists a, b (n x k), c (k x m), d (n x w)."""
+    n, k, m, w = (draw(st.integers(0, max_dim)) for _ in range(4))
+
+    def lists(r, c):
+        return [draw(st.lists(st.integers(-bound, bound),
+                              min_size=c, max_size=c)) for _ in range(r)]
+
+    return n, k, m, w, lists(n, k), lists(n, k), lists(k, m), lists(n, w)
+
+
+def _from_lists(rows, ncols):
+    return IntMatrix(len(rows), ncols, [x for r in rows for x in r])
+
+
 def _minor_gcd(A, k):
     lists = A.to_lists()
     g = 0
@@ -62,6 +79,52 @@ def _minor_gcd(A, k):
         for J in itertools.combinations(range(A.cols), k):
             g = gcd(g, det_bareiss([[lists[i][j] for j in J] for i in I]))
     return g
+
+
+class TestIntMatrixAgainstLists:
+    @settings(max_examples=200, deadline=None)
+    @given(_list_operands())
+    def test_operations_match_lists(self, operands):
+        n, k, m, w, a, b, c, d = operands
+        A, B = _from_lists(a, k), _from_lists(b, k)
+        at = [[a[i][j] for i in range(n)] for j in range(k)]
+        cases = [
+            (A @ _from_lists(c, m), (n, m),
+             [[sum(a[i][t] * c[t][j] for t in range(k)) for j in range(m)]
+              for i in range(n)]),
+            (A + B, (n, k), [[x + y for x, y in zip(r, s)]
+                             for r, s in zip(a, b)]),
+            (A - B, (n, k), [[x - y for x, y in zip(r, s)]
+                             for r, s in zip(a, b)]),
+            (-A, (n, k), [[-x for x in r] for r in a]),
+            (A.transpose(), (k, n), at),
+            (IntMatrix.hstack(A, _from_lists(d, w)), (n, k + w),
+             [r + s for r, s in zip(a, d)]),
+            (A.scale(0), (n, k), [[0] * k for _ in range(n)]),
+            (IntMatrix.from_columns(at, n), (n, k), a),
+        ]
+        for R, shape, expected in cases:
+            assert R.shape == shape
+            assert R.to_lists() == expected
+            assert all(v for row in R.data for v in row.values())
+        same = (A + B) - B         # equal rows, possibly in another key order
+        assert same == A and hash(same) == hash(A)
+        assert (A == B) == (a == b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_list_operands())
+    def test_kernels_leave_input_unchanged(self, operands):
+        _, k, _, _, a, b, _, _ = operands
+        A = _from_lists(a, k) + _from_lists(b, k).scale(0)   # shares rows
+        H = column_hnf(A)
+        h = H.to_lists()
+        smith_normal_form(A)
+        kernel_lattice(A)
+        column_hnf(A)
+        X = solve_in_lattice(H, A)
+        assert A.to_lists() == a
+        assert H.to_lists() == h
+        assert H @ X == A
 
 
 class TestSmithNormalForm:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from homgrow.chain_complex import ChainAnalysis, homology
 from homgrow.errors import NonSquareMatrix
 from homgrow.exact_linalg import IntMatrix, det_bareiss
 from homgrow.group_ring import (
+    LaurentChainComplex,
     LaurentPoly,
     QuotientSpec,
     base_change,
@@ -79,6 +81,26 @@ class TestBaseChange:
                             blk * n_g + k] = 1
                 assert A.to_lists() == expected
         assert qc.actions is qc.actions
+
+    def test_entries_cancelling_mod_n_store_nothing(self):
+        # t^2 - 1 vanishes modulo t^2 = 1: both terms land on the same
+        # entries and cancel.
+        t2_minus_1 = LaurentPoly(1, {(2,): 1, (0,): -1})
+        C = LaurentChainComplex(1, [1, 1], [[[t2_minus_1]]])
+        c1 = base_change(C, QuotientSpec((2,))).complex.differential(1)
+        assert c1.shape == (2, 2)
+        assert c1.nnz() == 0 and c1.is_zero()
+
+    def test_memory_follows_nonzeros(self):
+        # A dense index^2 store of this level peaks near 256 MiB.
+        tracemalloc.start()
+        try:
+            qc = base_change(circle_complex(), QuotientSpec((4096,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert qc.complex.differential(1).nnz() == 2 * 4096
+        assert peak < 16 * 2 ** 20
 
     def test_functoriality_along_divisors(self):
         # collapsing the level-N complex by the extra deck translations gives
