@@ -42,7 +42,6 @@ from .exact_linalg import (
     cokernel_structure,
     fk_determinant,
     fk_factorization_check,
-    gram_determinant,
     kernel_lattice,
     smith_normal_form,
 )

@@ -146,6 +146,8 @@ def _primes(text: str) -> List[int]:
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
             raise ParseError(f"{p} is not prime")
         out.append(p)
+    if not out:
+        raise ParseError("--primes must be nonempty")
     return out
 
 
@@ -218,6 +220,8 @@ def cmd_tower(args) -> int:
     if args.max_degree is not None and args.max_degree < 0:
         raise ParseError(f"--max-degree must be nonnegative, got "
                          f"{args.max_degree}")
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be positive, got {args.jobs}")
     primes = _primes(args.primes)
     report = growth.run_tower(C, specs, primes=primes,
                               max_degree=args.max_degree, jobs=args.jobs)
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homological growth invariants along finite quotient towers")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def complex_args(p):
         p.add_argument("--input", help="chain complex JSON document")
         p.add_argument("--example", help="builtin example name")
         p.add_argument("--levels", help="comma-separated level scales")
@@ -418,19 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-variable moduli, 'i' for the level scale")
         p.add_argument("--primes", default="2,3,5",
                        help="primes for mod-p Betti numbers")
-        p.add_argument("--max-degree", dest="max_degree", type=int,
-                       default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     p_hom = sub.add_parser("homology", help="single complex or quotient level")
-    common(p_hom)
+    complex_args(p_hom)
     p_tow = sub.add_parser("tower", help="full tower experiment")
-    common(p_tow)
+    complex_args(p_tow)
+    p_tow.add_argument("--max-degree", dest="max_degree", type=int,
+                       default=None)
+    p_tow.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_tow.add_argument("--jobs", type=int, default=1)
     p_ver = sub.add_parser("verify", help="run the lemma verification suites")
-    common(p_ver)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--suite", help="run a single suite")
     p_ver.add_argument("--count", type=int, default=None,
                        help="override instance count")

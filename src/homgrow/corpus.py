@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Sequence
 
 from .chain_complex import IntChainComplex, direct_sum
 from .errors import IdentityViolation
-from .exact_linalg import IntMatrix, _colhnf_with_transform
+from .exact_linalg import (
+    IntMatrix,
+    _colhnf_with_transform,
+    column_hnf,
+    smith_normal_form,
+)
 from .group_ring import ModuleWithAction
 
 __all__ = [
@@ -252,29 +257,46 @@ def d_bruteforce(factors: Sequence[int], limit: int = 4) -> Optional[int]:
 
 
 def _module_elements(M: ModuleWithAction):
-    """Concrete model of a finite M: (diag, element tuples, action maps).
+    """Concrete model of a finite M = Z^g / im(P) in Hermite coordinates.
 
-    Returns None when M is infinite.
+    With H = column_hnf(P) of rank g, column t has its pivot d_t at row t and
+    nothing above it, so the tuples 0 <= x_t < d_t are one representative
+    per element.  Returns (diag, elements, actions, reduce): `reduce` maps an
+    integer vector to its representative, and each action maps a
+    representative to the representative of its image.  Returns None when M
+    is infinite.  Raises IdentityViolation unless prod d_t equals the product
+    of the Smith invariant factors of P.
     """
-    from .exact_linalg import smith_normal_form
-    sf = smith_normal_form(M.presentation, with_transforms=True)
-    g = M.presentation.rows
-    diag = list(sf.invariant_factors) + [0] * (g - sf.rank)
-    if any(d == 0 for d in diag):
+    P = M.presentation
+    H = column_hnf(P)
+    if H.cols < P.rows:
         return None
-    L = sf.left_transform            # coordinates: y = L x  give M = prod Z/diag
-    Linv = invert_unimodular(L)
-    acts = []
-    for A in M.generators_action:
-        B = L @ A @ Linv             # action in diagonal coordinates
-        acts.append(B)
-    diag = [d for d in diag]
+    steps = [(t, col[t], tuple(col.items()))
+             for t, col in enumerate(H.transpose().data)]
+    diag = [d for _, d, _ in steps]
+    order = prod(smith_normal_form(P).invariant_factors)
+    if prod(diag) != order:
+        raise IdentityViolation(
+            f"Hermite pivots {diag} give order {prod(diag)}, the Smith "
+            f"form gives {order}")
+
+    def reduce(x):
+        # Column t touches rows >= t only, so one upward pass suffices.
+        x = list(x)
+        for t, d, col in steps:
+            if 0 <= x[t] < d:
+                continue
+            q = x[t] // d
+            for i, v in col:
+                x[i] -= q * v
+        return tuple(x)
+
+    def act(rows, x):
+        return reduce([sum(v * x[j] for j, v in r.items()) for r in rows])
+
     elements = list(itertools.product(*[range(d) for d in diag]))
-    def act(B, x):
-        return tuple(
-            sum(B[i, j] * x[j] for j in range(len(x))) % diag[i]
-            for i in range(len(x)))
-    return diag, elements, [lambda x, B=B: act(B, x) for B in acts]
+    return diag, elements, [lambda x, rows=A.data: act(rows, x)
+                            for A in M.generators_action], reduce
 
 
 def filtration_length_oracle(M: ModuleWithAction,
@@ -289,13 +311,13 @@ def filtration_length_oracle(M: ModuleWithAction,
     model = _module_elements(M)
     if model is None:
         return None
-    diag, elements, actions = model
+    diag, elements, actions, reduce = model
     if len(elements) > max_order:
         return None
     zero = tuple(0 for _ in diag)
 
     def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, diag))
+        return reduce([a + b for a, b in zip(x, y)])
 
     def closure(gens):
         seen = {zero}
@@ -344,7 +366,7 @@ def filtration_length_oracle(M: ModuleWithAction,
         out = set()
         for a in actions:
             for y in T:
-                out.add(add(a(y), tuple((-c) % d for c, d in zip(y, diag))))
+                out.add(reduce([b - c for b, c in zip(a(y), y)]))
         return out
 
     from collections import deque

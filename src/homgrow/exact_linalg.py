@@ -11,8 +11,9 @@ each, so memory, transposes, sums and products follow the nonzeros, and the
 kernels work on the row dicts (or those of the transpose) directly.  No row
 dict stores a 0, and row dicts may be shared between matrices but are never
 mutated: a kernel copies a row before it works on it in place.  Dense lists
-appear only at the list constructors and `to_lists`, in the determinants,
-the minor-sum oracle and the transform-tracking Smith form.
+appear only at the list constructors and `to_lists`, in the determinants and
+the minor-sum oracle.  There is one Smith form, the sparse heap-pivot
+elimination; it returns invariant factors, not transforms.
 
 The Fuglede-Kadison determinant of an integer matrix A is the product of its
 nonzero singular values.  Its square is an integer: the sum of the squares of
@@ -51,7 +52,6 @@ __all__ = [
     "cokernel_structure",
     "fk_determinant",
     "fk_factorization_check",
-    "gram_determinant",
     "column_hnf",
     "solve_in_lattice",
     "det_bareiss",
@@ -492,14 +492,9 @@ def _colhnf_with_transform(A: IntMatrix):
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Invariant factors d_1 | d_2 | ... | d_k (units included), rank k.
-
-    When transforms are present, left @ A @ right equals the diagonal form.
-    """
+    """Invariant factors d_1 | d_2 | ... | d_k (units included), rank k."""
     invariant_factors: tuple
     rank: int
-    left_transform: Optional[IntMatrix] = None
-    right_transform: Optional[IntMatrix] = None
 
 
 def _chain_divisibility(diag: list) -> list:
@@ -684,130 +679,14 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
     return diag
 
 
-def smith_normal_form(A: IntMatrix, with_transforms: bool = False) -> SmithForm:
+def smith_normal_form(A: IntMatrix) -> SmithForm:
     """Smith normal form of A; factors chained, units d_j = 1 kept.
 
-    The transforms, when requested, satisfy left @ A @ right = diag(factors)
-    extended by zeros to the shape of A, with |det| = 1 on both sides.
+    Runs the sparse heap-pivot elimination on the row dicts of A; no
+    transforms are kept.
     """
-    if not with_transforms:
-        diag = _snf_diagonal_sparse(A)
-        factors = _chain_divisibility(diag)
-        return SmithForm(tuple(factors), len(factors))
-    # Dense transform-tracking variant for desk-size matrices.
-    n, m = A.rows, A.cols
-    M = A.to_lists()
-    L = IntMatrix.identity(n).to_lists()
-    R = IntMatrix.identity(m).to_lists()
-
-    def row_op(i, k, q):      # row_i -= q row_k
-        Mi, Mk = M[i], M[k]
-        for j in range(m):
-            Mi[j] -= q * Mk[j]
-        Li, Lk = L[i], L[k]
-        for j in range(n):
-            Li[j] -= q * Lk[j]
-
-    def col_op(j, k, q):      # col_j -= q col_k
-        for i in range(n):
-            M[i][j] -= q * M[i][k]
-        for i in range(m):
-            R[i][j] -= q * R[i][k]
-
-    def swap_rows(i, k):
-        M[i], M[k] = M[k], M[i]
-        L[i], L[k] = L[k], L[i]
-
-    def swap_cols(j, k):
-        for i in range(n):
-            M[i][j], M[i][k] = M[i][k], M[i][j]
-        for i in range(m):
-            R[i][j], R[i][k] = R[i][k], R[i][j]
-
-    t = 0
-    while True:
-        # find pivot among rows/cols >= t
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if M[i][j] and (best is None or abs(M[i][j]) < best[0]):
-                    best = (abs(M[i][j]), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        while True:
-            # Row ops until column t holds only the pivot.
-            while True:
-                done = True
-                for i in range(t + 1, n):
-                    if M[i][t]:
-                        row_op(i, t, _nearest_quotient(M[i][t], M[t][t]))
-                        if M[i][t]:
-                            swap_rows(i, t)
-                            done = False
-                if done:
-                    break
-            # Column ops run only from the clean column t, so they touch row
-            # t alone.  Run while column t still had other entries, they
-            # spread multiples over the whole block, and on random 8 x 7
-            # inputs entries reached thousands of digits.  The smallest
-            # remainder, if any, becomes the pivot.
-            small = t
-            for j in range(t + 1, m):
-                if M[t][j]:
-                    col_op(j, t, _nearest_quotient(M[t][j], M[t][t]))
-                    if M[t][j] and abs(M[t][j]) < abs(M[t][small]):
-                        small = j
-            if small == t:
-                break
-            swap_cols(t, small)
-        if M[t][t] < 0:
-            for j in range(m):
-                M[t][j] = -M[t][j]
-            for j in range(n):
-                L[t][j] = -L[t][j]
-        t += 1
-        if t == min(n, m):
-            break
-    diag = [M[i][i] for i in range(min(n, m)) if M[i][i]]
-    # enforce divisibility chain with explicit ops so transforms stay valid
-    k = len(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = M[i][i], M[j][j]
-                if b % a:
-                    # standard trick: add col j to col i, then clear
-                    col_op(i, j, -1)
-                    # now column i has entries a (row i) and b (row j)
-                    while M[j][i]:
-                        q = _symmetric_quotient(M[j][i], M[i][i]) if M[i][i] > 0 \
-                            else -_symmetric_quotient(M[j][i], -M[i][i])
-                        row_op(j, i, q)
-                        if M[j][i]:
-                            swap_rows(j, i)
-                    # clear the fill in row i / row j
-                    if M[i][j]:
-                        q = M[i][j] // M[i][i]
-                        col_op(j, i, q)
-                    if M[j][j] < 0:
-                        for jj in range(m):
-                            M[j][jj] = -M[j][jj]
-                        for jj in range(n):
-                            L[j][jj] = -L[j][jj]
-                    if M[i][i] < 0:
-                        for jj in range(m):
-                            M[i][jj] = -M[i][jj]
-                        for jj in range(n):
-                            L[i][jj] = -L[i][jj]
-                    changed = True
-    diag = [M[i][i] for i in range(min(n, m)) if M[i][i]]
-    return SmithForm(tuple(diag), len(diag),
-                     IntMatrix.from_rows(L), IntMatrix.from_rows(R))
+    factors = _chain_divisibility(_snf_diagonal_sparse(A))
+    return SmithForm(tuple(factors), len(factors))
 
 
 def rank(A: IntMatrix) -> int:
@@ -923,23 +802,6 @@ def det_fraction(M: Sequence[Sequence[Fraction]]) -> Fraction:
                 for j in range(k, n):
                     Ai[j] -= f * Ak[j]
     return det
-
-
-def gram_determinant(vectors: Sequence[Sequence]) -> Fraction:
-    """det of the Gram matrix <v_i, v_j> under the standard inner product.
-
-    Accepts integer or Fraction coordinates; the empty list gives 1; the
-    result is 0 exactly when the vectors are linearly dependent.
-    """
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return Fraction(1)
-    dim = len(vecs[0])
-    if any(len(v) != dim for v in vecs):
-        raise DimensionMismatch("gram_determinant: mixed vector dimensions")
-    g = [[Fraction(sum(Fraction(a) * Fraction(b) for a, b in zip(v, w)))
-          for w in vecs] for v in vecs]
-    return det_fraction(g)
 
 
 def _gram_int(B: IntMatrix) -> list:

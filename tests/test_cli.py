@@ -148,9 +148,11 @@ class TestCommands:
         ["tower", "--example", "circle", "--levels", "1,2",
          "--max-degree", "-1"],
         ["verify", "--suite", "rho-identity", "--count", "-1"],
+        ["tower", "--example", "circle", "--levels", "1,2", "--primes", ","],
+        ["tower", "--example", "circle", "--levels", "1,2", "--jobs", "0"],
     ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix",
             "negative-dims", "decreasing-levels", "negative-max-degree",
-            "negative-count"])
+            "negative-count", "empty-primes", "nonpositive-jobs"])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
         doc = tmp_path / "negative_dims.json"
         doc.write_text(json.dumps(
@@ -159,6 +161,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "verification failure" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--example", "circle", "--max-degree", "1"],
+        ["homology", "--example", "circle", "--format", "json"],
+        ["homology", "--example", "circle", "--seed", "1"],
+        ["homology", "--example", "circle", "--jobs", "2"],
+        ["verify", "--input", "complex.json"],
+        ["verify", "--example", "circle"],
+        ["verify", "--levels", "2"],
+        ["verify", "--moduli-pattern", "i"],
+        ["verify", "--primes", "2"],
+        ["verify", "--max-degree", "1"],
+        ["verify", "--format", "json"],
+        ["verify", "--out", "report.txt"],
+        ["verify", "--jobs", "2"],
+        ["tower", "--example", "circle", "--seed", "1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:

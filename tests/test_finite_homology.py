@@ -1,16 +1,17 @@
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from homgrow.chain_complex import d_of_abelian_group
 from homgrow.corpus import (
+    _module_elements,
     filtration_length_oracle,
     random_module_with_action,
     random_nilpotent_module,
 )
 from homgrow.errors import DimensionMismatch, HypothesisViolated
-from homgrow.exact_linalg import IntMatrix
+from homgrow.exact_linalg import IntMatrix, rank, smith_normal_form
 from homgrow.finite_homology import (
     FinAbGroup,
     augmentation_filtration,
@@ -176,6 +177,39 @@ class TestFiltration:
                                  [IntMatrix.identity(g)], [2])
             nil, length = augmentation_filtration(M)
             assert nil and length <= 1
+
+
+class TestModuleModel:
+    def test_hermite_transversal(self):
+        # random_module_with_action conjugates its presentation, so the
+        # Hermite form is seldom diagonal.
+        rng = random.Random(406)
+        finite = infinite = 0
+        for _ in range(40):
+            M = random_module_with_action(rng, rng.choice([(2,), (4,), (2, 2)]))
+            P = M.presentation
+            model = _module_elements(M)
+            if rank(P) < P.rows:
+                assert model is None
+                infinite += 1
+                continue
+            finite += 1
+            diag, elements, actions, reduce = model
+            assert len(elements) == \
+                prod(smith_normal_form(P).invariant_factors)
+            transversal = set(elements)
+            assert len(transversal) == len(elements)
+            assert all(reduce(x) == x for x in elements)
+            for act in actions:
+                assert all(act(x) in transversal for x in elements)
+            for j in range(P.cols):
+                col = P.column(j)
+                for x in elements:
+                    assert reduce([a + b for a, b in zip(x, col)]) == x
+                y = [rng.randint(-20, 20) for _ in range(P.rows)]
+                assert reduce(y) in transversal
+                assert reduce([a + 3 * b for a, b in zip(y, col)]) == reduce(y)
+        assert finite and infinite
 
 
 class TestCoinvariants:
