@@ -23,14 +23,14 @@ from .chain_complex import (
     rho_2_exact,
     rho_Z_exact,
 )
+from .corpus import SUITES, run_suite
 from .errors import (
     DimensionMismatch,
     HomgrowError,
-    IdentityViolation,
     NonSquareMatrix,
     ParseError,
 )
-from .exact_linalg import IntMatrix, fk_factorization_check
+from .exact_linalg import IntMatrix
 from .group_ring import (
     LaurentChainComplex,
     QuotientSpec,
@@ -80,6 +80,10 @@ def builtin_complex(name: str) -> LaurentChainComplex:
         f"or mapping_torus:[[a,b],[c,d]]")
 
 
+# More levels than any tower could compute; checked before a range expands.
+MAX_LEVELS = 10_000
+
+
 def _parse_levels(text: str) -> List[int]:
     out: List[int] = []
     for tok in text.split(","):
@@ -88,12 +92,14 @@ def _parse_levels(text: str) -> List[int]:
             continue
         try:
             if ".." in tok:
-                lo, hi = tok.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(x) for x in tok.split(".."))
             else:
-                out.append(int(tok))
+                lo = hi = int(tok)
         except ValueError as exc:
             raise ParseError(f"bad --levels token {tok!r}: {exc}") from exc
+        if len(out) + max(0, hi - lo + 1) > MAX_LEVELS:
+            raise ParseError(f"--levels gives more than {MAX_LEVELS} levels")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ParseError("--levels must be nonempty")
     return out
@@ -234,176 +240,22 @@ def cmd_tower(args) -> int:
     return EXIT_OK
 
 
-# -- verify suites -----------------------------------------------------------
-
-def _suite_rho_identity(rng, count, log):
-    from .chain_complex import verify_rho_identity
-    from .corpus import random_complex
-    fails = 0
-    for _ in range(count):
-        C = random_complex(rng)
-        try:
-            verify_rho_identity(C)
-        except IdentityViolation as exc:
-            fails += 1
-            log(f"  rho identity FAILED: {exc}")
-    return count, fails
-
-
-def _suite_fk_factorization(rng, count, log):
-    from .corpus import random_int_matrix
-    fails = 0
-    for _ in range(count):
-        A = random_int_matrix(rng, max_dim=6, bound=5)
-        try:
-            fk_factorization_check(A)
-        except IdentityViolation as exc:
-            fails += 1
-            log(f"  FK factorization FAILED on {A.to_lists()}: {exc}")
-    return count, fails
-
-
-def _suite_mg_laws(rng, count, log):
-    from .chain_complex import d_of_abelian_group, d_primewise
-    from .corpus import d_bruteforce, random_finite_group_factors
-    fails = 0
-    done = 0
-    while done < count:
-        facs = random_finite_group_factors(rng, max_order=200, max_rank=3)
-        formula = d_primewise(facs, 0)
-        if formula > 3:
-            continue
-        bf = d_bruteforce(facs, limit=4)
-        if bf != formula:
-            fails += 1
-            log(f"  d-law FAILED on {facs}: search {bf}, formula {formula}")
-        done += 1
-    return count, fails
-
-
-def _suite_group_homology(rng, count, log):
-    from math import comb
-    from .chain_complex import d_of_abelian_group
-    from .corpus import random_module_with_action
-    from .finite_homology import FinAbGroup, group_homology
-    fails = 0
-    done = 0
-    while done < count:
-        orders = rng.choice([(2,), (3,), (4,), (2, 2), (8,), (2, 4), (16,), (9,)])
-        G = FinAbGroup.from_orders(orders)
-        M = random_module_with_action(rng, G.factors)
-        free_m, facs_m = M.structure()
-        dM = d_of_abelian_group(facs_m, free_m)
-        if dM > 3:
-            continue
-        m = G.d
-        ok = True
-        for n in range(0, 5):
-            free_h, facs_h = group_homology(G, M, n)
-            if n == 0:
-                continue
-            d_n = comb(n + m - 1, m - 1)
-            order_h = 1
-            for d in facs_h:
-                order_h *= d
-            if free_h != 0 or any(G.order % d for d in facs_h):
-                ok = False
-            if order_h > G.order ** (d_n * dM):
-                ok = False
-            if d_of_abelian_group(facs_h, 0) > d_n * dM:
-                ok = False
-        if not ok:
-            fails += 1
-            log(f"  group homology bounds FAILED for G={G.factors}")
-        done += 1
-    return count, fails
-
-
-def _suite_mu_nu(rng, count, log):
-    from .corpus import random_nilpotent_module
-    from .finite_homology import (
-        augmentation_filtration,
-        coinvariants,
-        nu_kernel_cokernel,
-        verify_estimate_bounds,
-    )
-    fails = 0
-    done = 0
-    while done < count:
-        orders = rng.choice([(2,), (4,), (2, 2)])
-        M = random_nilpotent_module(rng, orders)
-        try:
-            coinvariants(M)
-        except IdentityViolation as exc:
-            fails += 1
-            log(f"  mu bounds FAILED: {exc}")
-        done += 1
-    # nu + estimate bounds on the small quotient-complex corpus
-    complexes = [
-        (circle_complex(), (2,), 1, 1),
-        (circle_complex(), (4,), 1, 1),
-        (torus_complex(2), (2, 2), 1, 2),
-        (mapping_torus_complex(IntMatrix.from_rows([[3]])), (2,), 3, 1),
-    ]
-    for C, moduli, r, d in complexes:
-        qc = base_change(C, QuotientSpec(moduli))
-        try:
-            for n in range(d + 1):
-                nu_kernel_cokernel(qc, n)
-            verify_estimate_bounds(qc, r=r, d=d)
-        except HomgrowError as exc:
-            fails += 1
-            log(f"  nu/estimate FAILED on {moduli}: {exc}")
-    return count + len(complexes), fails
-
-
-def _suite_filtration(rng, count, log):
-    from .corpus import filtration_length_oracle, random_nilpotent_module
-    from .finite_homology import augmentation_filtration
-    fails = 0
-    done = 0
-    while done < count:
-        orders = rng.choice([(2,), (4,), (2, 2)])
-        M = random_nilpotent_module(rng, orders)
-        nil, length = augmentation_filtration(M)
-        oracle = filtration_length_oracle(M, max_order=64)
-        if oracle is None:
-            continue
-        if not nil or length != oracle:
-            fails += 1
-            log(f"  filtration FAILED: index {length}, search {oracle}")
-        done += 1
-    return count, fails
-
-
-_SUITES = {
-    "rho-identity": (_suite_rho_identity, 200),
-    "fk-factorization": (_suite_fk_factorization, 500),
-    "mg-laws": (_suite_mg_laws, 100),
-    "group-homology": (_suite_group_homology, 60),
-    "mu-nu-estimate": (_suite_mu_nu, 40),
-    "filtration": (_suite_filtration, 25),
-}
-
-
 def cmd_verify(args) -> int:
     if args.count is not None and args.count < 1:
         raise ParseError(f"--count must be positive, got {args.count}")
+    if args.suite is not None and args.suite not in SUITES:
+        raise ParseError(f"unknown suite {args.suite!r}; choose from "
+                         f"{', '.join(SUITES)}")
     rng = random.Random(args.seed)
-    names = [args.suite] if args.suite else list(_SUITES)
-    for name in names:
-        if name not in _SUITES:
-            raise ParseError(f"unknown suite {name!r}; choose from "
-                             f"{', '.join(_SUITES)}")
-    total_fails = 0
-    for name in names:
-        fn, default_count = _SUITES[name]
-        count = args.count if args.count else default_count
-        ran, fails = fn(rng, count, lambda msg: print(msg))
-        total_fails += fails
-        status = "ok" if fails == 0 else "FAILED"
-        print(f"{name}: {ran - fails}/{ran} passed [{status}]")
-    return EXIT_OK if total_fails == 0 else EXIT_VERIFY_FAILED
+    failed = False
+    for name in [args.suite] if args.suite else list(SUITES):
+        ran, failures = run_suite(name, rng, args.count)
+        for msg in failures:
+            print(f"  {name} FAILED: {msg}")
+        failed = failed or bool(failures)
+        status = "FAILED" if failures else "ok"
+        print(f"{name}: {ran - len(failures)}/{ran} passed [{status}]")
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

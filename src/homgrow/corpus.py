@@ -1,4 +1,4 @@
-"""Seeded random corpora and independent oracles for the verification suites.
+"""Seeded random corpora, independent oracles and the verification suites.
 
 Random chain complexes are direct sums of shifted two-term multiplication
 complexes and free summands, conjugated degreewise by random unimodular
@@ -8,25 +8,53 @@ finite-order unit actions and conjugate the presentation.
 
 The oracles here are deliberately brute force: minimal generator counts by
 exhaustive tuple search, filtration length by shortest-path search over the
-full submodule lattice.
+full lattice of invariant subgroups.
+
+The verification suites in `SUITES` draw their instances from these
+generators and check the paper's lemma-level identities and bounds on them.
+They are the one copy of those checks: `homgrow verify` and the acceptance
+criteria both run them through `run_suite`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import gcd, prod
+from functools import partial
+from math import comb, gcd, prod
 from typing import List, Optional, Sequence
 
-from .chain_complex import IntChainComplex, direct_sum
-from .errors import IdentityViolation
+from .chain_complex import (
+    IntChainComplex,
+    d_of_abelian_group,
+    d_primewise,
+    direct_sum,
+    verify_rho_identity,
+)
+from .errors import HomgrowError, IdentityViolation
 from .exact_linalg import (
     IntMatrix,
     _colhnf_with_transform,
     column_hnf,
+    fk_factorization_check,
     smith_normal_form,
 )
-from .group_ring import ModuleWithAction
+from .finite_homology import (
+    FinAbGroup,
+    augmentation_filtration,
+    coinvariants,
+    group_homology,
+    nu_kernel_cokernel,
+    verify_estimate_bounds,
+)
+from .group_ring import (
+    ModuleWithAction,
+    QuotientSpec,
+    base_change,
+    circle_complex,
+    mapping_torus_complex,
+    torus_complex,
+)
 
 __all__ = [
     "random_unimodular",
@@ -38,6 +66,8 @@ __all__ = [
     "random_nilpotent_module",
     "d_bruteforce",
     "filtration_length_oracle",
+    "SUITES",
+    "run_suite",
 ]
 
 
@@ -319,44 +349,29 @@ def filtration_length_oracle(M: ModuleWithAction,
     def add(x, y):
         return reduce([a + b for a, b in zip(x, y)])
 
-    def closure(gens):
-        seen = {zero}
-        frontier = [zero]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for gvec in gens:
-                y = add(x, gvec)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+    def close(start, maps):
+        # the least superset of start that every map sends into itself
+        seen = set(start)
+        stack = list(start)
+        while stack:
+            y = stack.pop()
+            for f in maps:
+                z = f(y)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
         return frozenset(seen)
 
-    # all invariant subgroups: close subsets under elements + actions
-    all_subs = set()
+    # all invariant subgroups: each is S + <orbit of x> for an invariant
+    # subgroup S and an element x outside it, starting from S = 0
+    all_subs = {frozenset({zero})}
     pending = [frozenset({zero})]
-    all_subs.add(frozenset({zero}))
-    # generate by adding one element at a time to known invariant subgroups
     while pending:
         S = pending.pop()
         for x in elements:
             if x in S:
                 continue
-            gens = set(S) | {x}
-            # invariant closure: include images under the actions
-            changed = True
-            cur = closure(gens)
-            while changed:
-                extra = set()
-                for a in actions:
-                    for y in cur:
-                        z = a(y)
-                        if z not in cur:
-                            extra.add(z)
-                if extra:
-                    cur = closure(set(cur) | extra)
-                else:
-                    changed = False
+            cur = close(S, [partial(add, y) for y in close({x}, actions)])
             if cur not in all_subs:
                 all_subs.add(cur)
                 pending.append(cur)
@@ -383,3 +398,166 @@ def filtration_length_oracle(M: ModuleWithAction,
                 dist[T] = dist[S] + 1
                 queue.append(T)
     return None
+
+
+# ---------------------------------------------------------------------------
+# verification suites
+# ---------------------------------------------------------------------------
+#
+# A suite is a generator (rng, count): it draws its instances from rng and
+# yields one zero-argument check per instance.  A check raises HomgrowError
+# when its instance fails.
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise IdentityViolation(message)
+
+
+def _suite_rho_identity(rng, count):
+    """rho_Z - rho_2 = sum (-1)^n ln det(alpha_n) on random complexes."""
+    for _ in range(count):
+        yield partial(verify_rho_identity, random_complex(rng))
+
+
+def _suite_fk_factorization(rng, count):
+    """det(u) = det(j_k) |tors coker u| det(pr_c) on random matrices."""
+    for _ in range(count):
+        yield partial(fk_factorization_check,
+                      random_int_matrix(rng, max_dim=6, bound=5))
+
+
+def _check_d_law(facs, formula):
+    search = d_bruteforce(facs, limit=4)
+    _require(search == formula,
+             f"d-law on {facs}: search {search}, formula {formula}")
+
+
+def _suite_mg_laws(rng, count):
+    """Minimal generator counts: tuple search against the prime-wise formula."""
+    done = 0
+    while done < count:
+        facs = random_finite_group_factors(rng, max_order=200, max_rank=3)
+        formula = d_primewise(facs, 0)
+        if formula > 3:
+            continue
+        yield partial(_check_d_law, facs, formula)
+        done += 1
+
+
+_GROUP_HOMOLOGY_ORDERS = ((2,), (3,), (4,), (2, 2), (8,), (2, 4), (16,), (9,),
+                         (2, 2, 2))
+
+
+def _check_group_homology(G, M, dM):
+    m = G.d
+    for n in range(1, 5):
+        free_h, facs_h = group_homology(G, M, n)
+        d_n = comb(n + m - 1, m - 1)
+        where = f"H_{n}(G = {G.factors}; M) = Z^{free_h} + {facs_h}"
+        _require(free_h == 0, f"{where} is not finite")
+        _require(all(G.order % d == 0 for d in facs_h),
+                 f"{where} is not killed by |G| = {G.order}")
+        _require(prod(facs_h) <= G.order ** (d_n * dM),
+                 f"{where} has order above |G|^{d_n * dM}")
+        _require(d_of_abelian_group(facs_h, 0) <= d_n * dM,
+                 f"{where} needs more than {d_n * dM} generators")
+
+
+def _suite_group_homology(rng, count):
+    """|G| kills H_n(G; M), |H_n| <= |G|^(d_n d(M)), d(H_n) <= d_n d(M)."""
+    done = 0
+    while done < count:
+        G = FinAbGroup.from_orders(rng.choice(_GROUP_HOMOLOGY_ORDERS))
+        M = random_module_with_action(rng, G.factors)
+        free_m, facs_m = M.structure()
+        dM = d_of_abelian_group(facs_m, free_m)
+        if dM > 3:
+            continue
+        yield partial(_check_group_homology, G, M, dM)
+        done += 1
+
+
+_NILPOTENT_ORDERS = ((2,), (4,), (2, 2))
+
+
+def _nu_complexes() -> list:
+    """(complex, moduli, r, d): the small free ZG-complexes of the nu suite."""
+    return [
+        (circle_complex(), (2,), 1, 1),
+        (circle_complex(), (4,), 1, 1),
+        (torus_complex(2), (2, 2), 1, 2),
+        (mapping_torus_complex(IntMatrix.from_rows([[3]])), (2,), 3, 1),
+        (mapping_torus_complex(IntMatrix.from_rows([[1, 1], [0, 1]])),
+         (2,), 2, 1),
+    ]
+
+
+def _check_mu(M):
+    # coinvariants raises unless the mu lemma bounds hold
+    _require(coinvariants(M)["nilpotent"],
+             "unipotent module reported non-nilpotent")
+
+
+def _check_nu_estimate(C, moduli, r, d):
+    qc = base_change(C, QuotientSpec(moduli))
+    for n in range(d + 1):
+        nu_kernel_cokernel(qc, n)   # raises unless the nu bounds hold
+    verify_estimate_bounds(qc, r=r, d=d)
+
+
+def _suite_mu_nu_estimate(rng, count):
+    """mu bounds on `count` nilpotent modules, then the nu bounds and the
+    estimate suite on the fixed `_nu_complexes`."""
+    for _ in range(count):
+        yield partial(_check_mu,
+                      random_nilpotent_module(rng, rng.choice(_NILPOTENT_ORDERS)))
+    for case in _nu_complexes():
+        yield partial(_check_nu_estimate, *case)
+
+
+def _check_filtration(M, oracle):
+    nilpotent, length = augmentation_filtration(M)
+    _require(nilpotent and length == oracle,
+             f"augmentation index {length}, subgroup search {oracle}")
+
+
+def _suite_filtration(rng, count):
+    """Augmentation index against the brute-force filtration length."""
+    done = 0
+    while done < count:
+        M = random_nilpotent_module(rng, rng.choice(_NILPOTENT_ORDERS))
+        oracle = filtration_length_oracle(M, max_order=64)
+        if oracle is None:
+            continue
+        yield partial(_check_filtration, M, oracle)
+        done += 1
+
+
+SUITES = {
+    "rho-identity": (_suite_rho_identity, 200),
+    "fk-factorization": (_suite_fk_factorization, 500),
+    "mg-laws": (_suite_mg_laws, 100),
+    "group-homology": (_suite_group_homology, 60),
+    "mu-nu-estimate": (_suite_mu_nu_estimate, 40),
+    "filtration": (_suite_filtration, 25),
+}
+
+
+def run_suite(name: str, rng: random.Random,
+              count: Optional[int] = None) -> tuple:
+    """Run suite `name` on `count` instances (its default count when None).
+
+    Returns (checks run, failure messages); a message names the 1-based
+    position of its check.  An error raised while an instance is drawn, such
+    as a failing oracle, propagates.
+    """
+    suite, default_count = SUITES[name]
+    ran = 0
+    failures = []
+    for check in suite(rng, default_count if count is None else count):
+        ran += 1
+        try:
+            check()
+        except HomgrowError as exc:
+            failures.append(f"check {ran}: {exc}")
+    return ran, failures

@@ -282,12 +282,27 @@ def _block_diag(P: IntMatrix, copies: int) -> IntMatrix:
          for b in range(copies) for r in P.data])
 
 
+def _hcat(pieces: Sequence[IntMatrix], rows: int) -> IntMatrix:
+    """The columns of all pieces side by side; rows x 0 if none has any.
+
+    Pieces without columns are skipped and a single piece comes back as is.
+    Chained `hstack` beats a one-pass copy here: most calls join two pieces
+    of a few rows, where the per-call cost dominates.
+    """
+    pieces = [P for P in pieces if P.cols]
+    if not pieces:
+        return IntMatrix.zeros(rows, 0)
+    out = pieces[0]
+    for P in pieces[1:]:
+        out = IntMatrix.hstack(out, P)
+    return out
+
+
 def _preimage_generators(N: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
     """Column-Hermite generators of {v : N v in im(target_relations)}."""
     if N.rows == 0:
         return IntMatrix.identity(N.cols)
-    joint = IntMatrix.hstack(N, target_relations) if target_relations.cols \
-        else N
+    joint = _hcat([N, target_relations], N.rows)
     K = kernel_lattice(joint)
     if K.cols == 0:
         return IntMatrix.zeros(N.cols, 0)
@@ -329,18 +344,7 @@ def _homology_of_presented(out_map: IntMatrix, out_relations: IntMatrix,
     {y : out_map y in im(out_relations)} / (im(in_map) + im(mid_relations)).
     """
     Z = _preimage_generators(out_map, out_relations)
-    bound_cols = []
-    if in_map.cols:
-        bound_cols.append(in_map)
-    if mid_relations.cols:
-        bound_cols.append(mid_relations)
-    if not bound_cols:
-        B = IntMatrix.zeros(Z.rows, 0)
-    elif len(bound_cols) == 1:
-        B = bound_cols[0]
-    else:
-        B = IntMatrix.hstack(bound_cols[0], bound_cols[1])
-    return _quotient_structure(Z, B)
+    return _quotient_structure(Z, _hcat([in_map, mid_relations], Z.rows))
 
 
 def group_homology(G: FinAbGroup, M: ModuleWithAction, n: int) -> tuple:
@@ -406,8 +410,7 @@ def augmentation_filtration(M: ModuleWithAction,
     prev_hnf = None
     for step in range(max_steps + 1):
         # does L + rel reduce to rel, i.e. I^step M = 0?
-        combined = IntMatrix.hstack(L, rel) if rel.cols else L
-        cur = column_hnf(combined)
+        cur = column_hnf(_hcat([L, rel], g))
         if rel.cols:
             inside = solve_in_lattice(rel, L) is not None if L.cols else True
         else:
@@ -418,15 +421,9 @@ def augmentation_filtration(M: ModuleWithAction,
             return False, None
         prev_hnf = cur
         # next power: spanned by (A_j - 1) L
-        pieces = []
-        for A in acts:
-            pieces.append((A @ L) - L)
-        if not pieces:
+        if not acts:
             return False, None
-        nxt = pieces[0]
-        for P in pieces[1:]:
-            nxt = IntMatrix.hstack(nxt, P)
-        L = column_hnf(nxt)
+        L = column_hnf(_hcat([(A @ L) - L for A in acts], g))
     return False, None
 
 
@@ -439,26 +436,13 @@ def coinvariants(M: ModuleWithAction) -> dict:
     """
     g = M.num_generators
     acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
-    pieces = [M.presentation] if M.presentation.cols else []
-    for A in acts:
-        pieces.append(A - IntMatrix.identity(g))
-    if pieces:
-        R = pieces[0]
-        for P in pieces[1:]:
-            R = IntMatrix.hstack(R, P)
-    else:
-        R = IntMatrix.zeros(g, 0)
+    aug_pieces = [A - IntMatrix.identity(g) for A in acts]
+    R = _hcat([M.presentation] + aug_pieces, g)
     quot_structure = _quotient_structure(IntMatrix.identity(g), R)
     # ker(mu) = I.M = (L_1 + rel)/rel
-    aug_pieces = [(A - IntMatrix.identity(g)) for A in acts]
-    if aug_pieces:
-        L1 = aug_pieces[0]
-        for P in aug_pieces[1:]:
-            L1 = IntMatrix.hstack(L1, P)
-    else:
-        L1 = IntMatrix.zeros(g, 0)
+    L1 = _hcat(aug_pieces, g)
     rel = M.presentation
-    joint = IntMatrix.hstack(L1, rel) if rel.cols else L1
+    joint = _hcat([L1, rel], g)
     ker_structure = _quotient_structure(joint, rel) if joint.cols else (0, ())
     ker_order = _order_of(ker_structure)
 
@@ -539,15 +523,7 @@ def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
     M, X, N, X2, _ = _homology_map_data(qc, n)
     g = M.num_generators
     acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
-    co_pieces = [X] if X.cols else []
-    for A in acts:
-        co_pieces.append(A - IntMatrix.identity(g))
-    if co_pieces:
-        Rco = co_pieces[0]
-        for P in co_pieces[1:]:
-            Rco = IntMatrix.hstack(Rco, P)
-    else:
-        Rco = IntMatrix.zeros(g, 0)
+    Rco = _hcat([X] + [A - IntMatrix.identity(g) for A in acts], g)
     ker_struct, coker_struct = _map_kernel_cokernel(N, Rco, X2)
     report = {
         "ker": ker_struct,
@@ -586,16 +562,8 @@ def _map_kernel_cokernel(N: IntMatrix, src_relations: IntMatrix,
     """Kernel and cokernel structures of a map of presented abelian groups."""
     pre = _preimage_generators(N, dst_relations)
     ker = _quotient_structure(pre, src_relations) if pre.cols else (0, ())
-    cc_cols = [N] if N.cols else []
-    if dst_relations.cols:
-        cc_cols.append(dst_relations)
-    if cc_cols:
-        R = cc_cols[0]
-        for P in cc_cols[1:]:
-            R = IntMatrix.hstack(R, P)
-    else:
-        R = IntMatrix.zeros(N.rows, 0)
-    coker = _quotient_structure(IntMatrix.identity(N.rows), R)
+    coker = _quotient_structure(IntMatrix.identity(N.rows),
+                                _hcat([N, dst_relations], N.rows))
     return ker, coker
 
 

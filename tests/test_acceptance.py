@@ -9,32 +9,14 @@ import random
 import time
 from math import comb
 
-from homgrow.chain_complex import (
-    d_of_abelian_group,
-    d_primewise,
-    homology,
-    verify_rho_identity,
-)
+from homgrow.chain_complex import homology
 from homgrow.cli import main
-from homgrow.corpus import (
-    d_bruteforce,
-    filtration_length_oracle,
-    random_complex,
-    random_finite_group_factors,
-    random_int_matrix,
-    random_module_with_action,
-    random_nilpotent_module,
-)
-from homgrow.exact_linalg import IntMatrix, fk_factorization_check
+from homgrow.corpus import run_suite
+from homgrow.exact_linalg import IntMatrix
 from homgrow.finite_homology import (
     FinAbGroup,
     _tensor_resolution_entries,
-    augmentation_filtration,
-    coinvariants,
-    group_homology,
-    nu_kernel_cokernel,
     standard_resolution,
-    verify_estimate_bounds,
 )
 from homgrow.group_ring import (
     QuotientSpec,
@@ -55,12 +37,18 @@ def _pass(num, message):
     print(f"PASS criterion {num}: {message}")
 
 
+def _assert_suite(name, rng, count, checks=None):
+    """Run a corpus verification suite; every one of its checks must pass."""
+    ran, failures = run_suite(name, rng, count)
+    assert failures == []
+    assert ran == (count if checks is None else checks)
+
+
 def test_criterion_01_rho_identity_corpus():
     rng = random.Random(20240601)
     t0 = time.time()
-    for _ in range(200):
-        C = random_complex(rng)
-        verify_rho_identity(C)   # asserts exact equality of squared sides
+    # exact equality of the squared sides on 200 random complexes
+    _assert_suite("rho-identity", rng, 200)
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _pass(1, f"rho_Z - rho_2 = alternating alpha sum, exactly, on 200 "
@@ -70,9 +58,8 @@ def test_criterion_01_rho_identity_corpus():
 def test_criterion_02_fk_factorization_corpus():
     rng = random.Random(20240602)
     t0 = time.time()
-    for _ in range(500):
-        A = random_int_matrix(rng, max_dim=6, bound=5)
-        fk_factorization_check(A)   # exact equality + sandwich inequalities
+    # exact equality and the sandwich inequalities on 500 random matrices
+    _assert_suite("fk-factorization", rng, 500)
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     _pass(2, f"det(u)^2 = det(j_k)^2 |tors|^2 det(pr_c)^2 exactly on 500 "
@@ -122,15 +109,8 @@ def test_criterion_04_mapping_torus_to_50():
 
 
 def test_criterion_05_minimal_generator_laws():
-    rng = random.Random(20240605)
-    done = 0
-    while done < 100:
-        facs = random_finite_group_factors(rng, max_order=200, max_rank=3)
-        formula = d_primewise(facs, 0)
-        if formula > 3:
-            continue
-        assert d_bruteforce(facs, limit=4) == formula, facs
-        done += 1
+    # tuple search against the invariant-factor formula on 100 groups
+    _assert_suite("mg-laws", random.Random(20240605), 100)
     # sandwich on tower homologies
     towers = [
         (circle_complex(), [QuotientSpec((i,)) for i in (1, 2, 4, 8)]),
@@ -163,68 +143,21 @@ def test_criterion_06_group_homology_bounds():
         res = standard_resolution(FinAbGroup(factors), 4)
         m = len(factors)
         assert res.ranks == [comb(n + m - 1, m - 1) for n in range(5)]
-    rng = random.Random(20240606)
-    done = 0
-    while done < 40:
-        orders = rng.choice([(2,), (3,), (4,), (2, 2), (8,), (2, 4),
-                             (16,), (9,), (2, 2, 2)])
-        G = FinAbGroup.from_orders(orders)
-        if G.order > 16:
-            continue
-        M = random_module_with_action(rng, G.factors)
-        free_m, facs_m = M.structure()
-        dM = d_of_abelian_group(facs_m, free_m)
-        if dM > 3:
-            continue
-        m = G.d
-        for n in range(1, 5):
-            free_h, facs_h = group_homology(G, M, n)
-            assert free_h == 0
-            assert all(G.order % d == 0 for d in facs_h)   # |G| annihilates
-            order_h = 1
-            for d in facs_h:
-                order_h *= d
-            d_n = comb(n + m - 1, m - 1)
-            assert order_h <= G.order ** (d_n * dM)
-            assert d_of_abelian_group(facs_h, 0) <= d_n * dM
-        done += 1
+    # H_1..H_4 finite, killed by |G|, and within the order and generator
+    # bounds, on 40 modules over groups of order <= 16
+    _assert_suite("group-homology", random.Random(20240606), 40)
     _pass(6, "group homology bounds and resolution rank formula hold on the "
              "|G| <= 16 corpus, degrees up to 4")
 
 
 def test_criterion_07_mu_nu_estimate_suite():
     rng = random.Random(20240607)
-    # mu bounds on nilpotent modules over Z/2, Z/4, Z/2 + Z/2
-    done = 0
-    while done < 40:
-        orders = rng.choice([(2,), (4,), (2, 2)])
-        M = random_nilpotent_module(rng, orders)
-        rep = coinvariants(M)   # asserts the mu lemma bounds
-        assert rep["nilpotent"]
-        done += 1
-    # nu bounds and the estimate suite on small free ZG-complexes
-    cases = [
-        (circle_complex(), (2,), 1, 1),
-        (circle_complex(), (4,), 1, 1),
-        (torus_complex(2), (2, 2), 1, 2),
-        (mapping_torus_complex(IntMatrix.from_rows([[3]])), (2,), 3, 1),
-        (mapping_torus_complex(IntMatrix.from_rows([[1, 1], [0, 1]])), (2,), 2, 1),
-    ]
-    for C, moduli, r, d in cases:
-        qc = base_change(C, QuotientSpec(moduli))
-        for n in range(d + 1):
-            nu_kernel_cokernel(qc, n)   # asserts the nu lemma bounds
-        verify_estimate_bounds(qc, r=r, d=d)
+    # mu bounds and nilpotence on 40 nilpotent modules over Z/2, Z/4,
+    # Z/2 + Z/2, then the nu bounds and the estimate suite on 5 small free
+    # ZG-complexes
+    _assert_suite("mu-nu-estimate", rng, 40, checks=45)
     # filtration-length oracle agrees with the augmentation index, |M| <= 64
-    done = 0
-    while done < 25:
-        M = random_nilpotent_module(rng, rng.choice([(2,), (4,), (2, 2)]))
-        oracle = filtration_length_oracle(M, max_order=64)
-        if oracle is None:
-            continue
-        nil, length = augmentation_filtration(M)
-        assert nil and length == oracle
-        done += 1
+    _assert_suite("filtration", rng, 25)
     _pass(7, "mu/nu/estimate inequalities hold on the nilpotent corpus and "
              "small free ZG-complexes; filtration search matches the "
              "augmentation index")

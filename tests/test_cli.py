@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from homgrow.cli import builtin_complex, main
-from homgrow.errors import ParseError
+from homgrow import corpus
+from homgrow.cli import MAX_LEVELS, _parse_levels, builtin_complex, main
+from homgrow.errors import IdentityViolation, ParseError
 from homgrow.serialize import (
     complex_from_document,
     complex_to_document,
@@ -133,6 +134,13 @@ class TestCommands:
                    "--moduli-pattern", "i,i", "--out", str(out)])
         assert rc == 0
 
+    def test_level_range_limit(self):
+        assert len(_parse_levels(f"1..{MAX_LEVELS}")) == MAX_LEVELS
+        with pytest.raises(ParseError):
+            _parse_levels(f"1..{MAX_LEVELS + 1}")
+        with pytest.raises(ParseError):
+            _parse_levels(f"1..{MAX_LEVELS // 2},1..{MAX_LEVELS // 2 + 1}")
+
     def test_unknown_example(self, capsys):
         rc = main(["homology", "--example", "klein_bottle"])
         assert rc == 2
@@ -201,3 +209,22 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         rc = main(["verify", "--suite", "nope"])
         assert rc == 2
+
+    @pytest.mark.parametrize("name", list(corpus.SUITES))
+    def test_every_suite_runs(self, name, capsys):
+        assert main(["verify", "--suite", name, "--count", "2"]) == 0
+        assert f"{name}: " in capsys.readouterr().out
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        def check():
+            raise IdentityViolation("planted failure")
+
+        def planted(rng, count):
+            for _ in range(count):
+                yield check
+
+        monkeypatch.setitem(corpus.SUITES, "mg-laws", (planted, 3))
+        assert main(["verify", "--suite", "mg-laws"]) == 1
+        out = capsys.readouterr().out
+        assert "  mg-laws FAILED: check 1: planted failure" in out
+        assert "mg-laws: 0/3 passed [FAILED]" in out

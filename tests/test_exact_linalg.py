@@ -269,6 +269,14 @@ class TestFKDeterminant:
                                left_kernel=kernel_lattice(A.transpose()))
             assert d.square_exact == s1
 
+    @settings(max_examples=150, deadline=None)
+    @given(_small_matrices(max_dim=6, bound=3))
+    def test_routes_agree_on_random_matrices(self, A):
+        # up to 6x6 the minor sum always fits its work budget
+        sq = _fk_square_minor_sum(A)
+        assert _fk_square_image_lattice(A) == sq
+        assert _fk_square_structure(A) == sq
+
     @pytest.mark.parametrize("example, moduli, n", [
         ("torus3", (2, 2, 2), 1),     # rank 7 of 8x24: image lattice
         ("torus3", (2, 2, 2), 2),     # rank 14 of 24x24: structure
