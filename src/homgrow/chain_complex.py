@@ -19,6 +19,10 @@ from .errors import DegreeOutOfRange, IdentityViolation, InvalidComplex
 from .exact_linalg import (
     FKDet,
     IntMatrix,
+    SmithForm,
+    _colhnf_with_transform,
+    _fk_uses_structure,
+    column_hnf,
     det_fraction,
     fk_determinant,
     kernel_lattice,
@@ -171,11 +175,31 @@ class ChainAnalysis:
     coker(X_n)), torsion data from the Smith form of X_n, integer cycle
     lifts of a basis of H_n(C)_f, and the harmonic lattice
     ker(c_n) cap ker(c_{n+1}^T).
+
+    Each of these is cached per degree, and so are the facts several of
+    them share:
+
+      * the Smith form of c_n, computed only where it is needed anyway:
+        when c_{n-1} = 0, K_{n-1} is the identity and X_{n-1} is c_n itself,
+        so the form gives the torsion of H_{n-1}; and when the FK structure
+        route of c_n runs, which reuses it;
+      * the rank of c_n, read from that Smith form when it exists, else
+        from K_n;
+      * the left kernel ker(c_n^T), computed lazily and only for the FK
+        structure route of c_n and, when c_{n-1} = 0, for the harmonic
+        lattice and free lifts in degree n - 1 (there ker(c_n^T) is exactly
+        the lattice they need).
+
+    A kernel is skipped, without a lattice computation, when the rank shows
+    it is empty: rank c_n = cols gives K_n = 0 (read only from a Smith form
+    that exists anyway), and rank c_n = rows gives ker(c_n^T) = 0.
     """
 
     def __init__(self, complex_: IntChainComplex):
         self.complex = complex_
         self._kernel: Dict[int, IntMatrix] = {}
+        self._left_kernel: Dict[int, IntMatrix] = {}
+        self._smith: Dict[int, SmithForm] = {}
         self._X: Dict[int, IntMatrix] = {}
         self._snf_X: Dict[int, tuple] = {}
         self._free_lifts: Dict[int, IntMatrix] = {}
@@ -183,11 +207,48 @@ class ChainAnalysis:
         self._fk: Dict[int, FKDet] = {}
         self._fk_delta: Dict[int, FKDet] = {}
 
+    # -- per-differential facts -----------------------------------------------
+
+    def _kernel_is_identity(self, n: int) -> bool:
+        """True when c_n = 0 in a degree n of the complex: then K_n is the
+        identity and X_n is c_{n+1} itself."""
+        return (0 <= n <= self.complex.top_degree
+                and self.complex.differential(n).is_zero())
+
+    def smith(self, n: int) -> SmithForm:
+        """Smith form of c_n."""
+        if n not in self._smith:
+            self._smith[n] = smith_normal_form(self.complex.differential(n))
+        return self._smith[n]
+
+    def rank(self, n: int) -> int:
+        """rank c_n, from a Smith form of c_n that H_{n-1} needs anyway when
+        c_{n-1} = 0, else from K_n."""
+        if self._kernel_is_identity(n - 1):
+            return self.smith(n).rank
+        return self.complex.differential(n).cols - self.kernel(n).cols
+
+    def left_kernel(self, n: int) -> IntMatrix:
+        """Saturated basis of ker(c_n^T); no columns when c_n has full row
+        rank."""
+        if n not in self._left_kernel:
+            c = self.complex.differential(n)
+            if self.rank(n) == c.rows:
+                self._left_kernel[n] = IntMatrix.zeros(c.rows, 0)
+            else:
+                self._left_kernel[n] = kernel_lattice(c.transpose())
+        return self._left_kernel[n]
+
     # -- lattice layers -----------------------------------------------------
 
     def kernel(self, n: int) -> IntMatrix:
         if n not in self._kernel:
-            self._kernel[n] = kernel_lattice(self.complex.differential(n))
+            c = self.complex.differential(n)
+            if (self._kernel_is_identity(n - 1)
+                    and self.smith(n).rank == c.cols):
+                self._kernel[n] = IntMatrix.zeros(c.cols, 0)
+            else:
+                self._kernel[n] = kernel_lattice(c)
         return self._kernel[n]
 
     def relations(self, n: int) -> IntMatrix:
@@ -207,7 +268,10 @@ class ChainAnalysis:
 
     def torsion_factors(self, n: int) -> tuple:
         if n not in self._snf_X:
-            sf = smith_normal_form(self.relations(n))
+            if self._kernel_is_identity(n):
+                sf = self.smith(n + 1)
+            else:
+                sf = smith_normal_form(self.relations(n))
             facs = tuple(d for d in sf.invariant_factors if d != 1)
             self._snf_X[n] = (sf.rank, facs)
         return self._snf_X[n][1]
@@ -228,7 +292,6 @@ class ChainAnalysis:
         """Integer cycles whose classes form a Z-basis of H_n(C)_f."""
         if n not in self._free_lifts:
             K = self.kernel(n)
-            X = self.relations(n)
             b = self.betti(n)
             if b == 0:
                 self._free_lifts[n] = IntMatrix.zeros(self.complex.dim(n), 0)
@@ -236,8 +299,10 @@ class ChainAnalysis:
                 # D spans {y : X^T y = 0}; pairing with D embeds
                 # Z^k / sat(im X) into Z^b, and the Hermite transform of D^T
                 # hands back preimages of the image-lattice basis.
-                D = kernel_lattice(X.transpose())
-                from .exact_linalg import _colhnf_with_transform
+                if self._kernel_is_identity(n):
+                    D = self.left_kernel(n + 1)
+                else:
+                    D = kernel_lattice(self.relations(n).transpose())
                 H, V = _colhnf_with_transform(D.transpose())
                 assert H.cols == b
                 Zt = IntMatrix._raw(b, K.cols, V.transpose().data[:b])
@@ -247,10 +312,13 @@ class ChainAnalysis:
     def harmonic(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n) cap ker(c_{n+1}^T) = ker(Delta_n)."""
         if n not in self._harmonic:
-            from .exact_linalg import column_hnf
             K = self.kernel(n)
             if K.cols == 0:
                 self._harmonic[n] = K
+            elif self._kernel_is_identity(n):
+                # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
+                # already in column Hermite form
+                self._harmonic[n] = self.left_kernel(n + 1)
             else:
                 M = self.complex.differential(n + 1).transpose() @ K
                 Y = kernel_lattice(M)
@@ -262,10 +330,14 @@ class ChainAnalysis:
     def fk_differential(self, n: int) -> FKDet:
         if n not in self._fk:
             cn = self.complex.differential(n)
-            if 1 <= n <= self.complex.top_degree:
-                self._fk[n] = fk_determinant(cn, kernel=self.kernel(n))
-            else:
+            if not 1 <= n <= self.complex.top_degree or cn.is_zero():
                 self._fk[n] = fk_determinant(cn)
+            elif _fk_uses_structure(cn, self.rank(n)):
+                self._fk[n] = fk_determinant(
+                    cn, kernel=self.kernel(n), left_kernel=self.left_kernel(n),
+                    smith=self.smith(n))
+            else:
+                self._fk[n] = fk_determinant(cn, kernel=self.kernel(n))
         return self._fk[n]
 
     def fk_laplacian(self, n: int) -> FKDet:

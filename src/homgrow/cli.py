@@ -43,6 +43,7 @@ from .group_ring import (
 from .serialize import (
     int_complex_from_laurent,
     load_complex,
+    strict_int,
     tower_report_json,
     tower_report_rows,
     tower_rows_to_csv,
@@ -70,10 +71,17 @@ def builtin_complex(name: str) -> LaurentChainComplex:
     if name.startswith("mapping_torus:"):
         try:
             data = json.loads(name.split(":", 1)[1])
-            A = IntMatrix.from_rows([[int(x) for x in row] for row in data])
-            return mapping_torus_complex(A)
-        except (ValueError, TypeError, IndexError, DimensionMismatch,
-                NonSquareMatrix) as exc:
+        except ValueError as exc:
+            raise ParseError(f"bad mapping torus matrix: {exc}") from exc
+        if not (isinstance(data, list) and data
+                and all(isinstance(row, list) for row in data)):
+            raise ParseError("a mapping torus matrix is a nonempty list of "
+                             f"integer rows, got {data!r}")
+        rows = [[strict_int(x, "mapping torus entry") for x in row]
+                for row in data]
+        try:
+            return mapping_torus_complex(IntMatrix.from_rows(rows))
+        except (DimensionMismatch, NonSquareMatrix) as exc:
             raise ParseError(f"bad mapping torus matrix: {exc}") from exc
     raise ParseError(
         f"unknown example {name!r}; choose circle, torus2, torus3, s1_cross "
@@ -240,16 +248,22 @@ def cmd_tower(args) -> int:
     return EXIT_OK
 
 
+def suite_rng(seed: int, name: str) -> random.Random:
+    """The generator suite `name` draws from under --seed `seed`.  Each suite
+    has its own, so a suite draws the same instances whether it runs alone
+    (--suite) or after the others."""
+    return random.Random(f"{seed}:{name}")
+
+
 def cmd_verify(args) -> int:
     if args.count is not None and args.count < 1:
         raise ParseError(f"--count must be positive, got {args.count}")
     if args.suite is not None and args.suite not in SUITES:
         raise ParseError(f"unknown suite {args.suite!r}; choose from "
                          f"{', '.join(SUITES)}")
-    rng = random.Random(args.seed)
     failed = False
     for name in [args.suite] if args.suite else list(SUITES):
-        ran, failures = run_suite(name, rng, args.count)
+        ran, failures = run_suite(name, suite_rng(args.seed, name), args.count)
         for msg in failures:
             print(f"  {name} FAILED: {msg}")
         failed = failed or bool(failures)

@@ -900,18 +900,21 @@ def _fk_square_image_lattice(A: IntMatrix) -> int:
 
 
 def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
-                        D: Optional[IntMatrix] = None):
+                        D: Optional[IntMatrix] = None,
+                        sf: Optional[SmithForm] = None):
     """(kernel square, torsion order, cokernel-projection square, rank).
 
     The three values are the squared FK determinants of the kernel inclusion
     and torsion-free cokernel projection, and |tors(coker A)|; all exact.
-    Precomputed saturated kernel bases of A and A^T may be passed in.
+    Precomputed saturated kernel bases of A and A^T, and the Smith form of
+    A, may be passed in.
     """
     if K is None:
         K = kernel_lattice(A)
     r = A.cols - K.cols
     jk_sq = det_bareiss_psd(_gram_int(K)) if K.cols else 1
-    sf = smith_normal_form(A)
+    if sf is None:
+        sf = smith_normal_form(A)
     if sf.rank != r:
         raise IdentityViolation("rank mismatch between kernel and Smith form")
     tors = 1
@@ -932,33 +935,40 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
 
 
 def _fk_square_structure(A: IntMatrix, K: Optional[IntMatrix] = None,
-                         D: Optional[IntMatrix] = None) -> Fraction:
-    jk_sq, tors, prc_sq, _ = _fk_structure_parts(A, K, D)
+                         D: Optional[IntMatrix] = None,
+                         sf: Optional[SmithForm] = None) -> Fraction:
+    jk_sq, tors, prc_sq, _ = _fk_structure_parts(A, K, D, sf)
     sq = Fraction(jk_sq) * tors * tors * prc_sq
     if sq.denominator != 1:
         raise IdentityViolation("non-integer FK determinant square")
     return sq
 
 
+def _fk_uses_structure(A: IntMatrix, r: int) -> bool:
+    """The FK route rule for A of rank r: True when the structure route's
+    two corank-sized Grams cost no more than the image route's two
+    rank-sized ones, 2 r^3 >= (cols - r)^3 + (rows - r)^3."""
+    return 2 * r ** 3 >= (A.cols - r) ** 3 + (A.rows - r) ** 3
+
+
 def fk_determinant(A: IntMatrix, kernel: Optional[IntMatrix] = None,
-                   left_kernel: Optional[IntMatrix] = None) -> FKDet:
+                   left_kernel: Optional[IntMatrix] = None,
+                   smith: Optional[SmithForm] = None) -> FKDet:
     """Fuglede-Kadison determinant of A over the trivial group, exactly.
 
     square_exact equals the Cauchy-Binet sum of squared maximal-rank minors;
-    rank 0 gives the empty product 1.  The image-lattice route runs when its
-    two rank-sized Grams cost less than the two corank-sized ones of the
-    structure route (2 r^3 < (cols - r)^3 + (rows - r)^3), else the
-    structure route.  Saturated kernel bases of A and A^T may be supplied:
-    the kernel gives r without a rank computation, and the structure route
-    reuses both.
+    rank 0 gives the empty product 1.  `_fk_uses_structure` picks the route.
+    Saturated kernel bases of A and A^T and the Smith form of A may be
+    supplied: the kernel gives r without a rank computation, and the
+    structure route reuses all three.
     """
     if A.rows == 0 or A.cols == 0 or A.is_zero():
         return FKDet(0.0, Fraction(1))
     r = A.cols - kernel.cols if kernel is not None else rank(A)
-    if 2 * r ** 3 < (A.cols - r) ** 3 + (A.rows - r) ** 3:
-        sq = Fraction(_fk_square_image_lattice(A))
+    if _fk_uses_structure(A, r):
+        sq = _fk_square_structure(A, kernel, left_kernel, smith)
     else:
-        sq = _fk_square_structure(A, kernel, left_kernel)
+        sq = Fraction(_fk_square_image_lattice(A))
     return FKDet(0.5 * ln_of_fraction(sq), sq)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     IdentityViolation,
     InconsistentProfile,
 )
-from .exact_linalg import IntMatrix, det_bareiss, ln_of_fraction
+from .exact_linalg import IntMatrix, det_bareiss, ln_of_fraction, rank
 from .group_ring import (
     LaurentChainComplex,
     QuotientSpec,
@@ -255,15 +255,13 @@ def _action_rationally_trivial(M) -> bool:
     """Deck action trivial on Q tensor H_n: (A - 1) maps into torsion."""
     g = M.num_generators
     X = M.presentation
-    torsion_rank = 0
     # (A - 1) columns must become torsion in coker(X): rank test over Q
     for A in M.generators_action:
         D = A - IntMatrix.identity(g)
         if D.is_zero():
             continue
         joint = IntMatrix.hstack(X, D) if X.cols else D
-        from .exact_linalg import rank as _rank
-        if _rank(joint) != _rank(X):
+        if rank(joint) != rank(X):
             return False
     return True
 

@@ -15,9 +15,10 @@ encodes a plain integer chain complex (every exponent list empty).
 from __future__ import annotations
 
 import json
+import re
 
 from .chain_complex import IntChainComplex
-from .errors import ParseError
+from .errors import InvalidComplex, ParseError
 from .exact_linalg import IntMatrix
 from .group_ring import LaurentChainComplex, LaurentPoly
 
@@ -27,6 +28,7 @@ __all__ = [
     "load_complex",
     "dump_complex",
     "int_complex_from_laurent",
+    "strict_int",
     "tower_report_rows",
     "tower_rows_to_csv",
 ]
@@ -54,53 +56,79 @@ def complex_to_document(C: LaurentChainComplex) -> dict:
     }
 
 
+_DECIMAL_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def strict_int(value, what: str, allow_str: bool = False) -> int:
+    """`value` if it is an int (not a bool); with `allow_str`, also a
+    decimal-integer string.  Anything else, such as 1.9 or true, raises
+    ParseError instead of being truncated or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if allow_str and isinstance(value, str) and _DECIMAL_INTEGER.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError as exc:       # beyond the str -> int digit limit
+            raise ParseError(f"{what}: {exc}") from exc
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_list(value, length, what: str, items: str) -> None:
+    """ParseError unless `value` is a list, of `length` items if given."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what}: expected a list of {items}, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ParseError(
+            f"{what}: {len(value)} {items}, expected {length}")
+
+
+def _int_list(value, what: str) -> list:
+    _require_list(value, None, what, "integers")
+    return [strict_int(x, what) for x in value]
+
+
 def complex_from_document(doc: dict) -> LaurentChainComplex:
+    if not isinstance(doc, dict):
+        raise ParseError(f"a complex document is a JSON object, got {doc!r}")
     try:
-        m = int(doc["m"])
-        top = int(doc["top_degree"])
-        dims = [int(d) for d in doc["dims"]]
+        m = strict_int(doc["m"], "m")
+        top = strict_int(doc["top_degree"], "top_degree")
+        dims = _int_list(doc["dims"], "dims")
         raw_diffs = doc["differentials"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
     if m < 0 or any(d < 0 for d in dims):
         raise ParseError(f"m and dims must be nonnegative: m = {m}, "
                          f"dims = {dims}")
     if len(dims) != top + 1:
         raise ParseError(f"dims has {len(dims)} entries for top_degree {top}")
-    if len(raw_diffs) != top:
-        raise ParseError(
-            f"expected {top} differentials, found {len(raw_diffs)}")
+    _require_list(raw_diffs, top, "differentials", "matrices")
     diffs = []
     for n, mat in enumerate(raw_diffs, start=1):
-        if len(mat) != dims[n - 1]:
-            raise ParseError(
-                f"differential {n}: {len(mat)} rows, expected {dims[n - 1]}")
+        _require_list(mat, dims[n - 1], f"differential {n}", "rows")
         rows = []
         for i, row in enumerate(mat):
-            if len(row) != dims[n]:
-                raise ParseError(
-                    f"differential {n}, row {i}: {len(row)} entries, "
-                    f"expected {dims[n]}")
+            _require_list(row, dims[n], f"differential {n}, row {i}",
+                          "entries")
             out_row = []
             for j, entry in enumerate(row):
+                where = f"differential {n}, entry ({i},{j})"
+                _require_list(entry, None, where, "terms")
                 terms = {}
                 for t in entry:
                     try:
-                        exp = tuple(int(x) for x in t["exp"])
-                        coef = int(t["coef"])
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise ParseError(
-                            f"differential {n}, entry ({i},{j}): bad term "
-                            f"{t!r}") from exc
+                        exp = tuple(_int_list(t["exp"], f"{where} exponent"))
+                        coef = strict_int(t["coef"], f"{where} coefficient",
+                                          allow_str=True)
+                    except (KeyError, TypeError) as exc:
+                        raise ParseError(f"{where}: bad term {t!r}") from exc
                     if len(exp) != m:
                         raise ParseError(
-                            f"differential {n}, entry ({i},{j}): exponent "
-                            f"arity {len(exp)} != m = {m}")
+                            f"{where}: exponent arity {len(exp)} != m = {m}")
                     terms[exp] = terms.get(exp, 0) + coef
                 out_row.append(LaurentPoly(m, terms))
             rows.append(out_row)
         diffs.append(rows)
-    from .errors import InvalidComplex
     try:
         return LaurentChainComplex(m, dims, diffs)
     except InvalidComplex as exc:

@@ -4,23 +4,42 @@ from fractions import Fraction
 
 import pytest
 
+from homgrow import chain_complex, exact_linalg
 from homgrow.chain_complex import (
+    ChainAnalysis,
     IntChainComplex,
     alpha_log_dets,
     d_of_abelian_group,
     d_primewise,
     direct_sum,
     homology,
+    homology_from_analysis,
     laplacian,
     rho_2,
     rho_Z,
+    rho_identity_from_analysis,
     shift,
     tensor,
     verify_rho_identity,
 )
 from homgrow.corpus import random_complex, random_unimodular
 from homgrow.errors import DegreeOutOfRange, InvalidComplex
-from homgrow.exact_linalg import IntMatrix
+from homgrow.exact_linalg import (
+    IntMatrix,
+    _colhnf_with_transform,
+    column_hnf,
+    fk_determinant,
+    kernel_lattice,
+    smith_normal_form,
+    solve_in_lattice,
+)
+from homgrow.group_ring import (
+    QuotientSpec,
+    base_change,
+    circle_complex,
+    mapping_torus_complex,
+    torus_complex,
+)
 
 
 def circle_level(i):
@@ -315,3 +334,119 @@ class TestConstructions:
         # circle x circle has the betti numbers of the torus
         t = tensor(circle_level(2), circle_level(2))
         assert homology(t).betti_q == [1, 2, 1]
+
+
+def _direct_layers(C, n):
+    """Degree-n layers by direct kernel_lattice, smith_normal_form and
+    fk_determinant calls, with nothing shared between degrees."""
+    c, cnext = C.differential(n), C.differential(n + 1)
+    K = kernel_lattice(c)
+    X = (solve_in_lattice(K, cnext) if K.cols
+         else IntMatrix.zeros(0, cnext.cols))
+    sf = smith_normal_form(X)
+    b = K.cols - sf.rank
+    if K.cols == 0:
+        W = K
+    else:
+        W = column_hnf(K @ kernel_lattice(cnext.transpose() @ K))
+    if b == 0:
+        Z = IntMatrix.zeros(C.dim(n), 0)
+    else:
+        _, V = _colhnf_with_transform(kernel_lattice(X.transpose()).transpose())
+        Z = K @ IntMatrix._raw(b, K.cols, V.transpose().data[:b]).transpose()
+    return {
+        "kernel": K,
+        "left_kernel": kernel_lattice(c.transpose()),
+        "harmonic": W,
+        "free_lifts": Z,
+        "torsion": tuple(d for d in sf.invariant_factors if d != 1),
+        "fk": fk_determinant(c).square_exact,
+    }
+
+
+def _shared_layers(an, n):
+    return {
+        "kernel": an.kernel(n),
+        "left_kernel": an.left_kernel(n),
+        "harmonic": an.harmonic(n),
+        "free_lifts": an.free_lifts(n),
+        "torsion": an.torsion_factors(n),
+        "fk": an.fk_differential(n).square_exact,
+    }
+
+
+def _analysed_level(C):
+    """ChainAnalysis of C after the requests of one tower level, in the
+    tower's order, so the caches fill as they do there."""
+    an = ChainAnalysis(C)
+    homology_from_analysis(an, (2, 3, 5))
+    rho_identity_from_analysis(an)
+    return an
+
+
+def _assert_layers_agree(C):
+    an = _analysed_level(C)
+    for n in range(C.top_degree + 1):
+        assert _shared_layers(an, n) == _direct_layers(C, n), n
+
+
+def _tier1_tower_levels():
+    A = IntMatrix.from_rows([[2, 1], [1, 1]])
+    towers = [
+        (circle_complex(), [(2 ** k,) for k in range(9)]),
+        (torus_complex(2), [(i, i) for i in (1, 2, 4, 8)]),
+        (torus_complex(3), [(1, 1, 1), (2, 2, 2), (4, 4, 2)]),
+        (mapping_torus_complex(A), [(i,) for i in range(1, 51)]),
+    ]
+    for L, levels in towers:
+        for moduli in levels:
+            yield base_change(L, QuotientSpec(moduli)).complex
+
+
+class TestSharedLayers:
+    """The per-degree layers ChainAnalysis shares (one Smith form and one
+    left kernel per differential, kernels skipped by rank) agree exactly
+    with the direct computation of each layer."""
+
+    def test_random_corpus(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            _assert_layers_agree(random_complex(rng))
+
+    def test_tier1_tower_levels(self):
+        for C in _tier1_tower_levels():
+            _assert_layers_agree(C)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Record the argument of every kernel_lattice and smith_normal_form
+        call made through chain_complex or exact_linalg."""
+        calls = {"kernel_lattice": [], "smith_normal_form": []}
+        for name, log in calls.items():
+            real = getattr(exact_linalg, name)
+
+            def counted(A, _real=real, _log=log):
+                _log.append(A)
+                return _real(A)
+
+            monkeypatch.setattr(chain_complex, name, counted)
+            monkeypatch.setattr(exact_linalg, name, counted)
+        return calls
+
+    def test_full_rank_mapping_torus_level_computes_no_kernel(
+            self, monkeypatch):
+        A = IntMatrix.from_rows([[2, 1], [1, 1]])
+        C = base_change(mapping_torus_complex(A), QuotientSpec((100,))).complex
+        calls = self._count_calls(monkeypatch)
+        _analysed_level(C)
+        assert [M.shape for M in calls["kernel_lattice"] if not M.is_zero()] \
+            == []
+
+    def test_circle_level_shares_left_kernel_and_smith_form(
+            self, monkeypatch):
+        C = base_change(circle_complex(), QuotientSpec((64,))).complex
+        c1 = C.differential(1)
+        calls = self._count_calls(monkeypatch)
+        _analysed_level(C)
+        assert sum(M == c1.transpose() for M in calls["kernel_lattice"]) == 1
+        assert sum(M == c1 for M in calls["smith_normal_form"]) == 1

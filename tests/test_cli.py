@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from homgrow import corpus
+from homgrow import cli, corpus
 from homgrow.cli import MAX_LEVELS, _parse_levels, builtin_complex, main
 from homgrow.errors import IdentityViolation, ParseError
 from homgrow.serialize import (
@@ -43,6 +43,14 @@ class TestSerialization:
         {"m": 0, "top_degree": 0, "dims": [-3], "differentials": []},
     ], ids=["negative-m", "negative-dims"])
     def test_negative_sizes_rejected(self, doc):
+        with pytest.raises(ParseError):
+            complex_from_document(doc)
+
+    @pytest.mark.parametrize("diffs", [5, [5], [[5]], [[[5]]]],
+                             ids=["differentials", "matrix", "row", "entry"])
+    def test_non_list_rejected(self, diffs):
+        doc = {"m": 0, "top_degree": 1, "dims": [1, 1],
+               "differentials": diffs}
         with pytest.raises(ParseError):
             complex_from_document(doc)
 
@@ -158,14 +166,31 @@ class TestCommands:
         ["verify", "--suite", "rho-identity", "--count", "-1"],
         ["tower", "--example", "circle", "--levels", "1,2", "--primes", ","],
         ["tower", "--example", "circle", "--levels", "1,2", "--jobs", "0"],
+        ["homology", "--example", "mapping_torus:[[1.5]]"],
+        ["homology", "--example", "mapping_torus:[[true]]"],
+        ["homology", "--example", "mapping_torus:{}"],
+        ["homology", "--input", "{coef}"],
+        ["homology", "--input", "{m}"],
     ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix",
             "negative-dims", "decreasing-levels", "negative-max-degree",
-            "negative-count", "empty-primes", "nonpositive-jobs"])
+            "negative-count", "empty-primes", "nonpositive-jobs",
+            "fractional-matrix-entry", "boolean-matrix-entry",
+            "matrix-not-a-list", "fractional-coef", "fractional-m"])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
-        doc = tmp_path / "negative_dims.json"
-        doc.write_text(json.dumps(
-            {"m": 0, "top_degree": 0, "dims": [-3], "differentials": []}))
-        assert main([a.replace("{doc}", str(doc)) for a in argv]) == 2
+        docs = {
+            "{doc}": {"m": 0, "top_degree": 0, "dims": [-3],
+                      "differentials": []},
+            # c_1 = [-1.9] would be read as [-1]; m = 1.9 as m = 1
+            "{coef}": {"m": 0, "top_degree": 1, "dims": [1, 1],
+                       "differentials": [[[[{"exp": [], "coef": -1.9}]]]]},
+            "{m}": {"m": 1.9, "top_degree": 0, "dims": [1],
+                    "differentials": []},
+        }
+        paths = {}
+        for key, doc in docs.items():
+            paths[key] = tmp_path / f"{key.strip('{}')}.json"
+            paths[key].write_text(json.dumps(doc))
+        assert main([str(paths[a]) if a in paths else a for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "verification failure" not in err
@@ -214,6 +239,25 @@ class TestVerify:
     def test_every_suite_runs(self, name, capsys):
         assert main(["verify", "--suite", name, "--count", "2"]) == 0
         assert f"{name}: " in capsys.readouterr().out
+
+    def test_suite_draws_do_not_depend_on_other_suites(self, monkeypatch,
+                                                       capsys):
+        # each suite has its own generator, so an instance that fails in a
+        # full run is drawn again by --suite with the same --seed
+        drawn = []
+
+        def first_instance(name, rng, count):
+            suite, _ = corpus.SUITES[name]
+            check = next(suite(rng, 1))
+            if name == "filtration":
+                drawn.append(check.args)
+            return 1, []
+
+        monkeypatch.setattr(cli, "run_suite", first_instance)
+        assert main(["verify", "--seed", "3"]) == 0
+        assert main(["verify", "--seed", "3", "--suite", "filtration"]) == 0
+        assert len(drawn) == 2
+        assert drawn[0] == drawn[1]
 
     def test_failing_check_exits_1(self, monkeypatch, capsys):
         def check():
