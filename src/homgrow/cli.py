@@ -18,10 +18,8 @@ from typing import List, Optional, Sequence
 from . import growth
 from .chain_complex import (
     ChainAnalysis,
-    alpha_from_analysis,
     homology_from_analysis,
-    rho_2_exact,
-    rho_Z_exact,
+    rho_identity_from_analysis,
 )
 from .corpus import SUITES, run_suite
 from .errors import (
@@ -91,6 +89,11 @@ def builtin_complex(name: str) -> LaurentChainComplex:
 # More levels than any tower could compute; checked before a range expands.
 MAX_LEVELS = 10_000
 
+# Most rows, index x largest rank, a quotient complex may have; checked
+# before base change builds the index-long element list and the row dicts.
+# 64x the largest tower level in reach (circle at index 16384).
+MAX_ROWS = 2 ** 20
+
 
 def _parse_levels(text: str) -> List[int]:
     out: List[int] = []
@@ -113,8 +116,9 @@ def _parse_levels(text: str) -> List[int]:
     return out
 
 
-def _parse_moduli_pattern(pattern: Optional[str], m: int,
+def _parse_moduli_pattern(pattern: Optional[str], C: LaurentChainComplex,
                           level: int) -> QuotientSpec:
+    m = C.m
     if pattern is None:
         tokens = ["i"] * m
     else:
@@ -132,9 +136,14 @@ def _parse_moduli_pattern(pattern: Optional[str], m: int,
             except ValueError as exc:
                 raise ParseError(f"bad moduli token {t!r}") from exc
     try:
-        return QuotientSpec(tuple(moduli))
+        spec = QuotientSpec(tuple(moduli))
     except DimensionMismatch as exc:
         raise ParseError(f"bad quotient {tuple(moduli)}: {exc}") from exc
+    if spec.index * max(C.dims, default=0) > MAX_ROWS:
+        raise ParseError(
+            f"quotient {spec.moduli} of index {spec.index} gives more than "
+            f"{MAX_ROWS} rows")
+    return spec
 
 
 def _load_input(args) -> LaurentChainComplex:
@@ -167,8 +176,11 @@ def _primes(text: str) -> List[int]:
 
 def _write_out(payload: str, path: Optional[str]) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -187,16 +199,16 @@ def cmd_homology(args) -> int:
         index = 1
         moduli = ()
     else:
-        spec = _parse_moduli_pattern(args.moduli_pattern, C.m, levels[0])
+        spec = _parse_moduli_pattern(args.moduli_pattern, C, levels[0])
         cx = base_change(C, spec).complex
         index = spec.index
         moduli = spec.moduli
     primes = _primes(args.primes)
     an = ChainAnalysis(cx)
     summary = homology_from_analysis(an, primes)
-    alpha = alpha_from_analysis(an)
-    rz, _ = rho_Z_exact(an)
-    r2, _ = rho_2_exact(an)
+    # raises unless rho_Z - rho_2 = sum (-1)^n ln det alpha_n exactly
+    ident = rho_identity_from_analysis(an)
+    alpha = ident["alpha"]
     report = {
         "moduli": list(moduli),
         "index": index,
@@ -215,8 +227,8 @@ def cmd_homology(args) -> int:
             }
             for n in range(cx.top_degree + 1)
         ],
-        "rho_z": repr(rz),
-        "rho_2": repr(r2),
+        "rho_z": repr(ident["rho_Z"]),
+        "rho_2": repr(ident["rho_2"]),
     }
     _write_out(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK
@@ -227,7 +239,7 @@ def cmd_tower(args) -> int:
     if C.m == 0:
         raise ParseError("tower needs a group-ring complex (m >= 1)")
     levels = _parse_levels(args.levels) if args.levels else [1, 2, 4, 8]
-    specs = [_parse_moduli_pattern(args.moduli_pattern, C.m, i)
+    specs = [_parse_moduli_pattern(args.moduli_pattern, C, i)
              for i in levels]
     if any(b.index <= a.index for a, b in zip(specs, specs[1:])):
         raise ParseError("--levels must give quotients of increasing index")

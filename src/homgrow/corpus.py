@@ -98,16 +98,15 @@ def invert_unimodular(U: IntMatrix) -> IntMatrix:
     return V
 
 
-def random_complex(rng: random.Random, max_top: int = 3, max_entry: int = 5,
-                   max_free: int = 2) -> IntChainComplex:
+def random_complex(rng: random.Random) -> IntChainComplex:
     """Random based free complex with dims <= 8 per degree."""
-    top = rng.randint(1, max_top)
-    free = [rng.randint(0, max_free) for _ in range(top + 1)]
+    top = rng.randint(1, 3)
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
     C = IntChainComplex(
         free, [IntMatrix.zeros(free[k - 1], free[k]) for k in range(1, top + 1)])
     for _ in range(rng.randint(1, 4)):
         n = rng.randint(1, top)
-        l = rng.randint(1, max_entry)
+        l = rng.randint(1, 5)
         piece = IntChainComplex.two_term(IntMatrix.from_rows([[l]]),
                                          bottom_degree=n - 1)
         C = direct_sum(C, piece)
@@ -119,18 +118,18 @@ def random_complex(rng: random.Random, max_top: int = 3, max_entry: int = 5,
 
 
 def random_int_matrix(rng: random.Random, max_dim: int = 6,
-                      bound: int = 5, allow_empty: bool = True) -> IntMatrix:
-    lo = 0 if allow_empty else 1
-    n = rng.randint(lo, max_dim)
-    m = rng.randint(lo, max_dim)
+                      bound: int = 5) -> IntMatrix:
+    """Random n x m matrix, n, m <= max_dim, entries in [-bound, bound]."""
+    n = rng.randint(0, max_dim)
+    m = rng.randint(0, max_dim)
     return IntMatrix(n, m, [rng.randint(-bound, bound) for _ in range(n * m)])
 
 
-def random_finite_group_factors(rng: random.Random, max_order: int = 200,
-                                max_rank: int = 3) -> tuple:
-    """Chained invariant factors of a random finite abelian group."""
+def random_finite_group_factors(rng: random.Random) -> tuple:
+    """Chained invariant factors of a random finite abelian group of rank at
+    most 3 and order at most 200."""
     while True:
-        k = rng.randint(1, max_rank)
+        k = rng.randint(1, 3)
         base = rng.choice([2, 2, 2, 3, 5])
         factors = []
         d = base ** rng.randint(0, 2) * rng.choice([1, 1, 3, 5])
@@ -143,7 +142,7 @@ def random_finite_group_factors(rng: random.Random, max_order: int = 200,
         order = 1
         for f in factors:
             order *= f
-        if order <= max_order:
+        if order <= 200:
             return tuple(factors)
 
 
@@ -154,27 +153,22 @@ def _unit_of_order_dividing(q: int, d: int, rng: random.Random) -> int:
     return rng.choice(candidates) if candidates else 1
 
 
-def random_module_with_action(rng: random.Random, orders: Sequence[int],
-                              max_pieces: int = 3,
-                              piece_bound: int = 9,
-                              free_pieces: int = 1) -> ModuleWithAction:
+def random_module_with_action(rng: random.Random,
+                              orders: Sequence[int]) -> ModuleWithAction:
     """Module over prod Z/orders: cyclic pieces with unit actions, conjugated.
 
-    Each torsion piece Z/q carries the action of generator j by a unit of
-    multiplicative order dividing orders[j]; free pieces carry the identity.
-    The presentation is then rewritten in a random generator basis.
+    One to three torsion pieces Z/q and at most one free piece.  Each torsion
+    piece carries the action of generator j by a unit of multiplicative order
+    dividing orders[j]; the free piece carries the identity.  The
+    presentation is then rewritten in a random generator basis.
     """
     pieces = []
-    for _ in range(rng.randint(1, max_pieces)):
+    for _ in range(rng.randint(1, 3)):
         q = rng.choice([2, 3, 4, 5, 7, 8, 9])
-        if q <= piece_bound:
-            units = [_unit_of_order_dividing(q, d, rng) for d in orders]
-            pieces.append((q, units))
-    nfree = rng.randint(0, free_pieces)
+        units = [_unit_of_order_dividing(q, d, rng) for d in orders]
+        pieces.append((q, units))
+    nfree = rng.randint(0, 1)
     g = len(pieces) + nfree
-    if g == 0:
-        pieces = [(2, [1 for _ in orders])]
-        g = 1
     pres_cols = []
     for t, (q, _) in enumerate(pieces):
         col = [0] * g
@@ -268,18 +262,17 @@ def _generates(vectors: List[tuple], diag: Sequence[int]) -> bool:
     return True
 
 
-def d_bruteforce(factors: Sequence[int], limit: int = 4) -> Optional[int]:
+def d_bruteforce(factors: Sequence[int]) -> Optional[int]:
     """Minimal n with a surjection Z^n onto prod Z/factors, by tuple search.
 
-    Searches n = 0, 1, ... up to `limit`; returns None when no generating
-    tuple of size <= limit exists.
+    Searches n = 0, 1, ..., 4; returns None when no generating tuple of size
+    <= 4 exists.
     """
     diag = [int(d) for d in factors if int(d) >= 2]
     if not diag:
         return 0
-    s = len(diag)
     elements = list(itertools.product(*[range(d) for d in diag]))
-    for n in range(1, limit + 1):
+    for n in range(1, 5):
         for combo in itertools.combinations(elements, n):
             if _generates(list(combo), diag):
                 return n
@@ -329,20 +322,19 @@ def _module_elements(M: ModuleWithAction):
                             for A in M.generators_action], reduce
 
 
-def filtration_length_oracle(M: ModuleWithAction,
-                             max_order: int = 64) -> Optional[int]:
+def filtration_length_oracle(M: ModuleWithAction) -> Optional[int]:
     """Shortest filtration with trivial-action quotients, by explicit search.
 
     Enumerates every action-invariant subgroup of the finite module and runs
     a breadth-first search over chains 0 = M_0 <= ... <= M_r = M in which
     the induced action on each quotient is trivial.  Returns None when M is
-    infinite, too large, or admits no such filtration.
+    infinite, has more than 64 elements, or admits no such filtration.
     """
     model = _module_elements(M)
     if model is None:
         return None
     diag, elements, actions, reduce = model
-    if len(elements) > max_order:
+    if len(elements) > 64:
         return None
     zero = tuple(0 for _ in diag)
 
@@ -427,7 +419,7 @@ def _suite_fk_factorization(rng, count):
 
 
 def _check_d_law(facs, formula):
-    search = d_bruteforce(facs, limit=4)
+    search = d_bruteforce(facs)
     _require(search == formula,
              f"d-law on {facs}: search {search}, formula {formula}")
 
@@ -436,7 +428,7 @@ def _suite_mg_laws(rng, count):
     """Minimal generator counts: tuple search against the prime-wise formula."""
     done = 0
     while done < count:
-        facs = random_finite_group_factors(rng, max_order=200, max_rank=3)
+        facs = random_finite_group_factors(rng)
         formula = d_primewise(facs, 0)
         if formula > 3:
             continue
@@ -526,7 +518,7 @@ def _suite_filtration(rng, count):
     done = 0
     while done < count:
         M = random_nilpotent_module(rng, rng.choice(_NILPOTENT_ORDERS))
-        oracle = filtration_length_oracle(M, max_order=64)
+        oracle = filtration_length_oracle(M)
         if oracle is None:
             continue
         yield partial(_check_filtration, M, oracle)

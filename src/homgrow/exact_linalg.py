@@ -302,21 +302,6 @@ def _symmetric_quotient(b: int, a: int) -> int:
     return q
 
 
-def _xgcd(a: int, b: int):
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _row_hnf_clean(rows: list, ncols: int, transform: bool = False,
                    reduce_off_pivots: bool = True):
     """Sparse row Hermite normal form.
@@ -344,49 +329,18 @@ def _row_hnf_clean(rows: list, ncols: int, transform: bool = False,
                 if transform:
                     urows[i0] = {j: -v for j, v in urows[i0].items()}
             a = work[i0][col]
-            progressed = False
+            # a is the least |entry| in col, so every other candidate b has
+            # |b| >= a: q != 0 and |b - q*a| <= a/2 < a.  Each pass shrinks
+            # the least entry until one row is left holding col.
             nxt = [i0]
             for i in cand[1:]:
-                b = work[i].get(col, 0)
-                if not b:
-                    progressed = True
-                    continue
-                q = _symmetric_quotient(b, a)
-                if q:
-                    _row_axpy(work[i], work[i0], -q)
-                    if transform:
-                        _row_axpy(urows[i], urows[i0], -q)
-                if col in work[i]:
-                    if abs(work[i][col]) < a:
-                        progressed = True
-                    nxt.append(i)
-                else:
-                    progressed = True
-            cand = nxt
-            if not progressed and len(cand) > 1:
-                # b was an exact multiple everywhere yet entries remain: means
-                # q == 0 cases with |b| < |a| cannot happen here; force Bezout.
-                i1 = cand[1]
-                a, b = work[i0][col], work[i1][col]
-                g, u, v = _xgcd(a, b)
-                r0, r1 = work[i0], work[i1]
-                new0: dict = {}
-                _row_axpy(new0, r0, u)
-                _row_axpy(new0, r1, v)
-                new1: dict = {}
-                _row_axpy(new1, r1, a // g)
-                _row_axpy(new1, r0, -(b // g))
-                work[i0], work[i1] = new0, new1
+                q = _symmetric_quotient(work[i][col], a)
+                _row_axpy(work[i], work[i0], -q)
                 if transform:
-                    u0, u1 = urows[i0], urows[i1]
-                    nu0: dict = {}
-                    _row_axpy(nu0, u0, u)
-                    _row_axpy(nu0, u1, v)
-                    nu1: dict = {}
-                    _row_axpy(nu1, u1, a // g)
-                    _row_axpy(nu1, u0, -(b // g))
-                    urows[i0], urows[i1] = nu0, nu1
-                cand = [i for i in cand if col in work[i]]
+                    _row_axpy(urows[i], urows[i0], -q)
+                if col in work[i]:
+                    nxt.append(i)
+            cand = nxt
         piv = cand[0]
         if work[piv][col] < 0:
             work[piv] = {j: -v for j, v in work[piv].items()}

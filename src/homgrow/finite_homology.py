@@ -32,6 +32,7 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    cokernel_structure,
     column_hnf,
     kernel_lattice,
     smith_normal_form,
@@ -43,6 +44,7 @@ from .group_ring import (
     QuotientComplex,
     QuotientSpec,
     _regular_entry_add,
+    quotient_homology_module,
 )
 
 __all__ = [
@@ -197,7 +199,6 @@ class Resolution:
         dims = [r * max(1, _prod(self.orders)) for r in self.ranks]
         C = IntChainComplex(dims, self.differentials_int)
         an = ChainAnalysis(C)
-        from .exact_linalg import cokernel_structure
         free, facs = cokernel_structure(self.differentials_int[0]) \
             if self.differentials_int else (dims[0], ())
         if (free, facs) != (1, ()):
@@ -394,10 +395,9 @@ def _group_homology_over_orders(M: ModuleWithAction, n: int) -> tuple:
 # filtration, coinvariants, nu
 # ---------------------------------------------------------------------------
 
-def augmentation_filtration(M: ModuleWithAction,
-                            max_steps: int = 64) -> tuple:
+def augmentation_filtration(M: ModuleWithAction) -> tuple:
     """(is_nilpotent, filtration_length or None) via powers of the
-    augmentation ideal: the least r with I^r M = 0, if the chain reaches 0.
+    augmentation ideal: the least r <= 64 with I^r M = 0, if there is one.
 
     A filtration with trivial quotients of length r exists iff I^r M = 0, and
     the minimal such r is the filtration length.
@@ -408,7 +408,7 @@ def augmentation_filtration(M: ModuleWithAction,
     acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
     L = IntMatrix.identity(g)
     prev_hnf = None
-    for step in range(max_steps + 1):
+    for step in range(65):
         # does L + rel reduce to rel, i.e. I^step M = 0?
         cur = column_hnf(_hcat([L, rel], g))
         if rel.cols:
@@ -474,13 +474,6 @@ def coinvariants(M: ModuleWithAction) -> dict:
     return report
 
 
-def _augmented_complex(qc: QuotientComplex) -> IntChainComplex:
-    """Z tensor_{Z[G/G_i]} C[i]: every Laurent entry evaluated at 1."""
-    from .group_ring import base_change
-    trivial = QuotientSpec((1,) * qc.quotient.m)
-    return base_change(qc.source, trivial).complex
-
-
 def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
     """Sum over group coordinates on each free block of C[i]_n."""
     ng = qc.quotient.index
@@ -491,14 +484,13 @@ def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
 
 
 def _homology_map_data(qc: QuotientComplex, n: int):
-    """Common data for nu / H_n(pr): cycle bases and the induced matrix."""
-    from .group_ring import quotient_homology_module
-    an = ChainAnalysis(qc.complex)
-    M = quotient_homology_module(qc, n)
+    """(X, N, X2) for nu / H_n(pr): the relations of H_n(C[i]) and of
+    H_n(Z tensor C[i]) on their cycle bases, and the matrix N of the
+    augmentation between those bases."""
+    an = qc.analysis
     K = an.kernel(n)
     X = an.relations(n)
-    aug_cx = _augmented_complex(qc)
-    an2 = ChainAnalysis(aug_cx)
+    an2 = qc.augmented
     K2 = an2.kernel(n)
     X2 = an2.relations(n)
     A = _augmentation_map(qc, n)
@@ -509,7 +501,7 @@ def _homology_map_data(qc: QuotientComplex, n: int):
             raise IdentityViolation("augmented cycle escapes the cycle lattice")
     else:
         N = IntMatrix.zeros(K2.cols, 0)
-    return M, X, N, X2, an2
+    return X, N, X2
 
 
 def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
@@ -519,8 +511,8 @@ def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
     |ker| <= prod_p |H_{p+1}(G; H_{n-p}(C))| and
     |coker| <= prod_p |H_p(G; H_{n-p}(C))| whenever those are finite.
     """
-    from .group_ring import quotient_homology_module
-    M, X, N, X2, _ = _homology_map_data(qc, n)
+    M = quotient_homology_module(qc, n)
+    X, N, X2 = _homology_map_data(qc, n)
     g = M.num_generators
     acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
     Rco = _hcat([X] + [A - IntMatrix.identity(g) for A in acts], g)
@@ -611,12 +603,10 @@ def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
     Requires every H_n(C[i]) for n <= d to be nilpotent of filtration length
     at most r over the deck action; raises HypothesisViolated otherwise.
     """
-    from .group_ring import quotient_homology_module
     group = FinAbGroup.from_orders(qc.quotient.moduli)
     dG = group.d
     lnG = math.log(group.order) if group.order > 1 else 0.0
-    aug_cx = _augmented_complex(qc)
-    aug_an = ChainAnalysis(aug_cx)
+    aug_an = qc.augmented
     d_aug = []
     for p in range(d + 1):
         facs = aug_an.torsion_factors(p)
@@ -638,7 +628,7 @@ def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
             raise IdentityViolation(
                 f"d(H_{n}) = {d_hn} exceeds estimate {bound_d}")
         # kernel / cokernel of H_n(pr)
-        _, X, N, X2, _ = _homology_map_data(qc, n)
+        X, N, X2 = _homology_map_data(qc, n)
         ker_s, coker_s = _map_kernel_cokernel(N, X, X2)
         ker_o, coker_o = _order_of(ker_s), _order_of(coker_s)
         if ker_o is None or coker_o is None:

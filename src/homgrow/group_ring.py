@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
-from .chain_complex import IntChainComplex
+from .chain_complex import ChainAnalysis, IntChainComplex
 from .errors import (
     DimensionMismatch,
     IncompatibleAction,
@@ -78,10 +78,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, m: int, c: int) -> "LaurentPoly":
         return cls(m, {(0,) * m: c})
-
-    @classmethod
-    def monomial(cls, m: int, exponents: Sequence[int], c: int = 1) -> "LaurentPoly":
-        return cls(m, {tuple(exponents): c})
 
     @classmethod
     def variable(cls, m: int, j: int) -> "LaurentPoly":
@@ -223,14 +219,26 @@ class QuotientSpec:
 
 @dataclass
 class QuotientComplex:
-    """Base-changed complex with the deck action of each group generator."""
+    """Base-changed complex with the deck action of each group generator.
+
+    `analysis`, `augmented` and `actions` are built on first access and
+    shared by every caller that reads the same quotient complex.
+    """
     complex: IntChainComplex
     quotient: QuotientSpec
-    source: "LaurentChainComplex" = None
+    source: LaurentChainComplex
 
-    @property
-    def index(self) -> int:
-        return self.quotient.index
+    @cached_property
+    def analysis(self) -> ChainAnalysis:
+        """The `ChainAnalysis` of `complex`."""
+        return ChainAnalysis(self.complex)
+
+    @cached_property
+    def augmented(self) -> ChainAnalysis:
+        """The analysis of Z tensor_{Z[G/G_i]} C[i]: every Laurent entry
+        evaluated at 1."""
+        trivial = QuotientSpec((1,) * self.quotient.m)
+        return ChainAnalysis(base_change(self.source, trivial).complex)
 
     @cached_property
     def actions(self) -> List[List[IntMatrix]]:
@@ -383,8 +391,7 @@ def homology_with_action(C: LaurentChainComplex, q: QuotientSpec,
 
 def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:
     """Homology of a quotient complex at degree n as a module with action."""
-    from .chain_complex import ChainAnalysis
-    an = ChainAnalysis(qc.complex)
+    an = qc.analysis
     K = an.kernel(n)
     X = an.relations(n)
     acts = []

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .chain_complex import (
-    ChainAnalysis,
-    homology_from_analysis,
-    rho_identity_from_analysis,
-)
+from .chain_complex import homology_from_analysis, rho_identity_from_analysis
 from .errors import (
     DegenerateLevel,
     HypothesisViolated,
@@ -136,7 +132,7 @@ def _check_level_bounds(level: TowerLevel, lam: float, max_degree: int) -> None:
 def _analyze_level(C: LaurentChainComplex, spec: QuotientSpec,
                    primes: Sequence[int], max_degree: int) -> TowerLevel:
     qc = base_change(C, spec)
-    an = ChainAnalysis(qc.complex)
+    an = qc.analysis
     top = qc.complex.top_degree
     d = min(max_degree, top)
     summary = homology_from_analysis(an, primes)
@@ -234,8 +230,7 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
         if not _action_rationally_trivial(M):
             raise HypothesisViolated(
                 f"deck action nontrivial on Q tensor H_{n} at level {spec.moduli}")
-        an = ChainAnalysis(qc.complex)
-        sq = an.alpha_square(n)
+        sq = qc.analysis.alpha_square(n)
         val = abs(0.5 * ln_of_fraction(sq)) / spec.index
         rows.append({"moduli": spec.moduli, "index": spec.index,
                      "normalized_abs_log": val})
@@ -283,8 +278,7 @@ def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:
             rows.append({"level": i, "degenerate": True})
             continue
         qc = base_change(C, QuotientSpec((i,)))
-        an = ChainAnalysis(qc.complex)
-        t = an.tors_order(0)
+        t = qc.analysis.tors_order(0)
         if t != abs(det):
             raise IdentityViolation(
                 f"|tors H_0| = {t} differs from |det(A^{i} - I)| = {abs(det)}")

@@ -2,8 +2,14 @@ import json
 
 import pytest
 
-from homgrow import cli, corpus
-from homgrow.cli import MAX_LEVELS, _parse_levels, builtin_complex, main
+from homgrow import chain_complex, cli, corpus
+from homgrow.cli import (
+    MAX_LEVELS,
+    MAX_ROWS,
+    _parse_levels,
+    builtin_complex,
+    main,
+)
 from homgrow.errors import IdentityViolation, ParseError
 from homgrow.serialize import (
     complex_from_document,
@@ -119,6 +125,21 @@ class TestCommands:
         assert "ln_det_alpha_per_index" in header
         assert len(lines) == 1 + 3 * 2
 
+    def test_homology_checks_rho_identity(self, monkeypatch, tmp_path,
+                                          capsys):
+        # alpha_0^2 times 4 breaks rho_Z - rho_2 = sum (-1)^n ln det alpha_n
+        exact = chain_complex.ChainAnalysis.alpha_square
+
+        def skewed(an, n):
+            return 4 * exact(an, n) if n == 0 else exact(an, n)
+
+        monkeypatch.setattr(chain_complex.ChainAnalysis, "alpha_square",
+                            skewed)
+        rc = main(["homology", "--example", "circle", "--levels", "3",
+                   "--out", str(tmp_path / "h.json")])
+        assert rc == 1
+        assert "rho identity fails exactly" in capsys.readouterr().err
+
     def test_tower_json(self, tmp_path):
         out = tmp_path / "t.json"
         rc = main(["tower", "--example", "circle", "--levels", "1,2",
@@ -171,12 +192,45 @@ class TestCommands:
         ["homology", "--example", "mapping_torus:{}"],
         ["homology", "--input", "{coef}"],
         ["homology", "--input", "{m}"],
+        ["tower", "--example", "circle", "--levels", "2",
+         "--out", "{missing}/x.csv"],
+        ["homology", "--example", "circle", "--levels", "2",
+         "--out", "{missing}/x.json"],
+        ["homology", "--example", "circle",
+         "--levels", "100000000000000000000"],
+        ["tower", "--example", "circle", "--levels", str(MAX_ROWS + 1)],
+        ["homology", "--example", "torus3", "--levels", "128",
+         "--moduli-pattern", "i,i,i"],
+        ["homology", "--example", "mapping_torus:[[1,2"],
+        ["homology", "--example", "circle", "--levels", "1..x"],
+        ["homology", "--example", "circle", "--levels", ","],
+        ["homology", "--example", "circle", "--moduli-pattern", "i,i"],
+        ["homology", "--example", "circle", "--moduli-pattern", "x"],
+        ["homology", "--example", "circle", "--input", "{plain}"],
+        ["homology", "--example", "circle", "--primes", "4"],
+        ["homology", "--example", "circle", "--levels", "2,3"],
+        ["tower", "--input", "{plain}"],
+        ["homology", "--input", "{list}"],
+        ["homology", "--input", "{dims}"],
+        ["homology", "--input", "{term}"],
+        ["homology", "--input", "{arity}"],
+        ["homology", "--input", "{dir}"],
+        ["homology", "--input", "{digits}"],
     ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix",
             "negative-dims", "decreasing-levels", "negative-max-degree",
             "negative-count", "empty-primes", "nonpositive-jobs",
             "fractional-matrix-entry", "boolean-matrix-entry",
-            "matrix-not-a-list", "fractional-coef", "fractional-m"])
+            "matrix-not-a-list", "fractional-coef", "fractional-m",
+            "tower-unwritable-out", "homology-unwritable-out",
+            "overflowing-level", "rows-above-cap", "torus3-rows-above-cap",
+            "malformed-matrix-json", "bad-level-range", "empty-levels",
+            "pattern-arity", "pattern-token", "input-and-example",
+            "composite-prime", "homology-two-levels", "tower-without-group",
+            "document-not-an-object", "dims-length", "term-not-an-object",
+            "exponent-arity", "input-is-a-directory",
+            "coef-beyond-digit-limit"])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
+        one = [{"exp": [], "coef": "1"}]
         docs = {
             "{doc}": {"m": 0, "top_degree": 0, "dims": [-3],
                       "differentials": []},
@@ -185,12 +239,31 @@ class TestCommands:
                        "differentials": [[[[{"exp": [], "coef": -1.9}]]]]},
             "{m}": {"m": 1.9, "top_degree": 0, "dims": [1],
                     "differentials": []},
+            "{plain}": {"m": 0, "top_degree": 1, "dims": [1, 1],
+                        "differentials": [[[one]]]},
+            "{list}": [1, 2],
+            "{dims}": {"m": 0, "top_degree": 1, "dims": [1],
+                       "differentials": [[[one]]]},
+            "{term}": {"m": 0, "top_degree": 1, "dims": [1, 1],
+                       "differentials": [[[["x"]]]]},
+            "{arity}": {"m": 1, "top_degree": 1, "dims": [1, 1],
+                        "differentials": [[[[{"exp": [1, 0], "coef": "1"}]]]]},
+            # more digits than int() converts from a string by default
+            "{digits}": {"m": 0, "top_degree": 1, "dims": [1, 1],
+                         "differentials": [[[[{"exp": [],
+                                                "coef": "1" * 5000}]]]]},
         }
-        paths = {}
+        paths = {"{missing}": tmp_path / "missing", "{dir}": tmp_path}
         for key, doc in docs.items():
             paths[key] = tmp_path / f"{key.strip('{}')}.json"
             paths[key].write_text(json.dumps(doc))
-        assert main([str(paths[a]) if a in paths else a for a in argv]) == 2
+
+        def fill(arg):
+            for key, path in paths.items():
+                arg = arg.replace(key, str(path))
+            return arg
+
+        assert main([fill(a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "verification failure" not in err

@@ -27,6 +27,7 @@ from homgrow.exact_linalg import (
 )
 from homgrow.exact_linalg import (
     _chain_divisibility,
+    _colhnf_with_transform,
     _fk_square_image_lattice,
     _fk_square_minor_sum,
     _fk_square_structure,
@@ -64,6 +65,30 @@ def _list_operands(draw, max_dim=7, bound=4):
                               min_size=c, max_size=c)) for _ in range(r)]
 
     return n, k, m, w, lists(n, k), lists(n, k), lists(k, m), lists(n, w)
+
+
+@st.composite
+def _matrices_with_zero_lines(draw, max_dim=7, bound=5):
+    """Up to max_dim x max_dim, some rows and columns set to zero."""
+    n = draw(st.integers(0, max_dim))
+    m = draw(st.integers(0, max_dim))
+    zero_rows = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    zero_cols = draw(st.sets(st.integers(0, m - 1))) if m else set()
+    entries = draw(st.lists(st.integers(-bound, bound),
+                            min_size=n * m, max_size=n * m))
+    return IntMatrix(n, m, [
+        0 if i in zero_rows or j in zero_cols else entries[i * m + j]
+        for i in range(n) for j in range(m)])
+
+
+def _sympy(A):
+    return Matrix(A.rows, A.cols, [x for r in A.to_lists() for x in r])
+
+
+def _unit_factors(A, k):
+    """Whether A has rank k and all k invariant factors are 1, by sympy."""
+    factors = [abs(int(d)) for d in sympy_factors(_sympy(A), domain=ZZ) if d]
+    return factors == [1] * k
 
 
 def _from_lists(rows, ncols):
@@ -229,6 +254,47 @@ class TestKernelLattice:
             assert U @ invert_unimodular(U) == IntMatrix.identity(n)
         with pytest.raises(IdentityViolation):
             invert_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+
+class TestHermiteAgainstSympy:
+    """rank, kernel_lattice, column_hnf and _colhnf_with_transform all run
+    the one reduction loop of _row_hnf_clean; each is checked here against
+    sympy or against a defining property."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices_with_zero_lines())
+    def test_hermite_layer(self, A):
+        r = rank(A)
+        assert r == _sympy(A).rank()
+
+        K = kernel_lattice(A)
+        assert K.shape == (A.cols, A.cols - r)
+        assert (A @ K).is_zero()
+        if K.cols:
+            assert _unit_factors(K, K.cols)   # saturated
+
+        H = column_hnf(A)
+        assert H.shape == (A.rows, r)
+        pivots = [next(i for i in range(A.rows) if H[i, j])
+                  for j in range(r)]
+        assert pivots == sorted(set(pivots))
+        for j, p in enumerate(pivots):
+            assert H[p, j] > 0
+            assert all(0 <= H[p, k] < H[p, j] for k in range(r) if k != j)
+        # the columns of A lie in the lattice of H, and their coordinates
+        # map onto Z^r, so the two lattices are equal
+        X = solve_in_lattice(H, A)
+        assert X is not None and H @ X == A
+        if r:
+            assert _unit_factors(X, r)
+
+        H2, V = _colhnf_with_transform(A)
+        assert H2 == H
+        assert V.shape == (A.cols, A.cols)
+        assert abs(_sympy(V).det()) == 1
+        AV = A @ V
+        assert all(AV[i, j] == (H[i, j] if j < r else 0)
+                   for i in range(A.rows) for j in range(A.cols))
 
 
 class TestCokernelStructure:

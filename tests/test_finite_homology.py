@@ -138,7 +138,7 @@ class TestFiltration:
         done = 0
         while done < 20:
             M = random_nilpotent_module(rng, rng.choice([(2,), (4,), (2, 2)]))
-            oracle = filtration_length_oracle(M, max_order=64)
+            oracle = filtration_length_oracle(M)
             if oracle is None:
                 continue
             nil, length = augmentation_filtration(M)
