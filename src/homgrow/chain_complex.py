@@ -192,7 +192,8 @@ class ChainAnalysis:
 
     A kernel is skipped, without a lattice computation, when the rank shows
     it is empty: rank c_n = cols gives K_n = 0 (read only from a Smith form
-    that exists anyway), and rank c_n = rows gives ker(c_n^T) = 0.
+    that exists anyway), rank c_n = rows gives ker(c_n^T) = 0, and b_n = 0,
+    when H_n is already computed, gives an empty harmonic lattice.
     """
 
     def __init__(self, complex_: IntChainComplex):
@@ -315,6 +316,10 @@ class ChainAnalysis:
             K = self.kernel(n)
             if K.cols == 0:
                 self._harmonic[n] = K
+            elif n in self._snf_X and self.betti(n) == 0:
+                # b_n, already known, is its rank; a wrongly empty lattice
+                # still fails the rank check of the Laplacian's Smith form
+                self._harmonic[n] = IntMatrix.zeros(K.rows, 0)
             elif self._kernel_is_identity(n):
                 # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
                 # already in column Hermite form

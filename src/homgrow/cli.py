@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import List, Optional, Sequence
@@ -91,7 +92,9 @@ MAX_LEVELS = 10_000
 
 # Most rows, index x largest rank, a quotient complex may have; checked
 # before base change builds the index-long element list and the row dicts.
-# 64x the largest tower level in reach (circle at index 16384).
+# 16x the largest tower level measured (circle at index 65536: 6.4 s and
+# 175 MiB RSS, CPython 3.11); time and memory grow about linearly in the
+# index.
 MAX_ROWS = 2 ** 20
 
 
@@ -174,6 +177,21 @@ def _primes(text: str) -> List[int]:
     return out
 
 
+def _check_out(path: Optional[str]) -> None:
+    """Refuse an --out path that cannot be written before any computation
+    starts.  Nothing is opened here, so an existing file keeps its contents
+    until the result exists."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ParseError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ParseError(f"cannot write {path}: no directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ParseError(f"cannot write {path}: permission denied")
+
+
 def _write_out(payload: str, path: Optional[str]) -> None:
     if path:
         try:
@@ -190,6 +208,7 @@ def _write_out(payload: str, path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_homology(args) -> int:
+    _check_out(args.out)
     C = _load_input(args)
     levels = _parse_levels(args.levels) if args.levels else [1]
     if len(levels) != 1:
@@ -235,6 +254,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_tower(args) -> int:
+    _check_out(args.out)
     C = _load_input(args)
     if C.m == 0:
         raise ParseError("tower needs a group-ring complex (m >= 1)")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -302,7 +303,19 @@ def _symmetric_quotient(b: int, a: int) -> int:
     return q
 
 
-def _row_hnf_clean(rows: list, ncols: int, transform: bool = False,
+def _nearest_quotient(b: int, a: int) -> int:
+    """Quotient q minimizing |b - q*a|, any sign of a != 0."""
+    if a < 0:
+        return -_symmetric_quotient(b, -a)
+    return _symmetric_quotient(b, a)
+
+
+def _negate(row: dict) -> None:
+    for j in row:
+        row[j] = -row[j]
+
+
+def _row_hnf_clean(rows: list, transform: bool = False,
                    reduce_off_pivots: bool = True):
     """Sparse row Hermite normal form.
 
@@ -310,59 +323,98 @@ def _row_hnf_clean(rows: list, ncols: int, transform: bool = False,
     (pivot_col, work_index), `hrows` the reduced nonzero rows in pivot order,
     and `urows` (when transform=True) the rows of a unimodular U with
     U @ input = output, the rows producing zero output rows (kernel rows)
-    appended after the pivot rows.
+    appended after the pivot rows in input order.
+
+    Columns holding an entry are eliminated left to right (no other column
+    ever gains one).  A column index maps each column to the set of rows
+    holding it and is updated by every row axpy, so a column reads its
+    candidate rows (those not yet pivots) from the index, and the off-pivot
+    reduction reads the pivot rows to reduce from it.  Each pass over a
+    column picks the candidate with the least key
+
+        (|entry|, len(work row), row)                    without transform,
+        (|entry|, len(U row), len(work row), row)        with transform,
+
+    and reduces every other candidate by it.  The U row of the chosen row is
+    what every axpy of the pass copies, so ranking short U rows first keeps
+    U output-sized: on a cyclic band, the row that carries the cycle gains
+    one entry per column instead of being added back into the next row each
+    time.  Rows are private copies, so the sign of a pivot is fixed in place.
     """
     work = [dict(r) for r in rows]
     n = len(work)
     urows = [{i: 1} for i in range(n)] if transform else None
-    active = list(range(n))
+    colindex = defaultdict(set)
+    for i, r in enumerate(work):
+        for j in r:
+            colindex[j].add(i)
+
+    def axpy(dst: int, src: int, q: int) -> None:
+        """work[dst] += q * work[src] (q != 0), index and U row kept along."""
+        drow = work[dst]
+        for j, v in work[src].items():
+            w = drow.get(j)
+            if w is None:
+                drow[j] = q * v
+                colindex[j].add(dst)
+            else:
+                w += q * v
+                if w:
+                    drow[j] = w
+                else:
+                    del drow[j]
+                    colindex[j].discard(dst)
+        if transform:
+            _row_axpy(urows[dst], urows[src], q)
+
+    if transform:
+        def key(i):
+            return abs(work[i][col]), len(urows[i]), len(work[i]), i
+    else:
+        def key(i):
+            return abs(work[i][col]), len(work[i]), i
+
+    is_pivot = [False] * n
     pivots = []
-    for col in range(ncols):
-        cand = [i for i in active if col in work[i]]
+    for col in sorted(colindex):
+        cand = [i for i in colindex[col] if not is_pivot[i]]
         if not cand:
             continue
         while len(cand) > 1:
-            cand.sort(key=lambda i: (abs(work[i][col]), len(work[i]), i))
-            i0 = cand[0]
-            if work[i0][col] < 0:
-                work[i0] = {j: -v for j, v in work[i0].items()}
-                if transform:
-                    urows[i0] = {j: -v for j, v in urows[i0].items()}
-            a = work[i0][col]
             # a is the least |entry| in col, so every other candidate b has
-            # |b| >= a: q != 0 and |b - q*a| <= a/2 < a.  Each pass shrinks
+            # |b| >= |a|: q != 0 and |b - q*a| <= |a|/2.  Each pass shrinks
             # the least entry until one row is left holding col.
+            i0 = min(cand, key=key)
+            a = work[i0][col]
             nxt = [i0]
-            for i in cand[1:]:
-                q = _symmetric_quotient(work[i][col], a)
-                _row_axpy(work[i], work[i0], -q)
-                if transform:
-                    _row_axpy(urows[i], urows[i0], -q)
-                if col in work[i]:
-                    nxt.append(i)
+            for i in cand:
+                if i != i0:
+                    axpy(i, i0, -_nearest_quotient(work[i][col], a))
+                    if col in work[i]:
+                        nxt.append(i)
             cand = nxt
         piv = cand[0]
         if work[piv][col] < 0:
-            work[piv] = {j: -v for j, v in work[piv].items()}
+            _negate(work[piv])
             if transform:
-                urows[piv] = {j: -v for j, v in urows[piv].items()}
+                _negate(urows[piv])
+        is_pivot[piv] = True
         pivots.append((col, piv))
-        active.remove(piv)
     if reduce_off_pivots:
-        for idx, (col, piv) in enumerate(pivots):
+        # Only pivot rows are left nonzero, and each holds no column left of
+        # its pivot, so colindex[col] is the pivot row of col and the earlier
+        # pivot rows that still hold col; each is reduced into [0, p).
+        for col, piv in pivots:
             p = work[piv][col]
-            for col2, piv2 in pivots[:idx] + pivots[idx + 1:]:
-                v = work[piv2].get(col, 0)
-                if v:
-                    q = v // p
+            for piv2 in list(colindex[col]):
+                if piv2 != piv:
+                    q = work[piv2][col] // p
                     if q:
-                        _row_axpy(work[piv2], work[piv], -q)
-                        if transform:
-                            _row_axpy(urows[piv2], urows[piv], -q)
+                        axpy(piv2, piv, -q)
     hrows = [work[piv] for _, piv in pivots]
     if transform:
         ukeep = [urows[piv] for _, piv in pivots]
-        ukeep += [urows[i] for i in active]
+        ukeep += [urows[i] for i in range(n) if not is_pivot[i]]
         return pivots, hrows, ukeep
     return pivots, hrows, None
 
@@ -373,7 +425,7 @@ def column_hnf(A: IntMatrix) -> IntMatrix:
     Columns are returned with strictly increasing pivot rows; the result has
     full column rank equal to rank(A).
     """
-    _, hrows, _ = _row_hnf_clean(A.transpose().data, A.rows)
+    _, hrows, _ = _row_hnf_clean(A.transpose().data)
     return IntMatrix._raw(len(hrows), A.rows, hrows).transpose()
 
 
@@ -386,8 +438,8 @@ def kernel_lattice(A: IntMatrix) -> IntMatrix:
     """Z-basis of ker(A) as a saturated sublattice, columns in Hermite form."""
     if A.rows == 0 or A.is_zero():
         return IntMatrix.identity(A.cols)
-    pivots, _, urows = _row_hnf_clean(A.transpose().data, A.rows,
-                                      transform=True, reduce_off_pivots=False)
+    pivots, _, urows = _row_hnf_clean(A.transpose().data, transform=True,
+                                      reduce_off_pivots=False)
     nker = A.cols - len(pivots)
     kvecs = urows[len(pivots):]
     assert len(kvecs) == nker
@@ -433,8 +485,7 @@ def _colhnf_with_transform(A: IntMatrix):
 
     V is unimodular of size A.cols; H has rank(A) columns.
     """
-    _, hrows, urows = _row_hnf_clean(A.transpose().data, A.rows,
-                                     transform=True)
+    _, hrows, urows = _row_hnf_clean(A.transpose().data, transform=True)
     H = IntMatrix._raw(len(hrows), A.rows, hrows).transpose()
     V = IntMatrix._raw(len(urows), A.cols, urows).transpose()
     return H, V
@@ -472,13 +523,6 @@ def _chain_divisibility(diag: list) -> list:
                     changed = True
         d.sort()
     return [1] * units + d
-
-
-def _nearest_quotient(b: int, a: int) -> int:
-    """Quotient q minimizing |b - q*a|, any sign of a != 0."""
-    if a < 0:
-        return -_symmetric_quotient(b, -a)
-    return _symmetric_quotient(b, a)
 
 
 def _snf_diagonal_sparse(A: IntMatrix) -> list:
@@ -644,7 +688,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
 
 def rank(A: IntMatrix) -> int:
-    pivots, _, _ = _row_hnf_clean(A.transpose().data, A.rows,
+    pivots, _, _ = _row_hnf_clean(A.transpose().data,
                                   reduce_off_pivots=False)
     return len(pivots)
 
@@ -861,7 +905,9 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
     The three values are the squared FK determinants of the kernel inclusion
     and torsion-free cokernel projection, and |tors(coker A)|; all exact.
     Precomputed saturated kernel bases of A and A^T, and the Smith form of
-    A, may be passed in.
+    A, may be passed in.  The basis D of ker(A^T) must be saturated, as
+    `kernel_lattice` and the harmonic lattice are: then D^T maps onto
+    Z^(rows - r), and the cokernel-projection square is det(D^T D) alone.
     """
     if K is None:
         K = kernel_lattice(A)
@@ -876,15 +922,7 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
         tors *= d
     if D is None:
         D = kernel_lattice(A.transpose())
-    if D.cols == 0:
-        prc_sq: Fraction = Fraction(1)
-    else:
-        L = column_hnf(D.transpose())
-        detL = 1
-        for col in L.transpose().data:
-            detL *= col[min(col)]          # pivot entry of a Hermite column
-        gram_d = det_bareiss_psd(_gram_int(D))
-        prc_sq = Fraction(gram_d, detL * detL)
+    prc_sq = Fraction(det_bareiss_psd(_gram_int(D)) if D.cols else 1)
     return jk_sq, tors, prc_sq, r
 
 

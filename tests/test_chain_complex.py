@@ -433,6 +433,25 @@ class TestSharedLayers:
             monkeypatch.setattr(exact_linalg, name, counted)
         return calls
 
+    def test_known_empty_harmonic_lattice_is_not_computed(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)["kernel_lattice"]
+        rng = random.Random(7)
+        skipped = 0
+        for _ in range(400):
+            C = random_complex(rng)
+            del calls[:]
+            an = _analysed_level(C)
+            made = list(calls)
+            for n in range(C.top_degree + 1):
+                K = an.kernel(n)
+                if an.betti(n) or not K.cols or an._kernel_is_identity(n):
+                    continue
+                assert an.harmonic(n).shape == (C.dim(n), 0)
+                M = C.differential(n + 1).transpose() @ K
+                assert not any(A == M for A in made)
+                skipped += 1
+        assert skipped > 0
+
     def test_full_rank_mapping_torus_level_computes_no_kernel(
             self, monkeypatch):
         A = IntMatrix.from_rows([[2, 1], [1, 1]])

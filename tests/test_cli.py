@@ -268,6 +268,44 @@ class TestCommands:
         assert err.startswith("error:")
         assert "verification failure" not in err
 
+    @pytest.mark.parametrize("command", ["tower", "homology"])
+    @pytest.mark.parametrize("out", ["{missing}/x.out", "{dir}"],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_refused_before_computing(
+            self, command, out, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def counted(real):
+            def wrapper(*a, **kw):
+                calls.append(real)
+                return real(*a, **kw)
+            return wrapper
+
+        monkeypatch.setattr(cli.growth, "run_tower",
+                            counted(cli.growth.run_tower))
+        monkeypatch.setattr(cli, "base_change", counted(cli.base_change))
+        path = out.replace("{missing}", str(tmp_path / "missing")) \
+                  .replace("{dir}", str(tmp_path))
+        rc = main([command, "--example", "circle", "--levels", "2",
+                   "--out", path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert calls == []
+
+    def test_failed_run_leaves_existing_out_untouched(self, monkeypatch,
+                                                      tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_text("previous result\n")
+
+        def failing(*a, **kw):
+            raise IdentityViolation("planted failure")
+
+        monkeypatch.setattr(cli.growth, "run_tower", failing)
+        rc = main(["tower", "--example", "circle", "--levels", "1,2",
+                   "--out", str(out)])
+        assert rc == 1
+        assert out.read_text() == "previous result\n"
+
     @pytest.mark.parametrize("argv", [
         ["homology", "--example", "circle", "--max-degree", "1"],
         ["homology", "--example", "circle", "--format", "json"],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -65,6 +66,32 @@ def _list_operands(draw, max_dim=7, bound=4):
                               min_size=c, max_size=c)) for _ in range(r)]
 
     return n, k, m, w, lists(n, k), lists(n, k), lists(k, m), lists(n, w)
+
+
+@st.composite
+def _sparse_banded_matrices(draw, max_dim=30, bound=3):
+    """Sparse matrices up to max_dim x max_dim.  About half carry a cyclic
+    +-1 band on permuted rows, the shape of a circle differential, where the
+    pivot order decides how long the transform rows grow."""
+    n = draw(st.integers(0, max_dim))
+    m = draw(st.integers(0, max_dim))
+    cells = {}
+    if n and m and draw(st.booleans()):
+        k = min(n, m)
+        shift = draw(st.integers(1, k))
+        a, b = (draw(st.sampled_from([1, -1])) for _ in range(2))
+        perm = draw(st.permutations(range(n)))
+        for i in range(k):
+            cells[perm[i], i] = cells.get((perm[i], i), 0) + a
+            j = (i + shift) % k
+            cells[perm[i], j] = cells.get((perm[i], j), 0) + b
+    if n and m:
+        for i, j, v in draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                          st.integers(-bound, bound)), max_size=2 * max_dim)):
+            cells[i, j] = v
+    return IntMatrix(n, m, [cells.get((i, j), 0)
+                            for i in range(n) for j in range(m)])
 
 
 @st.composite
@@ -256,6 +283,20 @@ class TestKernelLattice:
             invert_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
 
+def _assert_column_hermite_basis(A, H, r):
+    """H is in column Hermite form with r columns and every column of A lies
+    in its lattice; returns the coordinates X with H @ X = A."""
+    assert H.shape == (A.rows, r)
+    pivots = [min(col) for col in H.transpose().data]
+    assert pivots == sorted(set(pivots))
+    for j, p in enumerate(pivots):
+        assert H[p, j] > 0
+        assert all(0 <= H[p, k] < H[p, j] for k in range(r) if k != j)
+    X = solve_in_lattice(H, A)
+    assert X is not None and H @ X == A
+    return X
+
+
 class TestHermiteAgainstSympy:
     """rank, kernel_lattice, column_hnf and _colhnf_with_transform all run
     the one reduction loop of _row_hnf_clean; each is checked here against
@@ -274,17 +315,9 @@ class TestHermiteAgainstSympy:
             assert _unit_factors(K, K.cols)   # saturated
 
         H = column_hnf(A)
-        assert H.shape == (A.rows, r)
-        pivots = [next(i for i in range(A.rows) if H[i, j])
-                  for j in range(r)]
-        assert pivots == sorted(set(pivots))
-        for j, p in enumerate(pivots):
-            assert H[p, j] > 0
-            assert all(0 <= H[p, k] < H[p, j] for k in range(r) if k != j)
+        X = _assert_column_hermite_basis(A, H, r)
         # the columns of A lie in the lattice of H, and their coordinates
         # map onto Z^r, so the two lattices are equal
-        X = solve_in_lattice(H, A)
-        assert X is not None and H @ X == A
         if r:
             assert _unit_factors(X, r)
 
@@ -295,6 +328,47 @@ class TestHermiteAgainstSympy:
         AV = A @ V
         assert all(AV[i, j] == (H[i, j] if j < r else 0)
                    for i in range(A.rows) for j in range(A.cols))
+
+
+class TestHermiteLoop:
+    """The pivot order and column index of _row_hnf_clean, on the inputs
+    where they matter: long cyclic bands and sparse matrices up to 30x30."""
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["c1", "c1T"])
+    def test_circle_kernel_memory_follows_output(self, transpose):
+        # A full transform on c_1^T at this index peaks in the hundreds of
+        # MiB; the kernel itself is one column of 4096 ones.
+        c1 = base_change(circle_complex(),
+                         QuotientSpec((4096,))).complex.differential(1)
+        A = c1.transpose() if transpose else c1
+        tracemalloc.start()
+        try:
+            K = kernel_lattice(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (4096, 1) and K.nnz() == 4096
+        assert peak < 16 * 2 ** 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_banded_matrices())
+    def test_against_sympy(self, A):
+        S = _sympy(A)
+        r = rank(A)
+        assert r == S.rank()
+
+        K = kernel_lattice(A)
+        N = S.nullspace()
+        assert K.shape == (A.cols, A.cols - r) and len(N) == K.cols
+        assert (A @ K).is_zero()
+        if N:
+            # K has full column rank and spans the Q-span of N
+            assert Matrix.hstack(_sympy(K), *N).rank() == len(N)
+
+        _assert_column_hermite_basis(A, column_hnf(A), r)
+
+        _, V = _colhnf_with_transform(A)
+        assert V @ invert_unimodular(V) == IntMatrix.identity(A.cols)
 
 
 class TestCokernelStructure:
