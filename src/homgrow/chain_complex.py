@@ -109,8 +109,6 @@ class IntChainComplex:
         diffs = [IntMatrix.zeros(0, 0)] * bottom_degree + [matrix]
         if bottom_degree:
             diffs[bottom_degree - 1] = IntMatrix.zeros(0, matrix.rows)
-            for k in range(bottom_degree - 1):
-                diffs[k] = IntMatrix.zeros(0, 0)
         return cls(dims, diffs)
 
 
@@ -515,8 +513,6 @@ def verify_rho_identity(C: IntChainComplex) -> dict:
 
 
 def rho_identity_from_analysis(an: ChainAnalysis) -> dict:
-    # alpha first: the free-lift Hermite transform is dense, and building it
-    # before the FK determinants fill the caches keeps peak memory lower
     alpha = alpha_from_analysis(an)
     rz, rz_ratio = rho_Z_exact(an)
     r2, r2_sq = rho_2_exact(an)

@@ -97,6 +97,12 @@ MAX_LEVELS = 10_000
 # index.
 MAX_ROWS = 2 ** 20
 
+# Most nonzeros, index x Laurent terms over all differentials, base change
+# may store: every term of an entry puts one nonzero in each of its index
+# rows.  8x the row cap is the least power-of-two multiple that admits every
+# torus3 level the row cap admits (349525 x 24 terms).
+MAX_NONZEROS = 8 * MAX_ROWS
+
 
 def _parse_levels(text: str) -> List[int]:
     out: List[int] = []
@@ -146,6 +152,11 @@ def _parse_moduli_pattern(pattern: Optional[str], C: LaurentChainComplex,
         raise ParseError(
             f"quotient {spec.moduli} of index {spec.index} gives more than "
             f"{MAX_ROWS} rows")
+    terms = sum(len(p.terms) for D in C.differentials for row in D for p in row)
+    if spec.index * terms > MAX_NONZEROS:
+        raise ParseError(
+            f"quotient {spec.moduli} of index {spec.index} gives more than "
+            f"{MAX_NONZEROS} nonzeros ({terms} Laurent terms)")
     return spec
 
 

@@ -167,24 +167,7 @@ def random_module_with_action(rng: random.Random,
         q = rng.choice([2, 3, 4, 5, 7, 8, 9])
         units = [_unit_of_order_dividing(q, d, rng) for d in orders]
         pieces.append((q, units))
-    nfree = rng.randint(0, 1)
-    g = len(pieces) + nfree
-    pres_cols = []
-    for t, (q, _) in enumerate(pieces):
-        col = [0] * g
-        col[t] = q
-        pres_cols.append(col)
-    P = IntMatrix.from_columns(pres_cols, g) if pres_cols \
-        else IntMatrix.zeros(g, 0)
-    acts = []
-    for j in range(len(orders)):
-        diag = [units[j] for (_, units) in pieces] + [1] * nfree
-        acts.append(IntMatrix.diagonal(diag))
-    U = random_unimodular(g, rng)
-    Ui = invert_unimodular(U)
-    P2 = U @ P
-    acts2 = [U @ A @ Ui for A in acts]
-    return ModuleWithAction(P2, acts2, list(orders))
+    return _conjugated_module(pieces, rng.randint(0, 1), orders, rng)
 
 
 def random_nilpotent_module(rng: random.Random,
@@ -205,14 +188,19 @@ def random_nilpotent_module(rng: random.Random,
                      and pow(u, d, q) == 1]
             units.append(rng.choice(cands) if cands else 1)
         pieces.append((q, units))
-    g = len(pieces)
-    pres_cols = []
-    for t, (q, _) in enumerate(pieces):
-        col = [0] * g
-        col[t] = q
-        pres_cols.append(col)
-    P = IntMatrix.from_columns(pres_cols, g)
-    acts = [IntMatrix.diagonal([units[j] for (_, units) in pieces])
+    return _conjugated_module(pieces, 0, orders, rng)
+
+
+def _conjugated_module(pieces: Sequence[tuple], nfree: int,
+                       orders: Sequence[int],
+                       rng: random.Random) -> ModuleWithAction:
+    """Pieces (q, units), each a Z/q on which generator j acts by units[j],
+    plus `nfree` fixed free generators, in a random unimodular basis."""
+    g = len(pieces) + nfree
+    P = IntMatrix.from_columns(
+        [[q if i == t else 0 for i in range(g)]
+         for t, (q, _) in enumerate(pieces)], g)
+    acts = [IntMatrix.diagonal([units[j] for _, units in pieces] + [1] * nfree)
             for j in range(len(orders))]
     U = random_unimodular(g, rng)
     Ui = invert_unimodular(U)

@@ -127,15 +127,12 @@ class IntMatrix:
         return cls._raw(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None,
-                 cols: Optional[int] = None) -> "IntMatrix":
+    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
         k = len(diag)
-        rows = k if rows is None else rows
-        cols = k if cols is None else cols
-        e = [0] * (rows * cols)
+        e = [0] * (k * k)
         for i, d in enumerate(diag):
-            e[i * cols + i] = int(d)
-        return cls(rows, cols, e)
+            e[i * k + i] = int(d)
+        return cls(k, k, e)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":

@@ -35,7 +35,6 @@ from .exact_linalg import (
     cokernel_structure,
     column_hnf,
     kernel_lattice,
-    smith_normal_form,
     solve_in_lattice,
 )
 from .group_ring import (
@@ -43,7 +42,7 @@ from .group_ring import (
     ModuleWithAction,
     QuotientComplex,
     QuotientSpec,
-    _regular_entry_add,
+    _regular_rows,
     quotient_homology_module,
 )
 
@@ -82,17 +81,11 @@ class FinAbGroup:
     def from_orders(cls, orders: Sequence[int]) -> "FinAbGroup":
         """Chained normalization of an arbitrary cyclic decomposition."""
         orders = [int(o) for o in orders if int(o) > 1]
-        if not orders:
-            return cls(())
-        sf = smith_normal_form(IntMatrix.diagonal(orders))
-        return cls(tuple(d for d in sf.invariant_factors if d != 1))
+        return cls(cokernel_structure(IntMatrix.diagonal(orders))[1])
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
+        return math.prod(self.factors)
 
     @property
     def d(self) -> int:
@@ -123,15 +116,10 @@ def _expand_group_ring_matrix(entries: list, orders: Sequence[int]) -> IntMatrix
     lexicographically, as in `base_change`.
     """
     q = QuotientSpec(tuple(orders))
-    ng = q.index
-    positions = {g: k for k, g in enumerate(q.elements())}
+    mat = [[LaurentPoly(q.m, entry) for entry in erow] for erow in entries]
     cols = len(entries[0]) if entries else 0
-    rows = [{} for _ in range(len(entries) * ng)]
-    for i, erow in enumerate(entries):
-        for j, entry in enumerate(erow):
-            _regular_entry_add(rows, i * ng, j * ng, LaurentPoly(q.m, entry),
-                               q, positions)
-    return IntMatrix._raw(len(rows), cols * ng, rows)
+    return IntMatrix._raw(len(mat) * q.index, cols * q.index,
+                          _regular_rows(mat, q))
 
 
 def _periodic_entry(order: int, degree: int) -> dict:
@@ -181,22 +169,19 @@ def _tensor_resolution_entries(orders: Sequence[int], up_to: int):
 class Resolution:
     """Free ZG-resolution data expanded to integer matrices.
 
-    `orders` is the cyclic decomposition that was used; `ranks[n]` is the
-    ZG-rank of F_n; `differentials[n-1]` maps F_n -> F_{n-1} over ZG and
-    `differentials_int[n-1]` is its regular representation.
+    `ranks[n]` is the ZG-rank of F_n and `differentials_int[n-1]` the
+    regular representation of F_n -> F_{n-1}.
     """
     group: FinAbGroup
-    orders: tuple
     length: int
     ranks: List[int]
-    differentials: list
     differentials_int: List[IntMatrix]
 
     def verify_exactness(self) -> None:
         """Certify H_n = 0 for 1 <= n < length and coker(d_1) = Z."""
         if self.length == 0:
             return
-        dims = [r * max(1, _prod(self.orders)) for r in self.ranks]
+        dims = [r * self.group.order for r in self.ranks]
         C = IntChainComplex(dims, self.differentials_int)
         an = ChainAnalysis(C)
         free, facs = cokernel_structure(self.differentials_int[0]) \
@@ -208,13 +193,6 @@ class Resolution:
                 raise IdentityViolation(f"resolution not exact in degree {n}")
 
 
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def standard_resolution(G: FinAbGroup, up_to: int) -> Resolution:
     """Tensor resolution of Z over ZG, to the requested degree.
 
@@ -223,21 +201,15 @@ def standard_resolution(G: FinAbGroup, up_to: int) -> Resolution:
     """
     if up_to < 0:
         raise DimensionMismatch("up_to must be >= 0")
-    return _resolution_over_orders(G, G.factors, up_to)
-
-
-def _resolution_over_orders(G: FinAbGroup, orders: Sequence[int],
-                            up_to: int) -> Resolution:
-    orders = tuple(int(o) for o in orders if int(o) > 1)
-    if not orders:
+    if not G.factors:
         # trivial group: Z in degree 0 only
         ranks = [1] + [0] * up_to
         diffs_int = [IntMatrix.zeros(1, 0)] if up_to >= 1 else []
         diffs_int += [IntMatrix.zeros(0, 0)] * max(0, up_to - 1)
-        return Resolution(G, (), up_to, ranks, [], diffs_int)
-    ranks, _, diffs = _tensor_resolution_entries(orders, up_to)
-    diffs_int = [_expand_group_ring_matrix(mat, orders) for mat in diffs]
-    res = Resolution(G, orders, up_to, ranks, diffs, diffs_int)
+        return Resolution(G, up_to, ranks, diffs_int)
+    ranks, _, diffs = _tensor_resolution_entries(G.factors, up_to)
+    diffs_int = [_expand_group_ring_matrix(mat, G.factors) for mat in diffs]
+    res = Resolution(G, up_to, ranks, diffs_int)
     res.verify_exactness()
     return res
 
@@ -324,16 +296,14 @@ def _quotient_structure(S: IntMatrix, R: IntMatrix) -> tuple:
     W = solve_in_lattice(Sh, R)
     if W is None:
         raise IdentityViolation("relations escape the subgroup lattice")
-    sf = smith_normal_form(W)
-    facs = tuple(d for d in sf.invariant_factors if d != 1)
-    return Sh.cols - sf.rank, facs
+    return cokernel_structure(W)
 
 
 def _order_of(structure: tuple) -> Optional[int]:
     free, facs = structure
     if free:
         return None
-    return _prod(facs)
+    return math.prod(facs)
 
 
 def _homology_of_presented(out_map: IntMatrix, out_relations: IntMatrix,
@@ -351,22 +321,14 @@ def _homology_of_presented(out_map: IntMatrix, out_relations: IntMatrix,
 def group_homology(G: FinAbGroup, M: ModuleWithAction, n: int) -> tuple:
     """H_n(G; M) as (free_rank, invariant_factors).
 
-    The actions of M must be indexed by the chained factors of G (after
-    dropping trivial factors from M's generator orders).
+    M's generator orders above 1, over which the resolution is taken, must
+    chain to the factors of G.
     """
-    orders = tuple(o for o in M.generator_orders if o > 1)
-    if orders != G.factors:
-        chained = FinAbGroup.from_orders(M.generator_orders)
-        if chained.factors != G.factors:
-            raise IncompatibleAction(
-                f"module acted on by {M.generator_orders}, group is {G.factors}")
-    return _group_homology_over_orders(M, n)
-
-
-def _group_homology_over_orders(M: ModuleWithAction, n: int) -> tuple:
-    """H_n of M over the product of cyclic groups given by its own orders."""
-    orders = tuple(o for o in M.generator_orders if o > 1)
-    acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
+    orders, acts = M.acting()
+    if orders != G.factors \
+            and FinAbGroup.from_orders(orders).factors != G.factors:
+        raise IncompatibleAction(
+            f"module acted on by {M.generator_orders}, group is {G.factors}")
     g = M.num_generators
     if not orders:
         if n == 0:
@@ -375,9 +337,7 @@ def _group_homology_over_orders(M: ModuleWithAction, n: int) -> tuple:
     ranks, _, diffs = _tensor_resolution_entries(orders, n + 1)
 
     def expanded(k: int) -> IntMatrix:
-        """id_M tensor d_k on generator level."""
-        if k < 1 or k > n + 1:
-            return IntMatrix.zeros(g * (ranks[k - 1] if 1 <= k <= n + 1 else 0), 0)
+        """id_M tensor d_k on generator level, for 1 <= k <= n + 1."""
         mat = diffs[k - 1]
         blocks = [[_apply_ring_element(mat[i][j], acts, g)
                    for j in range(ranks[k])] for i in range(ranks[k - 1])]
@@ -405,7 +365,7 @@ def augmentation_filtration(M: ModuleWithAction) -> tuple:
     g = M.num_generators
     rel = column_hnf(M.presentation) if M.presentation.cols \
         else IntMatrix.zeros(g, 0)
-    acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
+    _, acts = M.acting()
     L = IntMatrix.identity(g)
     prev_hnf = None
     for step in range(65):
@@ -435,7 +395,7 @@ def coinvariants(M: ModuleWithAction) -> dict:
     d(M) <= r (d(G)+1)^{r-1} d(Z tensor M) are asserted.
     """
     g = M.num_generators
-    acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
+    _, acts = M.acting()
     aug_pieces = [A - IntMatrix.identity(g) for A in acts]
     R = _hcat([M.presentation] + aug_pieces, g)
     quot_structure = _quotient_structure(IntMatrix.identity(g), R)
@@ -514,7 +474,7 @@ def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
     M = quotient_homology_module(qc, n)
     X, N, X2 = _homology_map_data(qc, n)
     g = M.num_generators
-    acts = [A for A, o in zip(M.generators_action, M.generator_orders) if o > 1]
+    _, acts = M.acting()
     Rco = _hcat([X] + [A - IntMatrix.identity(g) for A in acts], g)
     ker_struct, coker_struct = _map_kernel_cokernel(N, Rco, X2)
     report = {
@@ -527,10 +487,11 @@ def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
     ker_bound = 1
     coker_bound = 1
     finite = True
+    group = FinAbGroup.from_orders(qc.quotient.moduli)
     for p in range(1, n + 1):
         Mq = quotient_homology_module(qc, n - p)
-        h_p = _group_homology_over_orders(Mq, p)
-        h_p1 = _group_homology_over_orders(Mq, p + 1)
+        h_p = group_homology(group, Mq, p)
+        h_p1 = group_homology(group, Mq, p + 1)
         op, op1 = _order_of(h_p), _order_of(h_p1)
         if op is None or op1 is None:
             finite = False
@@ -607,10 +568,8 @@ def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
     dG = group.d
     lnG = math.log(group.order) if group.order > 1 else 0.0
     aug_an = qc.augmented
-    d_aug = []
-    for p in range(d + 1):
-        facs = aug_an.torsion_factors(p)
-        d_aug.append(d_of_abelian_group(facs, aug_an.betti(p)))
+    d_aug = [d_of_abelian_group(aug_an.torsion_factors(p), aug_an.betti(p))
+             for p in range(d + 1)]
     rows = []
     for n in range(d + 1):
         M = quotient_homology_module(qc, n)
@@ -620,10 +579,9 @@ def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
                 f"H_{n} not nilpotent of length <= {r} (got {length})")
         free_m, facs_m = M.structure()
         d_hn = d_of_abelian_group(facs_m, free_m)
-        bound_d = sum(
-            estimate_constants(r, n, p)[0] * dG ** estimate_constants(r, n, p)[1]
-            * d_aug[p]
-            for p in range(n + 1))
+        consts = [estimate_constants(r, n, p) for p in range(n + 1)]
+        bound_d = sum(c0 * dG ** c1 * d_aug[p]
+                      for p, (c0, c1, _, _) in enumerate(consts))
         if d_hn > bound_d:
             raise IdentityViolation(
                 f"d(H_{n}) = {d_hn} exceeds estimate {bound_d}")
@@ -633,10 +591,8 @@ def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
         ker_o, coker_o = _order_of(ker_s), _order_of(coker_s)
         if ker_o is None or coker_o is None:
             raise IdentityViolation("H_n(pr) has infinite kernel or cokernel")
-        bound_ln = sum(
-            estimate_constants(r, n, p)[2] * lnG
-            * dG ** estimate_constants(r, n, p)[3] * d_aug[p]
-            for p in range(n + 1))
+        bound_ln = sum(d0 * lnG * dG ** d1 * d_aug[p]
+                       for p, (_, _, d0, d1) in enumerate(consts))
         tol = 1e-9
         if math.log(ker_o) > bound_ln + tol or math.log(coker_o) > bound_ln + tol:
             raise IdentityViolation(

@@ -15,7 +15,8 @@ Z[t^+-]^k -> 0 whose quotient torsion obeys |tors H_0(C[i])| = |det(A^i - I)|.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
@@ -28,8 +29,8 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    cokernel_structure,
     column_hnf,
-    smith_normal_form,
     solve_in_lattice,
 )
 
@@ -207,10 +208,7 @@ class QuotientSpec:
 
     @property
     def index(self) -> int:
-        out = 1
-        for n in self.moduli:
-            out *= n
-        return out
+        return math.prod(self.moduli)
 
     def elements(self) -> list:
         """Lexicographically ordered exponent tuples of the quotient group."""
@@ -221,12 +219,15 @@ class QuotientSpec:
 class QuotientComplex:
     """Base-changed complex with the deck action of each group generator.
 
-    `analysis`, `augmented` and `actions` are built on first access and
-    shared by every caller that reads the same quotient complex.
+    `analysis`, `augmented` and `actions` are built on first access, and
+    `modules` by `quotient_homology_module`; all are shared by every caller
+    that reads the same quotient complex.
     """
     complex: IntChainComplex
     quotient: QuotientSpec
     source: LaurentChainComplex
+    modules: Dict[int, ModuleWithAction] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def analysis(self) -> ChainAnalysis:
@@ -242,32 +243,21 @@ class QuotientComplex:
 
     @cached_property
     def actions(self) -> List[List[IntMatrix]]:
-        """Per degree, the permutation matrix of each generator of G/G_i.
+        """Per degree, the permutation matrix of each generator x_j of G/G_i:
+        the regular representation of x_j times the identity.
 
         Built on first access: only homology with action reads them.
         """
-        positions = {g: k for k, g in enumerate(self.quotient.elements())}
-        moduli = self.quotient.moduli
-        perms = []
-        for j in range(self.quotient.m):
-            perm = [0] * len(positions)
-            for g, k in positions.items():
-                g2 = list(g)
-                g2[j] = (g2[j] + 1) % moduli[j]
-                perm[k] = positions[tuple(g2)]
-            perms.append(perm)
-        n_g = len(positions)
-        out = []
-        for dim in self.complex.dims:
-            level = []
-            for perm in perms:
-                data = [None] * dim
-                for blk in range(0, dim, n_g):
-                    for k, pk in enumerate(perm):
-                        data[blk + pk] = {blk + k: 1}
-                level.append(IntMatrix._raw(dim, dim, data))
-            out.append(level)
-        return out
+        q, m = self.quotient, self.quotient.m
+        zero = LaurentPoly.zero(m)
+
+        def generator(j: int, r: int) -> IntMatrix:
+            x_j = [[LaurentPoly.variable(m, j) if a == b else zero
+                    for b in range(r)] for a in range(r)]
+            return IntMatrix._raw(r * q.index, r * q.index,
+                                  _regular_rows(x_j, q))
+
+        return [[generator(j, r) for j in range(m)] for r in self.source.dims]
 
 
 @dataclass
@@ -315,9 +305,14 @@ class ModuleWithAction:
 
     def structure(self) -> tuple:
         """(free_rank, chained nonunit invariant factors) of the group."""
-        sf = smith_normal_form(self.presentation)
-        facs = tuple(d for d in sf.invariant_factors if d != 1)
-        return self.presentation.rows - sf.rank, facs
+        return cokernel_structure(self.presentation)
+
+    def acting(self) -> tuple:
+        """(orders, matrices) of the generators of order above 1; a
+        generator of order 1 acts trivially and is left out."""
+        pairs = [(o, A) for A, o in zip(self.generators_action,
+                                         self.generator_orders) if o > 1]
+        return tuple(o for o, _ in pairs), [A for _, A in pairs]
 
 
 def _maps_into(M: IntMatrix, lattice_hnf: Optional[IntMatrix]) -> bool:
@@ -333,25 +328,32 @@ def _maps_into(M: IntMatrix, lattice_hnf: Optional[IntMatrix]) -> bool:
 # base change
 # ---------------------------------------------------------------------------
 
-def _regular_entry_add(rows: list, row0: int, col0: int, poly: LaurentPoly,
-                       q: QuotientSpec, positions: Dict[tuple, int]) -> None:
-    """Add the regular-representation block of `poly` at block (row0, col0).
+def _regular_rows(mat: Sequence[Sequence[LaurentPoly]],
+                  q: QuotientSpec) -> List[Dict[int, int]]:
+    """Row dicts of the regular representation of a matrix over Z[Z^m].
 
-    `rows` are the row dicts of the matrix being built; terms that cancel
-    modulo the quotient leave no stored 0.
+    Entry (i, j) fills the block at rows i * index, columns j * index, with
+    the group elements in lexicographic order; cancelled terms store no 0.
     """
     idx = q.elements()
     mod = q.moduli
-    for e, c in poly.terms.items():
-        red = tuple(x % N for x, N in zip(e, mod))
-        for vpos, v in enumerate(idx):
-            target = tuple((a + b) % N for a, b, N in zip(red, v, mod))
-            row = rows[row0 + positions[target]]
-            w = row.get(col0 + vpos, 0) + c
-            if w:
-                row[col0 + vpos] = w
-            else:
-                del row[col0 + vpos]
+    n_g = len(idx)
+    positions = {g: k for k, g in enumerate(idx)}
+    rows: List[Dict[int, int]] = [{} for _ in range(len(mat) * n_g)]
+    for i, mrow in enumerate(mat):
+        for j, poly in enumerate(mrow):
+            for e, c in poly.terms.items():
+                red = tuple(x % N for x, N in zip(e, mod))
+                for vpos, v in enumerate(idx):
+                    target = tuple((a + b) % N for a, b, N in zip(red, v, mod))
+                    row = rows[i * n_g + positions[target]]
+                    col = j * n_g + vpos
+                    w = row.get(col, 0) + c
+                    if w:
+                        row[col] = w
+                    else:
+                        del row[col]
+    return rows
 
 
 def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
@@ -363,21 +365,10 @@ def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
     """
     if q.m != C.m:
         raise DimensionMismatch("quotient arity differs from complex arity")
-    idx = q.elements()
-    n_g = q.index
-    positions = {g: k for k, g in enumerate(idx)}
-    dims = [d * n_g for d in C.dims]
-    diffs = []
-    for n in range(1, C.top_degree + 1):
-        rows = [{} for _ in range(dims[n - 1])]
-        mat = C.differential(n)
-        for i in range(C.dims[n - 1]):
-            for j in range(C.dims[n]):
-                p = mat[i][j]
-                if not p.is_zero():
-                    _regular_entry_add(rows, i * n_g, j * n_g, p, q,
-                                       positions)
-        diffs.append(IntMatrix._raw(dims[n - 1], dims[n], rows))
+    dims = [d * q.index for d in C.dims]
+    diffs = [IntMatrix._raw(dims[n - 1], dims[n],
+                            _regular_rows(C.differential(n), q))
+             for n in range(1, C.top_degree + 1)]
     complex_ = IntChainComplex(dims, diffs)   # re-checks boundary composition
     return QuotientComplex(complex_, q, C)
 
@@ -390,7 +381,11 @@ def homology_with_action(C: LaurentChainComplex, q: QuotientSpec,
 
 
 def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:
-    """Homology of a quotient complex at degree n as a module with action."""
+    """Homology of a quotient complex at degree n as a module with action,
+    built once per degree and kept in `qc.modules`."""
+    M = qc.modules.get(n)
+    if M is not None:
+        return M
     an = qc.analysis
     K = an.kernel(n)
     X = an.relations(n)
@@ -401,7 +396,8 @@ def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:
         if Y is None:
             raise IncompatibleAction("deck action does not preserve cycles")
         acts.append(Y)
-    return ModuleWithAction(X, acts, list(qc.quotient.moduli))
+    M = qc.modules[n] = ModuleWithAction(X, acts, list(qc.quotient.moduli))
+    return M
 
 
 def operator_norm_bound(D: Sequence[Sequence[LaurentPoly]]) -> float:

@@ -64,6 +64,10 @@ class TowerLevel:
     rho_2: float
 
 
+# TowerLevel fields holding one value per degree, read by TowerReport.series.
+_SERIES_FIELDS = ("betti_q", "d_hn", "ln_tors", "ln_det_c", "ln_det_alpha")
+
+
 @dataclass
 class TowerReport:
     levels: List[TowerLevel]
@@ -74,25 +78,14 @@ class TowerReport:
     cauchy_flags: Dict[str, list] = field(default_factory=dict)
 
     def series(self, key: str, degree: int) -> List[float]:
-        """Normalized sequence of one invariant along the tower."""
-        out = []
-        for lv in self.levels:
-            if key == "betti_q":
-                out.append(lv.betti_q[degree] / lv.index)
-            elif key == "d_hn":
-                out.append(lv.d_hn[degree] / lv.index)
-            elif key == "ln_tors":
-                out.append(lv.ln_tors[degree] / lv.index)
-            elif key == "ln_det_c":
-                out.append(lv.ln_det_c[degree] / lv.index)
-            elif key == "ln_det_alpha":
-                out.append(lv.ln_det_alpha[degree] / lv.index)
-            elif key.startswith("betti_p_"):
-                p = int(key.split("_")[-1])
-                out.append(lv.betti_mod_p[p][degree] / lv.index)
-            else:
-                raise KeyError(key)
-        return out
+        """Normalized sequence of one invariant (a `_SERIES_FIELDS` name or
+        `betti_p_<p>`) along the tower."""
+        if key.startswith("betti_p_"):
+            p = int(key.split("_")[-1])
+            return [lv.betti_mod_p[p][degree] / lv.index for lv in self.levels]
+        if key not in _SERIES_FIELDS:
+            raise KeyError(key)
+        return [getattr(lv, key)[degree] / lv.index for lv in self.levels]
 
 
 def bound_lambda(C: LaurentChainComplex) -> float:
@@ -197,8 +190,7 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     report = TowerReport(results, max_degree, tuple(primes), lam)
     for lv in results:
         _check_level_bounds(lv, lam, max_degree)
-    keys = ["betti_q", "d_hn", "ln_tors", "ln_det_c", "ln_det_alpha"]
-    keys += [f"betti_p_{p}" for p in primes]
+    keys = list(_SERIES_FIELDS) + [f"betti_p_{p}" for p in primes]
     for key in keys:
         tails = []
         flags = []

@@ -5,6 +5,7 @@ import pytest
 from homgrow import chain_complex, cli, corpus
 from homgrow.cli import (
     MAX_LEVELS,
+    MAX_NONZEROS,
     MAX_ROWS,
     _parse_levels,
     builtin_complex,
@@ -290,6 +291,30 @@ class TestCommands:
                    "--out", path])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: cannot write")
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["tower", "homology"])
+    def test_nonzeros_above_cap_refused_before_base_change(
+            self, command, monkeypatch, tmp_path, capsys):
+        # 140000 rows are under MAX_ROWS; 140000 x 64 nonzeros are not
+        entry = [{"exp": [k], "coef": "1"} for k in range(64)]
+        doc = {"m": 1, "top_degree": 1, "dims": [1, 1],
+               "differentials": [[[entry]]]}
+        path = tmp_path / "many_terms.json"
+        path.write_text(json.dumps(doc))
+        assert 140000 <= MAX_ROWS and 140000 * 64 > MAX_NONZEROS
+        calls = []
+        real = cli.base_change
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "base_change", counted)
+        monkeypatch.setattr(cli.growth, "base_change", counted)
+        rc = main([command, "--input", str(path), "--levels", "140000"])
+        assert rc == 2
+        assert "nonzeros" in capsys.readouterr().err
         assert calls == []
 
     def test_failed_run_leaves_existing_out_untouched(self, monkeypatch,

@@ -501,6 +501,16 @@ class TestFKFactorization:
         for _ in range(200):
             fk_factorization_check(_random_matrix(rng))
 
+    def test_image_lattice_when_minors_exceed_budget(self):
+        # rank 6 in 12 x 12: C(12, 6)^2 minors are over the work budget
+        rng = random.Random(977)
+        A = IntMatrix(12, 6, [rng.randint(-3, 3) for _ in range(72)]) \
+            @ IntMatrix(6, 12, [rng.randint(-3, 3) for _ in range(72)])
+        assert rank(A) == 6
+        assert _fk_square_minor_sum(A) is None
+        rep = fk_factorization_check(A)
+        assert rep["det_u"].square_exact == _fk_square_image_lattice(A)
+
 
 class TestBareiss:
     def test_psd_agrees_with_general(self):

@@ -5,12 +5,18 @@ import pytest
 
 from homgrow.chain_complex import d_of_abelian_group
 from homgrow.corpus import (
+    _check_nu_estimate,
     _module_elements,
+    _nu_complexes,
     filtration_length_oracle,
     random_module_with_action,
     random_nilpotent_module,
 )
-from homgrow.errors import DimensionMismatch, HypothesisViolated
+from homgrow.errors import (
+    DimensionMismatch,
+    HypothesisViolated,
+    IncompatibleAction,
+)
 from homgrow.exact_linalg import IntMatrix, rank, smith_normal_form
 from homgrow.finite_homology import (
     FinAbGroup,
@@ -85,6 +91,19 @@ class TestGroupHomology:
         assert group_homology(G, M, 1) == (0, (2, 2))
         assert group_homology(G, M, 2) == (0, (2,))
 
+    def test_orders_chaining_to_the_group(self):
+        # Z/2 x Z/3 acting trivially is Z/6 acting trivially
+        M = trivial_module((2, 3))
+        expected = [(1, ()), (0, (6,)), (0, ()), (0, (6,)), (0, ())]
+        assert [group_homology(FinAbGroup((6,)), M, n)
+                for n in range(5)] == expected
+        assert [group_homology(FinAbGroup((6,)), trivial_module((6,)), n)
+                for n in range(5)] == expected
+
+    def test_mismatched_group_rejected(self):
+        with pytest.raises(IncompatibleAction):
+            group_homology(FinAbGroup((3,)), trivial_module((2,)), 1)
+
     def test_kunneth_oracle(self):
         # H_1(Z/2 + Z/4; Z) = Z/2 + Z/4 (abelianization)
         G = FinAbGroup((2, 4))
@@ -128,10 +147,10 @@ class TestFiltration:
         assert augmentation_filtration(M) == (True, 2)
 
     def test_sign_action_not_nilpotent(self):
+        # Z/3 with the Z/2 generator acting by -1: I M = 2 M = M
         M = ModuleWithAction(IntMatrix.from_rows([[3]]),
                              [IntMatrix.from_rows([[-1]])], [2])
-        nil, _ = augmentation_filtration(M)
-        assert not nil
+        assert augmentation_filtration(M) == (False, None)
 
     def test_oracle_agreement(self):
         rng = random.Random(402)
@@ -255,6 +274,21 @@ class TestNu:
             assert rep["ker_order"] == 1
             assert rep["coker_order"] == i
             assert rep["coker_bound"] >= i
+
+    def test_homology_module_built_once_per_degree(self, monkeypatch):
+        # the nu suite reads H_n of each quotient complex for every bound
+        built = []
+        check = ModuleWithAction.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(ModuleWithAction, "__post_init__", counted)
+        for case in _nu_complexes():
+            _check_nu_estimate(*case)
+        # (d + 1) degrees per complex: 2 + 2 + 3 + 2 + 2
+        assert len(built) == 11
 
     def test_two_term_zg_complex(self):
         # 0 -> Z[Z/2] --(t-1)--> Z[Z/2] -> 0 realized as circle at level 2
