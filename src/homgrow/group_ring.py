@@ -227,7 +227,7 @@ class QuotientComplex:
     quotient: QuotientSpec
     source: LaurentChainComplex
     modules: Dict[int, ModuleWithAction] = field(
-        default_factory=dict, repr=False, compare=False)
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def analysis(self) -> ChainAnalysis:
@@ -246,18 +246,23 @@ class QuotientComplex:
         """Per degree, the permutation matrix of each generator x_j of G/G_i:
         the regular representation of x_j times the identity.
 
-        Built on first access: only homology with action reads them.
+        Built on first access: only homology with action reads them.  Each
+        generator is expanded once at the largest rank; a degree of rank r
+        takes the first r blocks of rows.
         """
-        q, m = self.quotient, self.quotient.m
+        q, m, n_g = self.quotient, self.quotient.m, self.quotient.index
+        dims = self.source.dims
+        top = max(dims, default=0)
         zero = LaurentPoly.zero(m)
-
-        def generator(j: int, r: int) -> IntMatrix:
+        out: List[List[IntMatrix]] = [[] for _ in dims]
+        for j in range(m):
             x_j = [[LaurentPoly.variable(m, j) if a == b else zero
-                    for b in range(r)] for a in range(r)]
-            return IntMatrix._raw(r * q.index, r * q.index,
-                                  _regular_rows(x_j, q))
-
-        return [[generator(j, r) for j in range(m)] for r in self.source.dims]
+                    for b in range(top)] for a in range(top)]
+            rows = _regular_rows(x_j, q)
+            for level, r in zip(out, dims):
+                level.append(IntMatrix._raw(
+                    r * n_g, r * n_g, [dict(row) for row in rows[:r * n_g]]))
+        return out
 
 
 @dataclass
@@ -334,19 +339,21 @@ def _regular_rows(mat: Sequence[Sequence[LaurentPoly]],
 
     Entry (i, j) fills the block at rows i * index, columns j * index, with
     the group elements in lexicographic order; cancelled terms store no 0.
+    A term x^e sends the element at position v to the one at position
+    shift[v], read off per coordinate from the lexicographic strides.
     """
-    idx = q.elements()
     mod = q.moduli
-    n_g = len(idx)
-    positions = {g: k for k, g in enumerate(idx)}
+    n_g = q.index
+    strides = [math.prod(mod[k + 1:]) for k in range(len(mod))]
     rows: List[Dict[int, int]] = [{} for _ in range(len(mat) * n_g)]
     for i, mrow in enumerate(mat):
         for j, poly in enumerate(mrow):
             for e, c in poly.terms.items():
-                red = tuple(x % N for x, N in zip(e, mod))
-                for vpos, v in enumerate(idx):
-                    target = tuple((a + b) % N for a, b, N in zip(red, v, mod))
-                    row = rows[i * n_g + positions[target]]
+                shift = map(sum, itertools.product(
+                    *[[(x + a) % N * s for x in range(N)]
+                      for a, N, s in zip(e, mod, strides)]))
+                for vpos, t in enumerate(shift):
+                    row = rows[i * n_g + t]
                     col = j * n_g + vpos
                     w = row.get(col, 0) + c
                     if w:
