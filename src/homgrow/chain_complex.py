@@ -11,6 +11,7 @@ identity rho_Z - rho_2 = sum_n (-1)^n ln det(alpha_n) with exact arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
@@ -148,7 +149,6 @@ def d_of_abelian_group(invariant_factors: Sequence[int], free_rank: int) -> int:
 
 def d_primewise(invariant_factors: Sequence[int], free_rank: int) -> int:
     """d(M) = dim_Q(Q tensor M) + max_p s_p(M); independent of chaining."""
-    from collections import Counter
     counts: Counter = Counter()
     for d in invariant_factors:
         d = abs(d)
@@ -282,10 +282,7 @@ class ChainAnalysis:
         return self.kernel(n).cols - self._snf_X[n][0]
 
     def tors_order(self, n: int) -> int:
-        t = 1
-        for d in self.torsion_factors(n):
-            t *= d
-        return t
+        return math.prod(self.torsion_factors(n))
 
     def free_lifts(self, n: int) -> IntMatrix:
         """Integer cycles whose classes form a Z-basis of H_n(C)_f."""
@@ -419,7 +416,6 @@ def rho_Z(C: IntChainComplex) -> float:
 
 def rho_Z_exact(an: ChainAnalysis):
     """(float value, exact Fraction equal to exp(rho_Z))."""
-    val = 0.0
     ratio = Fraction(1)
     for n in range(an.complex.top_degree + 1):
         t = an.tors_order(n)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import partial
 from math import comb, gcd, prod
 from typing import List, Optional, Sequence
@@ -364,7 +365,6 @@ def filtration_length_oracle(M: ModuleWithAction) -> Optional[int]:
                 out.add(reduce([b - c for b, c in zip(a(y), y)]))
         return out
 
-    from collections import deque
     dist = {frozenset({zero}): 0}
     queue = deque([frozenset({zero})])
     while queue:

@@ -2,10 +2,13 @@
 
 Resolutions are tensor products of the periodic rank-one resolutions
 ... -> Z[Z/d] --N--> Z[Z/d] --(t-1)--> Z[Z/d] -> Z, so the rank in degree n
-is the number of weak compositions of n into m parts.  H_n(G; M) is computed
-by expanding the resolution differentials through the action matrices of a
-presented module and taking homology of the resulting complex of presented
-abelian groups.
+is the number of weak compositions of n into m parts.  A module on which
+generator j of order d_j acts by A_j enters only through the per-generator
+blocks T_j = A_j - 1 and N_j = 1 + A_j + ... + A_j^(d_j - 1); one builder
+writes id_M tensor d_n from them.  With M = ZG and the regular
+representation it gives the resolution matrices of `standard_resolution`;
+with a presented module it gives the complex of presented abelian groups
+whose homology is H_n(G; M).
 
 The estimate machinery evaluates the explicit constants C_0, C_1 (and the
 derived D_0, D_1) of the minimal-generator bound and checks the kernel and
@@ -108,61 +111,46 @@ def _weak_compositions(n: int, m: int) -> list:
     return out
 
 
-def _expand_group_ring_matrix(entries: list, orders: Sequence[int]) -> IntMatrix:
-    """Regular representation of a matrix over Z[prod Z/orders].
+def _generator_blocks(acts: Sequence[IntMatrix],
+                      orders: Sequence[int]) -> list:
+    """(A - 1, 1 + A + ... + A^(d-1)) for each generator of order d acting
+    by A: the images of t - 1 and of the norm element of Z[Z/d]."""
+    blocks = []
+    for A, d in zip(acts, orders):
+        one = IntMatrix.identity(A.rows)
+        norm = power = one
+        for _ in range(d - 1):
+            power = A @ power
+            norm = norm + power
+        blocks.append((A - one, norm))
+    return blocks
 
-    `entries` is rows x cols of dicts {exponent tuple: coefficient} with
-    exponents reduced mod the orders; the group elements are ordered
-    lexicographically, as in `base_change`.
+
+def _resolution_differential(blocks: Sequence[tuple], n: int,
+                             g: int) -> IntMatrix:
+    """id_M tensor d_n of the tensor resolution, on generator level.
+
+    F_n has one free ZG-generator per weak composition c of n into m parts,
+    each carrying a copy of M = Z^g.  Coordinate j of c is lowered by
+    T_j = A_j - 1 when c_j is odd and by the norm N_j when c_j is even, with
+    the Koszul sign (-1)^(c_0 + ... + c_{j-1}); `blocks` holds (T_j, N_j).
     """
-    q = QuotientSpec(tuple(orders))
-    mat = [[LaurentPoly(q.m, entry) for entry in erow] for erow in entries]
-    cols = len(entries[0]) if entries else 0
-    return IntMatrix._raw(len(mat) * q.index, cols * q.index,
-                          _regular_rows(mat, q))
-
-
-def _periodic_entry(order: int, degree: int) -> dict:
-    """Differential F_degree -> F_{degree-1} of the rank-one resolution of Z/order.
-
-    Odd degrees use t - 1, even positive degrees the norm element."""
-    if degree % 2 == 1:
-        return {(1,): 1, (0,): -1}
-    return {(t,): 1 for t in range(order)}
-
-
-def _tensor_resolution_entries(orders: Sequence[int], up_to: int):
-    """(ranks, basis lists, differential entry matrices) of the tensor resolution."""
-    m = len(orders)
-    comps = [_weak_compositions(n, m) for n in range(up_to + 1)]
-    ranks = [len(c) for c in comps]
-    zero_exp = (0,) * m
-    diffs = []
-    for n in range(1, up_to + 1):
-        src = comps[n]
-        dst = comps[n - 1]
-        dst_pos = {c: i for i, c in enumerate(dst)}
-        mat = [[dict() for _ in src] for _ in dst]
-        for cj, comp in enumerate(src):
-            sign_acc = 1
-            for j in range(m):
-                if comp[j] >= 1:
-                    tgt = tuple(c - (1 if t == j else 0)
-                                for t, c in enumerate(comp))
-                    entry1d = _periodic_entry(orders[j], comp[j])
-                    entry = {}
-                    for (e,), c in entry1d.items():
-                        exp = [0] * m
-                        exp[j] = e
-                        entry[tuple(exp)] = c * sign_acc
-                    ri = dst_pos[tgt]
-                    acc = mat[ri][cj]
-                    for e, c in entry.items():
-                        acc[e] = acc.get(e, 0) + c
-                if comp[j] % 2 == 1:
-                    sign_acc = -sign_acc
-        diffs.append(mat)
-    return ranks, comps, diffs
+    m = len(blocks)
+    src = _weak_compositions(n, m)
+    dst_pos = {c: i for i, c in enumerate(_weak_compositions(n - 1, m))}
+    rows: List[dict] = [{} for _ in range(len(dst_pos) * g)]
+    for cj, comp in enumerate(src):
+        sign = 1
+        for j, (T, N) in enumerate(blocks):
+            if comp[j]:
+                ri = dst_pos[comp[:j] + (comp[j] - 1,) + comp[j + 1:]]
+                B = T if comp[j] % 2 else N
+                for a, brow in enumerate(B.data):
+                    rows[ri * g + a].update(
+                        (cj * g + b, sign * v) for b, v in brow.items())
+            if comp[j] % 2:
+                sign = -sign
+    return IntMatrix._raw(len(rows), len(src) * g, rows)
 
 
 @dataclass
@@ -197,19 +185,20 @@ def standard_resolution(G: FinAbGroup, up_to: int) -> Resolution:
     """Tensor resolution of Z over ZG, to the requested degree.
 
     dim_{ZG}(F_n) equals the number of weak compositions of n into d(G)
-    parts, i.e. binom(n + d(G) - 1, d(G) - 1).
+    parts, i.e. binom(n + d(G) - 1, d(G) - 1).  The differentials are those
+    of `group_homology` with M = ZG, each generator acting by its regular
+    representation.
     """
     if up_to < 0:
         raise DimensionMismatch("up_to must be >= 0")
-    if not G.factors:
-        # trivial group: Z in degree 0 only
-        ranks = [1] + [0] * up_to
-        diffs_int = [IntMatrix.zeros(1, 0)] if up_to >= 1 else []
-        diffs_int += [IntMatrix.zeros(0, 0)] * max(0, up_to - 1)
-        return Resolution(G, up_to, ranks, diffs_int)
-    ranks, _, diffs = _tensor_resolution_entries(G.factors, up_to)
-    diffs_int = [_expand_group_ring_matrix(mat, G.factors) for mat in diffs]
-    res = Resolution(G, up_to, ranks, diffs_int)
+    perms = [IntMatrix._raw(G.order, G.order, _regular_rows(
+                 [[LaurentPoly.variable(G.d, j)]], QuotientSpec(G.factors)))
+             for j in range(G.d)]
+    blocks = _generator_blocks(perms, G.factors)
+    res = Resolution(
+        G, up_to, [len(_weak_compositions(n, G.d)) for n in range(up_to + 1)],
+        [_resolution_differential(blocks, n, G.order)
+         for n in range(1, up_to + 1)])
     res.verify_exactness()
     return res
 
@@ -217,35 +206,6 @@ def standard_resolution(G: FinAbGroup, up_to: int) -> Resolution:
 # ---------------------------------------------------------------------------
 # presented-module homology
 # ---------------------------------------------------------------------------
-
-def _action_power(acts: List[IntMatrix], exps: Sequence[int]) -> IntMatrix:
-    g = acts[0].rows if acts else 0
-    out = IntMatrix.identity(g)
-    for A, e in zip(acts, exps):
-        for _ in range(e):
-            out = A @ out
-    return out
-
-
-def _apply_ring_element(entry: dict, acts: List[IntMatrix], g: int) -> IntMatrix:
-    out = IntMatrix.zeros(g, g)
-    for e, c in entry.items():
-        out = out + _action_power(acts, e).scale(c)
-    return out
-
-
-def _block_matrix(blocks: list, g: int) -> IntMatrix:
-    """Matrix of g x g blocks."""
-    cols_b = len(blocks[0]) if blocks else 0
-    out = []
-    for brow in blocks:
-        for i in range(g):
-            row = {}
-            for bj, B in enumerate(brow):
-                row.update((bj * g + j, v) for j, v in B.data[i].items())
-            out.append(row)
-    return IntMatrix._raw(len(blocks) * g, cols_b * g, out)
-
 
 def _block_diag(P: IntMatrix, copies: int) -> IntMatrix:
     q = P.cols
@@ -329,26 +289,14 @@ def group_homology(G: FinAbGroup, M: ModuleWithAction, n: int) -> tuple:
             and FinAbGroup.from_orders(orders).factors != G.factors:
         raise IncompatibleAction(
             f"module acted on by {M.generator_orders}, group is {G.factors}")
-    g = M.num_generators
-    if not orders:
-        if n == 0:
-            return _quotient_structure(IntMatrix.identity(g), M.presentation)
-        return 0, ()
-    ranks, _, diffs = _tensor_resolution_entries(orders, n + 1)
-
-    def expanded(k: int) -> IntMatrix:
-        """id_M tensor d_k on generator level, for 1 <= k <= n + 1."""
-        mat = diffs[k - 1]
-        blocks = [[_apply_ring_element(mat[i][j], acts, g)
-                   for j in range(ranks[k])] for i in range(ranks[k - 1])]
-        return _block_matrix(blocks, g)
-
-    out_map = expanded(n) if n >= 1 else IntMatrix.zeros(0, g * ranks[0])
-    out_rel = _block_diag(M.presentation, ranks[n - 1]) if n >= 1 \
-        else IntMatrix.zeros(0, 0)
-    mid_rel = _block_diag(M.presentation, ranks[n])
-    in_map = expanded(n + 1)
-    return _homology_of_presented(out_map, out_rel, mid_rel, in_map)
+    blocks = _generator_blocks(acts, orders)
+    g, P = M.num_generators, M.presentation
+    m = len(orders)
+    return _homology_of_presented(
+        _resolution_differential(blocks, n, g),
+        _block_diag(P, len(_weak_compositions(n - 1, m))),
+        _block_diag(P, len(_weak_compositions(n, m))),
+        _resolution_differential(blocks, n + 1, g))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +394,11 @@ def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
 def _homology_map_data(qc: QuotientComplex, n: int):
     """(X, N, X2) for nu / H_n(pr): the relations of H_n(C[i]) and of
     H_n(Z tensor C[i]) on their cycle bases, and the matrix N of the
-    augmentation between those bases."""
+    augmentation between those bases; built once per degree and kept in
+    `qc.homology_maps`."""
+    data = qc.homology_maps.get(n)
+    if data is not None:
+        return data
     an = qc.analysis
     K = an.kernel(n)
     X = an.relations(n)
@@ -461,7 +413,8 @@ def _homology_map_data(qc: QuotientComplex, n: int):
             raise IdentityViolation("augmented cycle escapes the cycle lattice")
     else:
         N = IntMatrix.zeros(K2.cols, 0)
-    return X, N, X2
+    data = qc.homology_maps[n] = X, N, X2
+    return data
 
 
 def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:

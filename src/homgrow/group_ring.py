@@ -31,6 +31,7 @@ from .exact_linalg import (
     IntMatrix,
     cokernel_structure,
     column_hnf,
+    det_bareiss,
     solve_in_lattice,
 )
 
@@ -219,14 +220,17 @@ class QuotientSpec:
 class QuotientComplex:
     """Base-changed complex with the deck action of each group generator.
 
-    `analysis`, `augmented` and `actions` are built on first access, and
-    `modules` by `quotient_homology_module`; all are shared by every caller
-    that reads the same quotient complex.
+    `analysis`, `augmented` and `actions` are built on first access,
+    `modules` by `quotient_homology_module` and `homology_maps` by the
+    comparison maps of `finite_homology`; all are shared by every caller that
+    reads the same quotient complex.
     """
     complex: IntChainComplex
     quotient: QuotientSpec
     source: LaurentChainComplex
     modules: Dict[int, ModuleWithAction] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    homology_maps: Dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -508,7 +512,6 @@ def mapping_torus_complex(A: IntMatrix) -> LaurentChainComplex:
     """
     if A.rows != A.cols:
         raise NonSquareMatrix("mapping torus needs a square matrix")
-    from .exact_linalg import det_bareiss
     if det_bareiss(A.to_lists()) == 0:
         raise NonSquareMatrix("mapping torus needs det(A) != 0")
     k = A.rows

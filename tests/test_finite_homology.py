@@ -18,8 +18,10 @@ from homgrow.errors import (
     IncompatibleAction,
 )
 from homgrow.exact_linalg import IntMatrix, rank, smith_normal_form
+from homgrow import finite_homology
 from homgrow.finite_homology import (
     FinAbGroup,
+    _weak_compositions,
     augmentation_filtration,
     coinvariants,
     estimate_constants,
@@ -29,8 +31,10 @@ from homgrow.finite_homology import (
     verify_estimate_bounds,
 )
 from homgrow.group_ring import (
+    LaurentPoly,
     ModuleWithAction,
     QuotientSpec,
+    _regular_rows,
     base_change,
     circle_complex,
     mapping_torus_complex,
@@ -43,6 +47,46 @@ def trivial_module(orders, presentation=None):
     g = P.rows
     return ModuleWithAction(P, [IntMatrix.identity(g) for _ in orders],
                             list(orders))
+
+
+def entrywise_resolution(factors, up_to):
+    """Oracle for the resolution differentials: each entry of the tensor
+    resolution as a Laurent polynomial (t_j - 1 in odd, the norm element in
+    even positive degrees of coordinate j, Koszul signs), then expanded
+    through the regular representation."""
+    m = len(factors)
+    q = QuotientSpec(factors)
+    one = LaurentPoly.const(m, 1)
+    diffs = []
+    for n in range(1, up_to + 1):
+        src = _weak_compositions(n, m)
+        dst = {c: i for i, c in enumerate(_weak_compositions(n - 1, m))}
+        mat = [[LaurentPoly.zero(m) for _ in src] for _ in dst]
+        for cj, comp in enumerate(src):
+            sign = 1
+            for j, d in enumerate(factors):
+                if comp[j]:
+                    lowered = comp[:j] + (comp[j] - 1,) + comp[j + 1:]
+                    if comp[j] % 2:
+                        entry = LaurentPoly.variable(m, j) - one
+                    else:
+                        entry = LaurentPoly(m, {
+                            tuple(t if k == j else 0 for k in range(m)): 1
+                            for t in range(d)})
+                    mat[dst[lowered]][cj] = entry.scale(sign)
+                if comp[j] % 2:
+                    sign = -sign
+        diffs.append(IntMatrix._raw(len(dst) * q.index, len(src) * q.index,
+                                    _regular_rows(mat, q)))
+    return diffs
+
+
+def regular_module(factors):
+    """Z[G] with each generator acting by its regular representation."""
+    q = QuotientSpec(factors)
+    acts = [IntMatrix._raw(q.index, q.index, _regular_rows(
+                [[LaurentPoly.variable(q.m, j)]], q)) for j in range(q.m)]
+    return ModuleWithAction(IntMatrix.zeros(q.index, 0), acts, list(factors))
 
 
 class TestFinAbGroup:
@@ -73,6 +117,15 @@ class TestResolutions:
     def test_trivial_group(self):
         res = standard_resolution(FinAbGroup(()), 3)
         assert res.ranks == [1, 0, 0, 0]
+        assert res.differentials_int == \
+            [IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)]
+
+    @pytest.mark.parametrize("factors", [
+        (2,), (3,), (5,), (2, 2), (2, 4), (2, 2, 2), (16,), (9,), (2, 2, 4),
+        (3, 6)])
+    def test_matrices_match_entrywise_expansion(self, factors):
+        res = standard_resolution(FinAbGroup(factors), 4)
+        assert res.differentials_int == entrywise_resolution(factors, 4)
 
 
 class TestGroupHomology:
@@ -103,6 +156,31 @@ class TestGroupHomology:
     def test_mismatched_group_rejected(self):
         with pytest.raises(IncompatibleAction):
             group_homology(FinAbGroup((3,)), trivial_module((2,)), 1)
+
+    @pytest.mark.parametrize("factors", [
+        (2,), (3,), (4,), (2, 2), (2, 4), (9,), (2, 2, 2)])
+    def test_shapiro_regular_module(self, factors):
+        # Z[G] is free over ZG: H_0 = Z and H_n = 0 for n >= 1
+        G, M = FinAbGroup(factors), regular_module(factors)
+        assert [group_homology(G, M, n) for n in range(4)] == \
+            [(1, ())] + [(0, ())] * 3
+
+    def test_norm_blocks_cost_linear_products(self, monkeypatch):
+        # one product per power of the generator per call, not one per
+        # term of every norm entry: 5 calls of 15 products over Z/16
+        M = trivial_module((16,))
+        calls = []
+        matmul = IntMatrix.__matmul__
+
+        def counted(A, B):
+            calls.append(1)
+            return matmul(A, B)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        G = FinAbGroup((16,))
+        assert [group_homology(G, M, n) for n in range(5)] == \
+            [(1, ()), (0, (16,)), (0, ()), (0, (16,)), (0, ())]
+        assert len(calls) <= 75
 
     def test_kunneth_oracle(self):
         # H_1(Z/2 + Z/4; Z) = Z/2 + Z/4 (abelianization)
@@ -285,6 +363,21 @@ class TestNu:
             check(self)
 
         monkeypatch.setattr(ModuleWithAction, "__post_init__", counted)
+        for case in _nu_complexes():
+            _check_nu_estimate(*case)
+        # (d + 1) degrees per complex: 2 + 2 + 3 + 2 + 2
+        assert len(built) == 11
+
+    def test_homology_map_built_once_per_degree(self, monkeypatch):
+        # nu and the estimate suite read the same map of each degree
+        built = []
+        augmentation = finite_homology._augmentation_map
+
+        def counted(qc, n):
+            built.append((qc, n))
+            return augmentation(qc, n)
+
+        monkeypatch.setattr(finite_homology, "_augmentation_map", counted)
         for case in _nu_complexes():
             _check_nu_estimate(*case)
         # (d + 1) degrees per complex: 2 + 2 + 3 + 2 + 2
