@@ -18,8 +18,6 @@ from .chain_complex import (
     laplacian,
     rho_2,
     rho_Z,
-    shift,
-    tensor,
     verify_rho_identity,
 )
 from .errors import (
@@ -67,7 +65,7 @@ from .group_ring import (
     homology_with_action,
     mapping_torus_complex,
     operator_norm_bound,
-    product_with_circle,
+    tensor,
     torus_complex,
 )
 from .growth import (

@@ -44,8 +44,6 @@ __all__ = [
     "alpha_log_dets",
     "verify_rho_identity",
     "direct_sum",
-    "shift",
-    "tensor",
     "ChainAnalysis",
 ]
 
@@ -552,65 +550,4 @@ def direct_sum(C: IntChainComplex, D: IntChainComplex) -> IntChainComplex:
         shifted = [{a.cols + j: v for j, v in r.items()} for r in b.data]
         diffs.append(IntMatrix._raw(a.rows + b.rows, a.cols + b.cols,
                                     a.data + shifted))
-    return IntChainComplex(dims, diffs)
-
-
-def shift(C: IntChainComplex, k: int) -> IntChainComplex:
-    """Shift degrees up by k >= 0; differentials are reused unchanged."""
-    if k < 0:
-        raise DegreeOutOfRange("only nonnegative shifts are supported")
-    if k == 0:
-        return C
-    dims = [0] * k + list(C.dims)
-    diffs = []
-    for n in range(1, k):
-        diffs.append(IntMatrix.zeros(0, 0))
-    diffs.append(IntMatrix.zeros(0, C.dims[0]))
-    diffs.extend(C.differentials)
-    return IntChainComplex(dims, diffs)
-
-
-def tensor(C: IntChainComplex, D: IntChainComplex) -> IntChainComplex:
-    """Tensor product with Koszul signs: d(x@y) = dx@y + (-1)^|x| x@dy."""
-    topc, topd = C.top_degree, D.top_degree
-    top = topc + topd
-    # basis of (C tensor D)_n: blocks (p, q) with p+q = n, ordered by p
-    def blocks(n):
-        return [(p, n - p) for p in range(max(0, n - topd), min(n, topc) + 1)]
-
-    dims = [sum(C.dim(p) * D.dim(q) for p, q in blocks(n)) for n in range(top + 1)]
-    diffs = []
-    for n in range(1, top + 1):
-        src = blocks(n)
-        dst = blocks(n - 1)
-        dst_offsets = {}
-        off = 0
-        for p, q in dst:
-            dst_offsets[(p, q)] = off
-            off += C.dim(p) * D.dim(q)
-        # Each entry is written once: the two parts of one source block land
-        # in different target blocks, and source blocks own disjoint columns.
-        rows = [{} for _ in range(dims[n - 1])]
-        coff = 0
-        for p, q in src:
-            cp, dq = C.dim(p), D.dim(q)
-            # dx @ y lands in (p-1, q)
-            if p >= 1 and (p - 1, q) in dst_offsets:
-                roff = dst_offsets[(p - 1, q)]
-                for a, crow in enumerate(C.differential(p).data):
-                    for b, v in crow.items():
-                        for y in range(dq):
-                            rows[roff + a * dq + y][coff + b * dq + y] = v
-            # (-1)^p x @ dy lands in (p, q-1)
-            if q >= 1 and (p, q - 1) in dst_offsets:
-                roff = dst_offsets[(p, q - 1)]
-                dmat = D.differential(q)
-                sgn = -1 if p % 2 else 1
-                for a, drow in enumerate(dmat.data):
-                    for b, v in drow.items():
-                        for x in range(cp):
-                            rows[roff + x * dmat.rows + a][
-                                coff + x * dmat.cols + b] = sgn * v
-            coff += cp * dq
-        diffs.append(IntMatrix._raw(dims[n - 1], dims[n], rows))
     return IntChainComplex(dims, diffs)

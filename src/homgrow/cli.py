@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -36,7 +37,7 @@ from .group_ring import (
     base_change,
     circle_complex,
     mapping_torus_complex,
-    product_with_circle,
+    tensor,
     torus_complex,
 )
 from .serialize import (
@@ -66,7 +67,7 @@ def builtin_complex(name: str) -> LaurentChainComplex:
     if name == "torus3":
         return torus_complex(3)
     if name == "s1_cross":
-        return product_with_circle(_sphere_complex())
+        return tensor(_sphere_complex(), circle_complex())
     if name.startswith("mapping_torus:"):
         try:
             data = json.loads(name.split(":", 1)[1])
@@ -91,7 +92,7 @@ def builtin_complex(name: str) -> LaurentChainComplex:
 MAX_LEVELS = 10_000
 
 # Most rows, index x largest rank, a quotient complex may have; checked
-# before base change builds the index-long element list and the row dicts.
+# before base change builds the row dicts.
 # 16x the largest tower level measured (circle at index 65536: 6.4 s and
 # 175 MiB RSS, CPython 3.11); time and memory grow about linearly in the
 # index.
@@ -106,6 +107,11 @@ MAX_ROWS = 2 ** 20
 # nonzeros 0.27 s and 84 MiB.  Both grow about linearly, so a document at the
 # cap needs several minutes and about 4 GiB; the cap itself was not run.
 MAX_NONZEROS = 8 * MAX_ROWS
+
+# Largest --primes value, refused before the primality test: trial division
+# of the prime 2^40 - 87 takes 0.085 s (CPython 3.11), of 10^18 + 3 over a
+# minute.
+MAX_PRIME = 2 ** 40
 
 
 def _parse_levels(text: str) -> List[int]:
@@ -189,7 +195,9 @@ def _primes(text: str) -> List[int]:
             p = int(tok)
         except ValueError as exc:
             raise ParseError(f"bad --primes token {tok!r}") from exc
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p > MAX_PRIME:
+            raise ParseError(f"--primes value {p} is above {MAX_PRIME}")
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ParseError(f"{p} is not prime")
         out.append(p)
     if not out:
@@ -234,6 +242,9 @@ def cmd_homology(args) -> int:
     if len(levels) != 1:
         raise ParseError("homology takes a single quotient level")
     if C.m == 0:
+        if args.levels is not None or args.moduli_pattern is not None:
+            raise ParseError("--levels and --moduli-pattern need a "
+                             "group-ring complex (m >= 1)")
         cx = int_complex_from_laurent(C)
         index = 1
         moduli = ()

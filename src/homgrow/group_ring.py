@@ -7,9 +7,10 @@ representation of the quotient group, producing an integer chain complex of
 rank index * rank together with the permutation action of each generator on
 every chain level.
 
-The example library lives here as well: the circle, torus Koszul complexes,
-products with a circle, and algebraic mapping tori 0 -> Z[t^+-]^k --(tA-I)-->
-Z[t^+-]^k -> 0 whose quotient torsion obeys |tors H_0(C[i])| = |det(A^i - I)|.
+The example library lives here as well: the circle, the Koszul-signed tensor
+product of complexes, tori as tensor powers of the circle, and algebraic
+mapping tori 0 -> Z[t^+-]^k --(tA-I)--> Z[t^+-]^k -> 0 whose quotient torsion
+obeys |tors H_0(C[i])| = |det(A^i - I)|.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ __all__ = [
     "homology_with_action",
     "operator_norm_bound",
     "circle_complex",
+    "tensor",
     "torus_complex",
-    "product_with_circle",
     "mapping_torus_complex",
 ]
 
@@ -210,10 +211,6 @@ class QuotientSpec:
     @property
     def index(self) -> int:
         return math.prod(self.moduli)
-
-    def elements(self) -> list:
-        """Lexicographically ordered exponent tuples of the quotient group."""
-        return list(itertools.product(*[range(n) for n in self.moduli]))
 
 
 @dataclass
@@ -436,72 +433,67 @@ def circle_complex() -> LaurentChainComplex:
     return LaurentChainComplex(1, [1, 1], [[[t - one]]])
 
 
-def torus_complex(m: int) -> LaurentChainComplex:
-    """Koszul complex on (x_1 - 1, ..., x_m - 1); dims are binomials."""
-    if m < 1:
-        raise DimensionMismatch("torus_complex needs m >= 1")
-    one = LaurentPoly.const(m, 1)
-    x = [LaurentPoly.variable(m, j) - one for j in range(m)]
-    subsets = [list(itertools.combinations(range(m), k)) for k in range(m + 1)]
-    dims = [len(s) for s in subsets]
-    diffs = []
-    for k in range(1, m + 1):
-        rows = [[LaurentPoly.zero(m) for _ in subsets[k]]
-                for _ in subsets[k - 1]]
-        for cj, S in enumerate(subsets[k]):
-            for t_pos, elt in enumerate(S):
-                T = tuple(v for v in S if v != elt)
-                ri = subsets[k - 1].index(T)
-                rows[ri][cj] = x[elt].scale((-1) ** t_pos)
-        diffs.append(rows)
-    return LaurentChainComplex(m, dims, diffs)
+def tensor(C: LaurentChainComplex,
+           D: LaurentChainComplex) -> LaurentChainComplex:
+    """C tensor D over Z[Z^(m+k)] for C over Z[Z^m] and D over Z[Z^k], C's
+    variables first, with Koszul signs: d(x@y) = dx@y + (-1)^|x| x@dy.
 
-
-def product_with_circle(C: LaurentChainComplex) -> LaurentChainComplex:
-    """Tensor with the circle over an enlarged variable set (new variable last)."""
-    m_new = C.m + 1
-
-    def lift(p: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(m_new, {e + (0,): c for e, c in p.terms.items()})
-
-    t = LaurentPoly.variable(m_new, m_new - 1)
-    one = LaurentPoly.const(m_new, 1)
-    tm1 = t - one
-    top = C.top_degree + 1
-
-    def blocks(n):
-        return [(p, n - p) for p in range(max(0, n - 1), min(n, C.top_degree) + 1)]
-
-    dims = [sum(C.dim(p) for p, qdeg in blocks(n)) for n in range(top + 1)]
+    Degree n lays out the blocks C_p @ D_(n-p) by descending p, with x @ y at
+    x * dim D_(n-p) + y inside its block; so a right fold of circles gives
+    the Koszul complex on its lexicographic subset basis.
+    """
+    mk = C.m + D.m
+    pad_c, pad_d = (0,) * D.m, (0,) * C.m
+    zero = LaurentPoly.zero(mk)
+    top = C.top_degree + D.top_degree
+    offsets: List[Dict[int, int]] = []   # per degree: p -> block offset
+    dims = []
+    for n in range(top + 1):
+        ps = range(min(n, C.top_degree), max(0, n - D.top_degree) - 1, -1)
+        sizes = [C.dim(p) * D.dim(n - p) for p in ps]
+        offsets.append(dict(zip(ps, itertools.accumulate(sizes, initial=0))))
+        dims.append(sum(sizes))
     diffs = []
     for n in range(1, top + 1):
-        src = blocks(n)
-        dst = blocks(n - 1)
-        dst_off = {}
-        off = 0
-        for p, qdeg in dst:
-            dst_off[(p, qdeg)] = off
-            off += C.dim(p)
-        rows = [[LaurentPoly.zero(m_new) for _ in range(dims[n])]
-                for _ in range(dims[n - 1])]
-        coff = 0
-        for p, qdeg in src:
-            cp = C.dim(p)
-            if p >= 1 and (p - 1, qdeg) in dst_off:
-                roff = dst_off[(p - 1, qdeg)]
-                mat = C.differential(p)
-                for a in range(len(mat)):
-                    for b in range(cp):
-                        if not mat[a][b].is_zero():
-                            rows[roff + a][coff + b] = lift(mat[a][b])
-            if qdeg == 1 and (p, 0) in dst_off:
-                roff = dst_off[(p, 0)]
+        rows = [[zero] * dims[n] for _ in range(dims[n - 1])]
+        for p, coff in offsets[n].items():
+            q = n - p
+            cp, dq = C.dim(p), D.dim(q)
+            if p >= 1:                     # dx @ y lands in (p - 1, q)
+                roff = offsets[n - 1][p - 1]
+                for a, crow in enumerate(C.differential(p)):
+                    for b, poly in enumerate(crow):
+                        if poly.is_zero():
+                            continue
+                        lifted = LaurentPoly(mk, {e + pad_c: c for e, c
+                                                  in poly.terms.items()})
+                        for y in range(dq):
+                            rows[roff + a * dq + y][coff + b * dq + y] = lifted
+            if q >= 1:                     # (-1)^p x @ dy lands in (p, q - 1)
+                roff = offsets[n - 1][p]
+                dq1 = D.dim(q - 1)
                 sgn = -1 if p % 2 else 1
-                for a in range(cp):
-                    rows[roff + a][coff + a] = tm1.scale(sgn)
-            coff += cp
+                for a, drow in enumerate(D.differential(q)):
+                    for b, poly in enumerate(drow):
+                        if poly.is_zero():
+                            continue
+                        lifted = LaurentPoly(mk, {pad_d + e: sgn * c for e, c
+                                                  in poly.terms.items()})
+                        for x in range(cp):
+                            rows[roff + x * dq1 + a][coff + x * dq + b] = lifted
         diffs.append(rows)
-    return LaurentChainComplex(m_new, dims, diffs)
+    return LaurentChainComplex(mk, dims, diffs)
+
+
+def torus_complex(m: int) -> LaurentChainComplex:
+    """Koszul complex on (x_1 - 1, ..., x_m - 1), the m-th tensor power of
+    the circle; dims are binomials."""
+    if m < 1:
+        raise DimensionMismatch("torus_complex needs m >= 1")
+    T = circle_complex()
+    for _ in range(m - 1):
+        T = tensor(circle_complex(), T)
+    return T
 
 
 def mapping_torus_complex(A: IntMatrix) -> LaurentChainComplex:

@@ -217,6 +217,11 @@ class TestCommands:
         ["homology", "--input", "{arity}"],
         ["homology", "--input", "{dir}"],
         ["homology", "--input", "{digits}"],
+        ["homology", "--example", "circle", "--primes", "9" * 401],
+        ["homology", "--example", "circle", "--primes",
+         "1000000000000000003"],
+        ["homology", "--input", "{plain}", "--levels", "7"],
+        ["homology", "--input", "{plain}", "--moduli-pattern", "3,4,5"],
     ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix",
             "negative-dims", "decreasing-levels", "negative-max-degree",
             "negative-count", "empty-primes", "nonpositive-jobs",
@@ -229,7 +234,9 @@ class TestCommands:
             "composite-prime", "homology-two-levels", "tower-without-group",
             "document-not-an-object", "dims-length", "term-not-an-object",
             "exponent-arity", "input-is-a-directory",
-            "coef-beyond-digit-limit"])
+            "coef-beyond-digit-limit", "prime-of-401-digits",
+            "prime-above-cap", "levels-without-group",
+            "pattern-without-group"])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
         one = [{"exp": [], "coef": "1"}]
         docs = {

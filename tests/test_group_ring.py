@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from homgrow.chain_complex import ChainAnalysis, homology
 from homgrow.errors import NonSquareMatrix
-from homgrow.exact_linalg import IntMatrix, det_bareiss
+from homgrow.exact_linalg import IntMatrix, cokernel_structure, det_bareiss
 from homgrow.group_ring import (
     LaurentChainComplex,
     LaurentPoly,
@@ -17,9 +18,31 @@ from homgrow.group_ring import (
     homology_with_action,
     mapping_torus_complex,
     operator_norm_bound,
-    product_with_circle,
+    tensor,
     torus_complex,
 )
+
+
+def subset_torus(m):
+    """Oracle for `torus_complex`: the Koszul complex on (x_1 - 1, ...,
+    x_m - 1) written out on the lexicographic k-subsets of range(m); the
+    column of S has (-1)^t (x_s - 1) in the row of S minus its t-th
+    element s."""
+    one = LaurentPoly.const(m, 1)
+    x = [LaurentPoly.variable(m, j) - one for j in range(m)]
+    subsets = [list(itertools.combinations(range(m), k)) for k in range(m + 1)]
+    dims = [len(s) for s in subsets]
+    diffs = []
+    for k in range(1, m + 1):
+        rows = [[LaurentPoly.zero(m) for _ in subsets[k]]
+                for _ in subsets[k - 1]]
+        for cj, S in enumerate(subsets[k]):
+            for t_pos, elt in enumerate(S):
+                T = tuple(v for v in S if v != elt)
+                ri = subsets[k - 1].index(T)
+                rows[ri][cj] = x[elt].scale((-1) ** t_pos)
+        diffs.append(rows)
+    return LaurentChainComplex(m, dims, diffs)
 
 
 class TestLaurentPoly:
@@ -66,7 +89,7 @@ class TestBaseChange:
         q = QuotientSpec((2, 3))
         qc = base_change(torus_complex(2), q)
         assert "actions" not in vars(qc)
-        elements = q.elements()
+        elements = list(itertools.product(*[range(n) for n in q.moduli]))
         position = {g: k for k, g in enumerate(elements)}
         n_g = q.index
         for n, dim in enumerate(qc.complex.dims):
@@ -250,7 +273,7 @@ class TestExamples:
             checked += 1
 
     def test_product_with_circle_torus(self):
-        p = product_with_circle(circle_complex())
+        p = tensor(circle_complex(), circle_complex())
         assert p.m == 2 and p.dims == [1, 2, 1]
         h = homology(base_change(p, QuotientSpec((2, 2))).complex)
         assert h.betti_q == [1, 2, 1]
@@ -262,3 +285,37 @@ class TestExamples:
             for n in range(m + 1):
                 assert h.invariant_factors[n] == ()
                 assert h.betti_q[n] == math.comb(m, n)
+
+
+class TestTensor:
+    POINT = LaurentChainComplex(0, [1], [])
+    SPHERE = LaurentChainComplex(0, [1, 0, 1], [[[]], []])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_torus_is_the_subset_koszul_complex(self, m):
+        T, oracle = torus_complex(m), subset_torus(m)
+        assert (T.m, T.dims) == (oracle.m, oracle.dims)
+        assert T.differentials == oracle.differentials
+
+    def test_tensor_with_point(self):
+        C = mapping_torus_complex(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        for T in (tensor(C, self.POINT), tensor(self.POINT, C)):
+            assert (T.m, T.dims) == (C.m, C.dims)
+            assert T.differentials == C.differentials
+
+    def test_sphere_factor_shifts_homology(self):
+        # H_n(S^2 x C) = H_n(C) + H_(n-2)(C)
+        C = mapping_torus_complex(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        q = QuotientSpec((5,))
+        h = homology(base_change(C, q).complex)
+        hs = homology(base_change(tensor(self.SPHERE, C), q).complex)
+        assert len(hs.betti_q) == 4
+        for n in range(4):
+            parts = [k for k in (n, n - 2) if 0 <= k <= C.top_degree]
+            assert hs.betti_q[n] == sum(h.betti_q[k] for k in parts)
+            factors = [d for k in parts for d in h.invariant_factors[k]]
+            diag = [[d if i == j else 0 for j in range(len(factors))]
+                    for i, d in enumerate(factors)]
+            assert (hs.invariant_factors[n]
+                    == cokernel_structure(IntMatrix.from_rows(diag))[1])
+        assert hs.invariant_factors[2] == h.invariant_factors[0] != ()
