@@ -18,11 +18,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import growth
-from .chain_complex import (
-    ChainAnalysis,
-    homology_from_analysis,
-    rho_identity_from_analysis,
-)
 from .corpus import SUITES, run_suite
 from .errors import (
     DimensionMismatch,
@@ -34,14 +29,12 @@ from .exact_linalg import IntMatrix
 from .group_ring import (
     LaurentChainComplex,
     QuotientSpec,
-    base_change,
     circle_complex,
     mapping_torus_complex,
     tensor,
     torus_complex,
 )
 from .serialize import (
-    int_complex_from_laurent,
     load_complex,
     strict_int,
     tower_report_json,
@@ -199,6 +192,8 @@ def _primes(text: str) -> List[int]:
             raise ParseError(f"--primes value {p} is above {MAX_PRIME}")
         if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ParseError(f"{p} is not prime")
+        if p in out:
+            raise ParseError(f"--primes repeats {p}")
         out.append(p)
     if not out:
         raise ParseError("--primes must be nonempty")
@@ -241,45 +236,35 @@ def cmd_homology(args) -> int:
     levels = _parse_levels(args.levels) if args.levels else [1]
     if len(levels) != 1:
         raise ParseError("homology takes a single quotient level")
-    if C.m == 0:
-        if args.levels is not None or args.moduli_pattern is not None:
-            raise ParseError("--levels and --moduli-pattern need a "
-                             "group-ring complex (m >= 1)")
-        cx = int_complex_from_laurent(C)
-        index = 1
-        moduli = ()
-    else:
-        spec = _parse_moduli_pattern(args.moduli_pattern, C, levels[0],
-                                     _laurent_terms(C))
-        cx = base_change(C, spec).complex
-        index = spec.index
-        moduli = spec.moduli
+    if C.m == 0 and (args.levels is not None
+                     or args.moduli_pattern is not None):
+        raise ParseError("--levels and --moduli-pattern need a "
+                         "group-ring complex (m >= 1)")
+    spec = _parse_moduli_pattern(args.moduli_pattern, C, levels[0],
+                                 _laurent_terms(C))
     primes = _primes(args.primes)
-    an = ChainAnalysis(cx)
-    summary = homology_from_analysis(an, primes)
-    # raises unless rho_Z - rho_2 = sum (-1)^n ln det alpha_n exactly
-    ident = rho_identity_from_analysis(an)
-    alpha = ident["alpha"]
+    # one tower level: raises unless the rho identity holds exactly and
+    # every Lambda bound holds
+    lv = growth.run_tower(C, [spec], primes=primes).levels[0]
     report = {
-        "moduli": list(moduli),
-        "index": index,
-        "dims": cx.dims,
+        "moduli": list(lv.moduli),
+        "index": lv.index,
+        "dims": [d * lv.index for d in C.dims],
         "degrees": [
             {
                 "degree": n,
-                "betti_q": summary.betti_q[n],
-                "invariant_factors": list(summary.invariant_factors[n]),
-                "tors_order": str(summary.tors_order[n]),
-                "ln_tors": repr(summary.log_tors[n]),
-                "d_hn": summary.d_hn[n],
-                "betti_mod_p": {str(p): summary.betti_mod_p[p][n]
-                                for p in primes},
-                "ln_det_alpha": repr(alpha.log_det_alpha[n]),
+                "betti_q": lv.betti_q[n],
+                "invariant_factors": list(lv.invariant_factors[n]),
+                "tors_order": str(lv.tors_order[n]),
+                "ln_tors": repr(lv.ln_tors[n]),
+                "d_hn": lv.d_hn[n],
+                "betti_mod_p": {str(p): lv.betti_mod_p[p][n] for p in primes},
+                "ln_det_alpha": repr(lv.ln_det_alpha[n]),
             }
-            for n in range(cx.top_degree + 1)
+            for n in range(C.top_degree + 1)
         ],
-        "rho_z": repr(ident["rho_Z"]),
-        "rho_2": repr(ident["rho_2"]),
+        "rho_z": repr(lv.rho_z),
+        "rho_2": repr(lv.rho_2),
     }
     _write_out(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK

@@ -346,7 +346,7 @@ def coinvariants(M: ModuleWithAction) -> dict:
     _, acts = M.acting()
     aug_pieces = [A - IntMatrix.identity(g) for A in acts]
     R = _hcat([M.presentation] + aug_pieces, g)
-    quot_structure = _quotient_structure(IntMatrix.identity(g), R)
+    quot_structure = cokernel_structure(R)
     # ker(mu) = I.M = (L_1 + rel)/rel
     L1 = _hcat(aug_pieces, g)
     rel = M.presentation
@@ -468,8 +468,7 @@ def _map_kernel_cokernel(N: IntMatrix, src_relations: IntMatrix,
     """Kernel and cokernel structures of a map of presented abelian groups."""
     pre = _preimage_generators(N, dst_relations)
     ker = _quotient_structure(pre, src_relations) if pre.cols else (0, ())
-    coker = _quotient_structure(IntMatrix.identity(N.rows),
-                                _hcat([N, dst_relations], N.rows))
+    coker = cokernel_structure(_hcat([N, dst_relations], N.rows))
     return ker, coker
 
 

@@ -111,15 +111,8 @@ class LaurentPoly:
                 t[e] = t.get(e, 0) + c1 * c2
         return LaurentPoly(self.m, t)
 
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.m, {e: c * v for e, v in self.terms.items()})
-
     def coeff_abs_sum(self) -> int:
         return sum(abs(c) for c in self.terms.values())
-
-    def augmentation(self) -> int:
-        """Sum of coefficients; the image under all variables -> 1."""
-        return sum(self.terms.values())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentPoly) and self.m == other.m
@@ -196,11 +189,15 @@ def _poly_matmul(A, B, m):
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """Finite quotient of Z^m by N_1 Z x ... x N_m Z."""
+    """Finite quotient of Z^m by N_1 Z x ... x N_m Z.
+
+    m = 0 is allowed: `QuotientSpec(())` is the trivial group Z^0, of index
+    1, and `base_change` reads an m = 0 complex through it unchanged.
+    """
     moduli: tuple
 
     def __post_init__(self):
-        if not self.moduli or any(n < 1 for n in self.moduli):
+        if any(n < 1 for n in self.moduli):
             raise DimensionMismatch("moduli must be positive")
         object.__setattr__(self, "moduli", tuple(int(n) for n in self.moduli))
 

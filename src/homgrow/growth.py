@@ -57,6 +57,7 @@ class TowerLevel:
     betti_mod_p: Dict[int, List[int]]
     d_hn: List[int]
     tors_order: List[int]
+    invariant_factors: List[tuple]
     ln_tors: List[float]
     ln_det_c: List[float]
     ln_det_alpha: List[float]
@@ -142,6 +143,7 @@ def _analyze_level(C: LaurentChainComplex, spec: QuotientSpec,
         betti_mod_p={p: col[: d + 1] for p, col in summary.betti_mod_p.items()},
         d_hn=summary.d_hn[: d + 1],
         tors_order=summary.tors_order[: d + 1],
+        invariant_factors=summary.invariant_factors[: d + 1],
         ln_tors=summary.log_tors[: d + 1],
         ln_det_c=ln_det_c,
         ln_det_alpha=alpha.log_det_alpha[: d + 1],

@@ -17,9 +17,7 @@ from __future__ import annotations
 import json
 import re
 
-from .chain_complex import IntChainComplex
 from .errors import InvalidComplex, ParseError
-from .exact_linalg import IntMatrix
 from .group_ring import LaurentChainComplex, LaurentPoly
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "complex_from_document",
     "load_complex",
     "dump_complex",
-    "int_complex_from_laurent",
     "strict_int",
     "tower_report_rows",
     "tower_rows_to_csv",
@@ -152,19 +149,6 @@ def dump_complex(C: LaurentChainComplex, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(complex_to_document(C), fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def int_complex_from_laurent(C: LaurentChainComplex) -> IntChainComplex:
-    """Interpret an m = 0 document as a plain integer complex."""
-    if C.m != 0:
-        raise ParseError("complex has group-ring variables; quotient required")
-    diffs = []
-    for n in range(1, C.top_degree + 1):
-        mat = C.differential(n)
-        rows = [[p.terms.get((), 0) for p in row] for row in mat]
-        diffs.append(IntMatrix.from_rows(rows) if rows
-                     else IntMatrix.zeros(0, C.dims[n]))
-    return IntChainComplex(C.dims, diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,14 @@ class TestCommands:
         assert rc == 1
         assert "rho identity fails exactly" in capsys.readouterr().err
 
+    def test_homology_checks_lambda_bounds(self, monkeypatch, tmp_path,
+                                           capsys):
+        monkeypatch.setattr(cli.growth, "bound_lambda", lambda C: 0.0)
+        rc = main(["homology", "--example", "circle", "--levels", "3",
+                   "--out", str(tmp_path / "h.json")])
+        assert rc == 1
+        assert "verification failure" in capsys.readouterr().err
+
     def test_tower_json(self, tmp_path):
         out = tmp_path / "t.json"
         rc = main(["tower", "--example", "circle", "--levels", "1,2",
@@ -222,6 +230,9 @@ class TestCommands:
          "1000000000000000003"],
         ["homology", "--input", "{plain}", "--levels", "7"],
         ["homology", "--input", "{plain}", "--moduli-pattern", "3,4,5"],
+        ["tower", "--example", "circle", "--levels", "2,3",
+         "--primes", "2,2"],
+        ["homology", "--example", "circle", "--primes", "3,5,3"],
     ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix",
             "negative-dims", "decreasing-levels", "negative-max-degree",
             "negative-count", "empty-primes", "nonpositive-jobs",
@@ -236,7 +247,8 @@ class TestCommands:
             "exponent-arity", "input-is-a-directory",
             "coef-beyond-digit-limit", "prime-of-401-digits",
             "prime-above-cap", "levels-without-group",
-            "pattern-without-group"])
+            "pattern-without-group", "tower-repeated-prime",
+            "homology-repeated-prime"])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
         one = [{"exp": [], "coef": "1"}]
         docs = {
@@ -291,7 +303,8 @@ class TestCommands:
 
         monkeypatch.setattr(cli.growth, "run_tower",
                             counted(cli.growth.run_tower))
-        monkeypatch.setattr(cli, "base_change", counted(cli.base_change))
+        monkeypatch.setattr(cli.growth, "base_change",
+                            counted(cli.growth.base_change))
         path = out.replace("{missing}", str(tmp_path / "missing")) \
                   .replace("{dir}", str(tmp_path))
         rc = main([command, "--example", "circle", "--levels", "2",
@@ -311,13 +324,12 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert 140000 <= MAX_ROWS and 140000 * 64 > MAX_NONZEROS
         calls = []
-        real = cli.base_change
+        real = cli.growth.base_change
 
         def counted(*a, **kw):
             calls.append(a)
             return real(*a, **kw)
 
-        monkeypatch.setattr(cli, "base_change", counted)
         monkeypatch.setattr(cli.growth, "base_change", counted)
         rc = main([command, "--input", str(path), "--levels", "140000"])
         assert rc == 2

@@ -73,7 +73,7 @@ def entrywise_resolution(factors, up_to):
                         entry = LaurentPoly(m, {
                             tuple(t if k == j else 0 for k in range(m)): 1
                             for t in range(d)})
-                    mat[dst[lowered]][cj] = entry.scale(sign)
+                    mat[dst[lowered]][cj] = entry * LaurentPoly.const(m, sign)
                 if comp[j] % 2:
                     sign = -sign
         diffs.append(IntMatrix._raw(len(dst) * q.index, len(src) * q.index,

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homgrow.chain_complex import ChainAnalysis, homology
-from homgrow.errors import NonSquareMatrix
+from homgrow.chain_complex import ChainAnalysis, IntChainComplex, homology
+from homgrow.corpus import random_complex
+from homgrow.errors import DimensionMismatch, NonSquareMatrix
 from homgrow.exact_linalg import IntMatrix, cokernel_structure, det_bareiss
 from homgrow.group_ring import (
     LaurentChainComplex,
@@ -40,9 +41,35 @@ def subset_torus(m):
             for t_pos, elt in enumerate(S):
                 T = tuple(v for v in S if v != elt)
                 ri = subsets[k - 1].index(T)
-                rows[ri][cj] = x[elt].scale((-1) ** t_pos)
+                rows[ri][cj] = x[elt] * LaurentPoly.const(m, (-1) ** t_pos)
         diffs.append(rows)
     return LaurentChainComplex(m, dims, diffs)
+
+
+def integer_complex(C):
+    """Oracle for base change of an m = 0 complex: each entry read as the
+    integer coefficient of its () term."""
+    diffs = []
+    for n in range(1, C.top_degree + 1):
+        rows = [[p.terms.get((), 0) for p in row] for row in C.differential(n)]
+        diffs.append(IntMatrix.from_rows(rows) if rows
+                     else IntMatrix.zeros(0, C.dims[n]))
+    return IntChainComplex(C.dims, diffs)
+
+
+def as_m0(cx):
+    """An integer complex written as an m = 0 group-ring complex."""
+    return LaurentChainComplex(0, cx.dims, [
+        [[LaurentPoly.const(0, D[i, j]) for j in range(D.cols)]
+         for i in range(D.rows)] for D in cx.differentials])
+
+
+def _assert_same_complex(a, b):
+    assert a.dims == b.dims
+    assert [D.shape for D in a.differentials] == \
+        [D.shape for D in b.differentials]
+    assert [D.to_lists() for D in a.differentials] == \
+        [D.to_lists() for D in b.differentials]
 
 
 class TestLaurentPoly:
@@ -56,10 +83,6 @@ class TestLaurentPoly:
         p = LaurentPoly(1, {(0,): 1}) - LaurentPoly(1, {(0,): 1})
         assert p.is_zero() and p.terms == {}
 
-    def test_augmentation(self):
-        t = LaurentPoly.variable(1, 0)
-        assert (t - LaurentPoly.const(1, 1)).augmentation() == 0
-
 
 class TestBaseChange:
     def test_circle_circulant(self):
@@ -68,6 +91,25 @@ class TestBaseChange:
         assert c1.column(0) == (-1, 1, 0)
         assert c1.column(1) == (0, -1, 1)
         assert c1.column(2) == (1, 0, -1)
+
+    def test_trivial_group_spec(self):
+        q = QuotientSpec(())
+        assert q.m == 0 and q.index == 1
+        with pytest.raises(DimensionMismatch):
+            QuotientSpec((0,))
+
+    def test_m0_complex_read_unchanged(self):
+        rng = random.Random(0)
+        for _ in range(50):
+            C = as_m0(random_complex(rng))
+            _assert_same_complex(base_change(C, QuotientSpec(())).complex,
+                                 integer_complex(C))
+
+    def test_m0_sphere_read_unchanged(self):
+        S2 = LaurentChainComplex(0, [1, 0, 1], [[[]], []])
+        cx = base_change(S2, QuotientSpec(())).complex
+        _assert_same_complex(cx, integer_complex(S2))
+        assert [d.shape for d in cx.differentials] == [(1, 0), (0, 1)]
 
     def test_trivial_quotient_is_augmentation(self):
         qc = base_change(torus_complex(2), QuotientSpec((1, 1)))
