@@ -168,6 +168,14 @@ def _parse_moduli_pattern(pattern: Optional[str], C: LaurentChainComplex,
     return spec
 
 
+def _check_levels_used(args) -> None:
+    """Refuse --levels when --moduli-pattern has no i token to read it."""
+    if args.levels is not None and args.moduli_pattern is not None and \
+            "i" not in (t.strip() for t in args.moduli_pattern.split(",")):
+        raise ParseError(f"--levels is unused: --moduli-pattern "
+                         f"{args.moduli_pattern!r} has no i token")
+
+
 def _load_input(args) -> LaurentChainComplex:
     if args.example and args.input:
         raise ParseError("give either --input or --example, not both")
@@ -242,6 +250,7 @@ def cmd_homology(args) -> int:
                          "group-ring complex (m >= 1)")
     spec = _parse_moduli_pattern(args.moduli_pattern, C, levels[0],
                                  _laurent_terms(C))
+    _check_levels_used(args)
     primes = _primes(args.primes)
     # one tower level: raises unless the rho identity holds exactly and
     # every Lambda bound holds
@@ -279,6 +288,7 @@ def cmd_tower(args) -> int:
     terms = _laurent_terms(C)
     specs = [_parse_moduli_pattern(args.moduli_pattern, C, i, terms)
              for i in levels]
+    _check_levels_used(args)
     if any(b.index <= a.index for a, b in zip(specs, specs[1:])):
         raise ParseError("--levels must give quotients of increasing index")
     if args.max_degree is not None and args.max_degree < 0:

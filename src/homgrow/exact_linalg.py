@@ -13,7 +13,9 @@ dict stores a 0, and row dicts may be shared between matrices but are never
 mutated: a kernel copies a row before it works on it in place.  Dense lists
 appear only at the list constructors and `to_lists`, in the determinants and
 the minor-sum oracle.  There is one Smith form, the sparse heap-pivot
-elimination; it returns invariant factors, not transforms.
+elimination; it returns invariant factors, not transforms.  It shares one
+column-clearing step, `_clear_column`, with the Hermite form, and its column
+phase only reduces the pivot row to remainders mod the pivot.
 
 The Fuglede-Kadison determinant of an integer matrix A is the product of its
 nonzero singular values.  Its square is an integer: the sum of the squares of
@@ -266,9 +268,7 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 
 def _row_axpy(dst: dict, src: dict, q: int) -> None:
-    """dst += q * src, in place, dropping zeros."""
-    if q == 0:
-        return
+    """dst += q * src (q != 0), in place, dropping zeros."""
     if q == 1:
         for j, v in src.items():
             w = dst.get(j, 0) + v
@@ -292,24 +292,62 @@ def _row_axpy(dst: dict, src: dict, q: int) -> None:
                 del dst[j]
 
 
-def _symmetric_quotient(b: int, a: int) -> int:
-    """Quotient q minimizing |b - q*a| for a > 0."""
-    q, r = divmod(b, a)
-    if 2 * r > a:
-        q += 1
-    return q
-
-
 def _nearest_quotient(b: int, a: int) -> int:
     """Quotient q minimizing |b - q*a|, any sign of a != 0."""
-    if a < 0:
-        return -_symmetric_quotient(b, -a)
-    return _symmetric_quotient(b, a)
+    d = a if a > 0 else -a
+    q, r = divmod(b, d)
+    if 2 * r > d:
+        q += 1
+    return q if a > 0 else -q
 
 
 def _negate(row: dict) -> None:
     for j in row:
         row[j] = -row[j]
+
+
+def _indexed_axpy(rows: list, colindex, dst: int, src: int, q: int) -> None:
+    """rows[dst] += q * rows[src] (q != 0), keeping colindex, which maps
+    each column to the set of rows holding it, in step."""
+    drow = rows[dst]
+    for j, v in rows[src].items():
+        w = drow.get(j)
+        if w is None:
+            drow[j] = q * v
+            colindex[j].add(dst)
+        else:
+            w += q * v
+            if w:
+                drow[j] = w
+            else:
+                del drow[j]
+                colindex[j].discard(dst)
+
+
+def _clear_column(rows: list, colindex, col: int, cand: list, key,
+                  urows: Optional[list] = None) -> int:
+    """Reduce the rows `cand`, all holding col, until one holds it; return
+    that row.  Each pass picks the candidate with the least key, whose
+    first component is |entry in col|, and sets every other candidate's
+    entry to its symmetric remainder mod that one.  The U rows, if given,
+    follow every axpy."""
+    while len(cand) > 1:
+        # a is the least |entry| in col, so every other candidate b has
+        # |b| >= |a|: q != 0 and |b - q*a| <= |a|/2.  Each pass shrinks
+        # the least entry until one row is left holding col.
+        i0 = min(cand, key=key)
+        a = rows[i0][col]
+        nxt = [i0]
+        for i in cand:
+            if i != i0:
+                q = -_nearest_quotient(rows[i][col], a)
+                _indexed_axpy(rows, colindex, i, i0, q)
+                if urows is not None:
+                    _row_axpy(urows[i], urows[i0], q)
+                if col in rows[i]:
+                    nxt.append(i)
+        cand = nxt
+    return cand[0]
 
 
 def _row_hnf_clean(rows: list, transform: bool = False,
@@ -326,17 +364,18 @@ def _row_hnf_clean(rows: list, transform: bool = False,
     ever gains one).  A column index maps each column to the set of rows
     holding it and is updated by every row axpy, so a column reads its
     candidate rows (those not yet pivots) from the index, and the off-pivot
-    reduction reads the pivot rows to reduce from it.  Each pass over a
-    column picks the candidate with the least key
+    reduction reads the pivot rows to reduce from it.  Each column is
+    cleared by `_clear_column`, the column-clearing step the Smith form
+    shares, with the key
 
         (|entry|, len(work row), row)                    without transform,
-        (|entry|, len(U row), len(work row), row)        with transform,
+        (|entry|, len(U row), len(work row), row)        with transform.
 
-    and reduces every other candidate by it.  The U row of the chosen row is
-    what every axpy of the pass copies, so ranking short U rows first keeps
-    U output-sized: on a cyclic band, the row that carries the cycle gains
-    one entry per column instead of being added back into the next row each
-    time.  Rows are private copies, so the sign of a pivot is fixed in place.
+    The U row of the chosen row is what every axpy of a pass copies, so
+    ranking short U rows first keeps U output-sized: on a cyclic band, the
+    row that carries the cycle gains one entry per column instead of being
+    added back into the next row each time.  Rows are private copies, so the
+    sign of a pivot is fixed in place.
     """
     work = [dict(r) for r in rows]
     n = len(work)
@@ -345,24 +384,6 @@ def _row_hnf_clean(rows: list, transform: bool = False,
     for i, r in enumerate(work):
         for j in r:
             colindex[j].add(i)
-
-    def axpy(dst: int, src: int, q: int) -> None:
-        """work[dst] += q * work[src] (q != 0), index and U row kept along."""
-        drow = work[dst]
-        for j, v in work[src].items():
-            w = drow.get(j)
-            if w is None:
-                drow[j] = q * v
-                colindex[j].add(dst)
-            else:
-                w += q * v
-                if w:
-                    drow[j] = w
-                else:
-                    del drow[j]
-                    colindex[j].discard(dst)
-        if transform:
-            _row_axpy(urows[dst], urows[src], q)
 
     if transform:
         def key(i):
@@ -377,20 +398,7 @@ def _row_hnf_clean(rows: list, transform: bool = False,
         cand = [i for i in colindex[col] if not is_pivot[i]]
         if not cand:
             continue
-        while len(cand) > 1:
-            # a is the least |entry| in col, so every other candidate b has
-            # |b| >= |a|: q != 0 and |b - q*a| <= |a|/2.  Each pass shrinks
-            # the least entry until one row is left holding col.
-            i0 = min(cand, key=key)
-            a = work[i0][col]
-            nxt = [i0]
-            for i in cand:
-                if i != i0:
-                    axpy(i, i0, -_nearest_quotient(work[i][col], a))
-                    if col in work[i]:
-                        nxt.append(i)
-            cand = nxt
-        piv = cand[0]
+        piv = _clear_column(work, colindex, col, cand, key, urows)
         if work[piv][col] < 0:
             _negate(work[piv])
             if transform:
@@ -407,7 +415,9 @@ def _row_hnf_clean(rows: list, transform: bool = False,
                 if piv2 != piv:
                     q = work[piv2][col] // p
                     if q:
-                        axpy(piv2, piv, -q)
+                        _indexed_axpy(work, colindex, piv2, piv, -q)
+                        if transform:
+                            _row_axpy(urows[piv2], urows[piv], -q)
     hrows = [work[piv] for _, piv in pivots]
     if transform:
         ukeep = [urows[piv] for _, piv in pivots]
@@ -525,7 +535,6 @@ def _chain_divisibility(diag: list) -> list:
 def _snf_diagonal_sparse(A: IntMatrix) -> list:
     """Diagonal entries (no chain normalization) of a Smith form of A.
 
-    Textbook alternating row/column reduction on a sparse row-dict store.
     Pivots come from one min-heap of candidate entries keyed by
     (|value|, Markowitz count, row, column), after Dumas, Saunders and
     Villard (JSC 2001), heapified once.  Each nonempty row has one live
@@ -537,12 +546,20 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
     entry of the rows it touches, and one push per changed entry then costs
     more than rescanning every nonzero did.  Only the order of pivots
     depends on the heap; the invariant factors do not.
+
+    A pivot step clears the pivot column pj with `_clear_column`, the
+    column-clearing step of the Hermite form, under its no-transform key.
+    Column pj then holds only the pivot, so a column op changes the pivot
+    row alone: the column phase sets each other entry of that row to its
+    symmetric remainder mod the pivot.  The least nonzero remainder, if
+    any, becomes the pivot and its column is cleared in turn; each round
+    shrinks the pivot, so the step ends with it alone in row and column.
     """
     rows = [dict(r) for r in A.data]
-    colindex: dict = {}
+    colindex = defaultdict(set)
     for i, r in enumerate(rows):
         for j in r:
-            colindex.setdefault(j, set()).add(i)
+            colindex[j].add(i)
 
     def best(i: int) -> tuple:
         """(|v|, Markowitz count, i, j) of the best entry of nonempty row i."""
@@ -556,43 +573,15 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
                     ba, bm, bj = a, m, j
         return ba, bm, i, bj
 
+    def key(i: int) -> tuple:
+        return abs(rows[i][pj]), len(rows[i]), i
+
     heap = [best(i) for i, r in enumerate(rows) if r]
     live = [None] * len(rows)
     for rec in heap:
         live[rec[2]] = rec
     heapify(heap)
     touched: set = set()
-
-    def row_axpy_idx(dst: int, src: int, q: int) -> None:
-        if not q:
-            return
-        touched.add(dst)
-        drow = rows[dst]
-        for j, v in rows[src].items():
-            w = drow.get(j, 0) + q * v
-            if w:
-                if j not in drow:
-                    colindex.setdefault(j, set()).add(dst)
-                drow[j] = w
-            elif j in drow:
-                del drow[j]
-                colindex[j].discard(dst)
-
-    def col_axpy_idx(dst: int, src: int, q: int) -> None:
-        if not q:
-            return
-        for i in list(colindex.get(src, ())):
-            v = rows[i].get(src, 0)
-            if v:
-                touched.add(i)
-                w = rows[i].get(dst, 0) + q * v
-                if w:
-                    if dst not in rows[i]:
-                        colindex.setdefault(dst, set()).add(i)
-                    rows[i][dst] = w
-                elif dst in rows[i]:
-                    del rows[i][dst]
-                    colindex[dst].discard(i)
 
     # Each pivot step empties its row and column for good, so at most
     # min(rows, cols) pivots exist; stopping there skips draining the heap
@@ -609,61 +598,33 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
             live[i0] = cur
             heappush(heap, cur)
             continue
+        # Every row the step changes, row i0 among them, gets a fresh record
+        # below, or its invariant factor is lost.
         live[i0] = None
-        pi, pj = i0, cur[3]
+        pj = cur[3]
         while True:
-            # Row ops until column pj holds only the pivot.
-            while True:
-                others = [i for i in colindex.get(pj, ())
-                          if i != pi and pj in rows[i]]
-                if not others:
-                    break
-                a = rows[pi][pj]
-                next_pi = pi
-                for i in others:
-                    b = rows[i].get(pj, 0)
-                    if not b:
-                        continue
-                    row_axpy_idx(i, pi, -_nearest_quotient(b, a))
-                    rem = rows[i].get(pj, 0)
-                    if rem and abs(rem) < abs(rows[next_pi][pj]):
-                        next_pi = i
-                pi = next_pi
-            # Column ops until row pi holds only the pivot.  These touch only
-            # row pi (column pj is clean), so the column stays clean unless
-            # the pivot migrates to another column.
-            pivot_moved = False
-            while True:
-                others = [j for j in rows[pi] if j != pj]
-                if not others:
-                    break
-                a = rows[pi][pj]
-                next_pj = pj
-                for j in others:
-                    b = rows[pi].get(j, 0)
-                    if not b:
-                        continue
-                    col_axpy_idx(j, pj, -_nearest_quotient(b, a))
-                    rem = rows[pi].get(j, 0)
-                    if rem and abs(rem) < abs(rows[pi][next_pj]):
-                        next_pj = j
-                if next_pj != pj:
-                    pj = next_pj
-                    pivot_moved = True
-                    break
-            if not pivot_moved:
+            cand = list(colindex[pj])
+            touched.update(cand)
+            pi = _clear_column(rows, colindex, pj, cand, key)
+            row = rows[pi]
+            a = row[pj]
+            nxt = None
+            for j in list(row):
+                if j != pj:
+                    rem = row[j] - _nearest_quotient(row[j], a) * a
+                    if not rem:
+                        del row[j]
+                        colindex[j].discard(pi)
+                    else:
+                        row[j] = rem
+                        if nxt is None or abs(rem) < abs(row[nxt]):
+                            nxt = j
+            if nxt is None:
                 break
-        diag.append(abs(rows[pi][pj]))
-        del rows[pi][pj]
+            pj = nxt
+        diag.append(abs(a))
         colindex[pj].discard(pi)
-        for j in list(rows[pi]):
-            colindex[j].discard(pi)
         rows[pi] = {}
-        # Every nonempty row needs a live record, or its invariant factor is
-        # lost.  Row i0 lost its record when popped.  If the pivot migrated
-        # away from it, row ops have already touched it; adding it here
-        # keeps the invariant without relying on that.
-        touched.add(i0)
         for i in touched:
             if rows[i]:
                 live[i] = best(i)

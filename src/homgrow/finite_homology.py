@@ -311,26 +311,20 @@ def augmentation_filtration(M: ModuleWithAction) -> tuple:
     the minimal such r is the filtration length.
     """
     g = M.num_generators
-    rel = column_hnf(M.presentation) if M.presentation.cols \
-        else IntMatrix.zeros(g, 0)
+    rel = column_hnf(M.presentation)
     _, acts = M.acting()
     L = IntMatrix.identity(g)
     prev_hnf = None
     for step in range(65):
-        # does L + rel reduce to rel, i.e. I^step M = 0?
+        # I^step M = 0 iff L + rel = rel; both sides are canonical column
+        # Hermite forms, so the lattices are equal iff the matrices are
         cur = column_hnf(_hcat([L, rel], g))
-        if rel.cols:
-            inside = solve_in_lattice(rel, L) is not None if L.cols else True
-        else:
-            inside = L.cols == 0 or L.is_zero()
-        if inside:
+        if cur == rel:
             return True, step
-        if prev_hnf is not None and cur == prev_hnf:
+        if cur == prev_hnf:
             return False, None
         prev_hnf = cur
-        # next power: spanned by (A_j - 1) L
-        if not acts:
-            return False, None
+        # next power: spanned by (A_j - 1) L, the g x 0 lattice if no A_j
         L = column_hnf(_hcat([(A @ L) - L for A in acts], g))
     return False, None
 

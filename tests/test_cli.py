@@ -172,6 +172,13 @@ class TestCommands:
                    "--moduli-pattern", "i,i", "--out", str(out)])
         assert rc == 0
 
+    def test_levels_unread_by_pattern_named(self, capsys):
+        # refused for the unread --levels, not for the equal indices
+        rc = main(["tower", "--example", "circle", "--levels", "2,3",
+                   "--moduli-pattern", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "--levels" in err and "--moduli-pattern" in err
+
     def test_level_range_limit(self):
         assert len(_parse_levels(f"1..{MAX_LEVELS}")) == MAX_LEVELS
         with pytest.raises(ParseError):
@@ -233,6 +240,10 @@ class TestCommands:
         ["tower", "--example", "circle", "--levels", "2,3",
          "--primes", "2,2"],
         ["homology", "--example", "circle", "--primes", "3,5,3"],
+        ["homology", "--example", "circle", "--levels", "5",
+         "--moduli-pattern", "3"],
+        ["tower", "--example", "circle", "--levels", "5",
+         "--moduli-pattern", "3"],
     ], ids=["bad-prime", "zero-level", "zero-modulus", "singular-matrix",
             "negative-dims", "decreasing-levels", "negative-max-degree",
             "negative-count", "empty-primes", "nonpositive-jobs",
@@ -248,7 +259,8 @@ class TestCommands:
             "coef-beyond-digit-limit", "prime-of-401-digits",
             "prime-above-cap", "levels-without-group",
             "pattern-without-group", "tower-repeated-prime",
-            "homology-repeated-prime"])
+            "homology-repeated-prime", "homology-levels-without-i",
+            "tower-levels-without-i"])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
         one = [{"exp": [], "coef": "1"}]
         docs = {

@@ -205,7 +205,7 @@ class TestSmithNormalForm:
                 assert _minor_gcd(A, k) == prod
 
     @settings(max_examples=150, deadline=None)
-    @given(_small_matrices())
+    @given(st.one_of(_small_matrices(), _sparse_banded_matrices()))
     def test_sparse_agrees_with_sympy(self, A):
         sparse = smith_normal_form(A).invariant_factors
         reference = tuple(abs(int(d)) for d in sympy_factors(

@@ -230,6 +230,17 @@ class TestFiltration:
                              [IntMatrix.from_rows([[-1]])], [2])
         assert augmentation_filtration(M) == (False, None)
 
+    @pytest.mark.parametrize("presentation", [[[2]], [[4, 0], [0, 6]]])
+    @pytest.mark.parametrize("orders", [[], [1]], ids=["no-generator",
+                                                         "order-1"])
+    def test_trivial_group_matches_oracle(self, presentation, orders):
+        # no generator acts, so I M = 0 for every nonzero M
+        P = IntMatrix.from_rows(presentation)
+        M = ModuleWithAction(P, [IntMatrix.identity(P.rows) for _ in orders],
+                             orders)
+        assert filtration_length_oracle(M) == 1
+        assert augmentation_filtration(M) == (True, 1)
+
     def test_oracle_agreement(self):
         rng = random.Random(402)
         done = 0
@@ -307,6 +318,23 @@ class TestModuleModel:
                 assert reduce(y) in transversal
                 assert reduce([a + 3 * b for a, b in zip(y, col)]) == reduce(y)
         assert finite and infinite
+
+    @pytest.mark.parametrize("presentation, actions, orders, message", [
+        ([[2]], [[[1, 0], [0, 1]]], [2], "wrong shape"),
+        ([[2]], [[[1]]], [2, 2], "one order per"),
+        # swaps Z/2 and Z/3
+        ([[2, 0], [0, 3]], [[[0, 1], [1, 0]]], [2], "preserve relations"),
+        ([[], []], [[[1, 1], [0, 1]], [[1, 0], [1, 1]]], [2, 2],
+         "do not commute"),
+        ([[]], [[[-1]]], [3], "order dividing 3"),
+    ], ids=["shape", "order-count", "relations", "commuting", "order"])
+    def test_incompatible_action_refused(self, presentation, actions, orders,
+                                         message):
+        P = IntMatrix(len(presentation), len(presentation[0]),
+                      [x for row in presentation for x in row])
+        with pytest.raises(IncompatibleAction, match=message):
+            ModuleWithAction(P, [IntMatrix.from_rows(A) for A in actions],
+                             orders)
 
 
 class TestCoinvariants:
@@ -410,6 +438,7 @@ class TestEstimates:
 
     def test_bounds_on_quotient_complexes(self):
         cases = [
+            (circle_complex(), (1,), 1, 1),
             (circle_complex(), (3,), 1, 1),
             (circle_complex(), (4,), 1, 1),
             (torus_complex(2), (2, 2), 1, 2),
