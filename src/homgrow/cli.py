@@ -168,12 +168,19 @@ def _parse_moduli_pattern(pattern: Optional[str], C: LaurentChainComplex,
     return spec
 
 
-def _check_levels_used(args) -> None:
-    """Refuse --levels when --moduli-pattern has no i token to read it."""
-    if args.levels is not None and args.moduli_pattern is not None and \
-            "i" not in (t.strip() for t in args.moduli_pattern.split(",")):
+def _check_levels_used(args, tower: bool = False) -> None:
+    """Refuse a --moduli-pattern with no i token to read the level: when
+    --levels is given, and for a tower always, since its levels would all
+    give the same quotient."""
+    pattern = args.moduli_pattern
+    if pattern is None or "i" in (t.strip() for t in pattern.split(",")):
+        return
+    if args.levels is not None:
         raise ParseError(f"--levels is unused: --moduli-pattern "
-                         f"{args.moduli_pattern!r} has no i token")
+                         f"{pattern!r} has no i token")
+    if tower:
+        raise ParseError(f"--moduli-pattern {pattern!r} has no i token, so "
+                         f"every tower level gives the same quotient")
 
 
 def _load_input(args) -> LaurentChainComplex:
@@ -288,7 +295,7 @@ def cmd_tower(args) -> int:
     terms = _laurent_terms(C)
     specs = [_parse_moduli_pattern(args.moduli_pattern, C, i, terms)
              for i in levels]
-    _check_levels_used(args)
+    _check_levels_used(args, tower=True)
     if any(b.index <= a.index for a, b in zip(specs, specs[1:])):
         raise ParseError("--levels must give quotients of increasing index")
     if args.max_degree is not None and args.max_degree < 0:

@@ -815,6 +815,12 @@ class FKDet:
                 f"FK determinant square {self.square_exact} < 1")
 
 
+def _fk_det(sq: int) -> FKDet:
+    """The FKDet of an exact integer square."""
+    sq = Fraction(sq)
+    return FKDet(0.5 * ln_of_fraction(sq), sq)
+
+
 _MINOR_BUDGET = 2_000_000
 
 
@@ -858,10 +864,10 @@ def _fk_square_image_lattice(A: IntMatrix) -> int:
 def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
                         D: Optional[IntMatrix] = None,
                         sf: Optional[SmithForm] = None):
-    """(kernel square, torsion order, cokernel-projection square, rank).
+    """(kernel square, torsion order, cokernel-projection square).
 
-    The three values are the squared FK determinants of the kernel inclusion
-    and torsion-free cokernel projection, and |tors(coker A)|; all exact.
+    The squared FK determinants of the kernel inclusion and torsion-free
+    cokernel projection, and |tors(coker A)|; all exact integers.
     Precomputed saturated kernel bases of A and A^T, and the Smith form of
     A, may be passed in.  The basis D of ker(A^T) must be saturated, as
     `kernel_lattice` and the harmonic lattice are: then D^T maps onto
@@ -880,18 +886,15 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
         tors *= d
     if D is None:
         D = kernel_lattice(A.transpose())
-    prc_sq = Fraction(det_bareiss_psd(_gram_int(D)) if D.cols else 1)
-    return jk_sq, tors, prc_sq, r
+    prc_sq = det_bareiss_psd(_gram_int(D)) if D.cols else 1
+    return jk_sq, tors, prc_sq
 
 
 def _fk_square_structure(A: IntMatrix, K: Optional[IntMatrix] = None,
                          D: Optional[IntMatrix] = None,
-                         sf: Optional[SmithForm] = None) -> Fraction:
-    jk_sq, tors, prc_sq, _ = _fk_structure_parts(A, K, D, sf)
-    sq = Fraction(jk_sq) * tors * tors * prc_sq
-    if sq.denominator != 1:
-        raise IdentityViolation("non-integer FK determinant square")
-    return sq
+                         sf: Optional[SmithForm] = None) -> int:
+    jk_sq, tors, prc_sq = _fk_structure_parts(A, K, D, sf)
+    return jk_sq * tors * tors * prc_sq
 
 
 def _fk_uses_structure(A: IntMatrix, r: int) -> bool:
@@ -913,13 +916,11 @@ def fk_determinant(A: IntMatrix, kernel: Optional[IntMatrix] = None,
     structure route reuses all three.
     """
     if A.rows == 0 or A.cols == 0 or A.is_zero():
-        return FKDet(0.0, Fraction(1))
+        return _fk_det(1)
     r = A.cols - kernel.cols if kernel is not None else rank(A)
     if _fk_uses_structure(A, r):
-        sq = _fk_square_structure(A, kernel, left_kernel, smith)
-    else:
-        sq = Fraction(_fk_square_image_lattice(A))
-    return FKDet(0.5 * ln_of_fraction(sq), sq)
+        return _fk_det(_fk_square_structure(A, kernel, left_kernel, smith))
+    return _fk_det(_fk_square_image_lattice(A))
 
 
 def fk_factorization_check(A: IntMatrix) -> dict:
@@ -934,22 +935,20 @@ def fk_factorization_check(A: IntMatrix) -> dict:
     sq_u = _fk_square_minor_sum(A)
     if sq_u is None:
         sq_u = _fk_square_image_lattice(A)
-    sq_u = Fraction(sq_u)
-    jk_sq, tors, prc_sq, _ = _fk_structure_parts(A)
-    product = Fraction(jk_sq) * tors * tors * prc_sq
+    jk_sq, tors, prc_sq = _fk_structure_parts(A)
+    product = jk_sq * tors * tors * prc_sq
     if product != sq_u:
         raise IdentityViolation(
             f"FK factorization mismatch: det(u)^2 = {sq_u}, "
             f"factors give {product}")
-    for name, val in (("j_k", Fraction(jk_sq)),
-                      ("tors", Fraction(tors * tors)),
+    for name, val in (("j_k", jk_sq), ("tors", tors * tors),
                       ("pr_c", prc_sq)):
         if not (1 <= val <= sq_u):
             raise IdentityViolation(
                 f"sandwich violated for {name}: {val} vs det^2 {sq_u}")
     return {
-        "det_u": FKDet(0.5 * ln_of_fraction(sq_u), sq_u),
-        "det_jk": FKDet(0.5 * ln_of_fraction(Fraction(jk_sq)), Fraction(jk_sq)),
+        "det_u": _fk_det(sq_u),
+        "det_jk": _fk_det(jk_sq),
         "tors_coker": tors,
-        "det_prc": FKDet(0.5 * ln_of_fraction(prc_sq), prc_sq),
+        "det_prc": _fk_det(prc_sq),
     }

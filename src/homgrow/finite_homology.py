@@ -10,6 +10,10 @@ representation it gives the resolution matrices of `standard_resolution`;
 with a presented module it gives the complex of presented abelian groups
 whose homology is H_n(G; M).
 
+Group homology, the resolution certificate and the kernels of mu and nu are
+all one routine, `_kernel_structure`: ker(N : coker(S) -> coker(R)) =
+{v : N v in im R} / im S for a map N of presented abelian groups.
+
 The estimate machinery evaluates the explicit constants C_0, C_1 (and the
 derived D_0, D_1) of the minimal-generator bound and checks the kernel and
 cokernel inequalities for the comparison maps
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .chain_complex import ChainAnalysis, IntChainComplex, d_of_abelian_group
+from .chain_complex import d_of_abelian_group
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -45,6 +49,7 @@ from .group_ring import (
     ModuleWithAction,
     QuotientComplex,
     QuotientSpec,
+    _hcat,
     _regular_rows,
     quotient_homology_module,
 )
@@ -166,18 +171,14 @@ class Resolution:
     differentials_int: List[IntMatrix]
 
     def verify_exactness(self) -> None:
-        """Certify H_n = 0 for 1 <= n < length and coker(d_1) = Z."""
-        if self.length == 0:
-            return
-        dims = [r * self.group.order for r in self.ranks]
-        C = IntChainComplex(dims, self.differentials_int)
-        an = ChainAnalysis(C)
-        free, facs = cokernel_structure(self.differentials_int[0]) \
-            if self.differentials_int else (dims[0], ())
-        if (free, facs) != (1, ()):
+        """Certify coker(d_1) = Z and H_n = ker d_n / im d_(n+1) = 0 for
+        1 <= n < length; a d_(n+1) that d_n does not kill is refused too."""
+        d = self.differentials_int
+        if d and cokernel_structure(d[0]) != (1, ()):
             raise IdentityViolation("augmentation cokernel is not Z")
         for n in range(1, self.length):
-            if an.betti(n) != 0 or an.torsion_factors(n):
+            none = IntMatrix.zeros(d[n - 1].rows, 0)
+            if _kernel_structure(d[n - 1], d[n], none) != (0, ()):
                 raise IdentityViolation(f"resolution not exact in degree {n}")
 
 
@@ -215,48 +216,29 @@ def _block_diag(P: IntMatrix, copies: int) -> IntMatrix:
          for b in range(copies) for r in P.data])
 
 
-def _hcat(pieces: Sequence[IntMatrix], rows: int) -> IntMatrix:
-    """The columns of all pieces side by side; rows x 0 if none has any.
-
-    Pieces without columns are skipped and a single piece comes back as is.
-    Chained `hstack` beats a one-pass copy here: most calls join two pieces
-    of a few rows, where the per-call cost dominates.
-    """
-    pieces = [P for P in pieces if P.cols]
-    if not pieces:
-        return IntMatrix.zeros(rows, 0)
-    out = pieces[0]
-    for P in pieces[1:]:
-        out = IntMatrix.hstack(out, P)
-    return out
-
-
-def _preimage_generators(N: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
-    """Column-Hermite generators of {v : N v in im(target_relations)}."""
-    if N.rows == 0:
-        return IntMatrix.identity(N.cols)
-    joint = _hcat([N, target_relations], N.rows)
-    K = kernel_lattice(joint)
-    if K.cols == 0:
-        return IntMatrix.zeros(N.cols, 0)
-    return column_hnf(IntMatrix._raw(N.cols, K.cols, K.data[:N.cols]))
-
-
 def _quotient_structure(S: IntMatrix, R: IntMatrix) -> tuple:
     """Structure (free rank, factors) of (lattice S)/(sublattice R).
 
-    Both arguments are generator matrices inside the same ambient Z^g; the
-    columns of R must lie in the lattice of S.
+    S is a column-Hermite basis and R a generator matrix in the same ambient
+    Z^g; a column of R outside the lattice of S raises IdentityViolation.
     """
-    Sh = column_hnf(S)
-    if Sh.cols == 0:
-        return 0, ()
     if R.cols == 0:
-        return Sh.cols, ()
-    W = solve_in_lattice(Sh, R)
+        return S.cols, ()
+    W = solve_in_lattice(S, R)
     if W is None:
         raise IdentityViolation("relations escape the subgroup lattice")
     return cokernel_structure(W)
+
+
+def _kernel_structure(N: IntMatrix, src_relations: IntMatrix,
+                      dst_relations: IntMatrix) -> tuple:
+    """Structure of ker(N : coker(src_relations) -> coker(dst_relations)):
+    the preimage lattice {v : N v in im(dst_relations)}, cut from
+    ker [N | dst_relations], modulo im(src_relations)."""
+    S = kernel_lattice(_hcat([N, dst_relations], N.rows))
+    if dst_relations.cols:
+        S = column_hnf(IntMatrix._raw(N.cols, S.cols, S.data[:N.cols]))
+    return _quotient_structure(S, src_relations)
 
 
 def _order_of(structure: tuple) -> Optional[int]:
@@ -266,23 +248,13 @@ def _order_of(structure: tuple) -> Optional[int]:
     return math.prod(facs)
 
 
-def _homology_of_presented(out_map: IntMatrix, out_relations: IntMatrix,
-                           mid_relations: IntMatrix,
-                           in_map: IntMatrix) -> tuple:
-    """Homology at the middle of presented abelian groups.
-
-    Maps are given on generator level; homology is
-    {y : out_map y in im(out_relations)} / (im(in_map) + im(mid_relations)).
-    """
-    Z = _preimage_generators(out_map, out_relations)
-    return _quotient_structure(Z, _hcat([in_map, mid_relations], Z.rows))
-
-
 def group_homology(G: FinAbGroup, M: ModuleWithAction, n: int) -> tuple:
     """H_n(G; M) as (free_rank, invariant_factors).
 
     M's generator orders above 1, over which the resolution is taken, must
-    chain to the factors of G.
+    chain to the factors of G.  It is the kernel of d_n tensor M from
+    coker([d_(n+1) tensor M | P_n]) to coker(P_(n-1)), P_k the presentation
+    of M repeated once per free generator of F_k.
     """
     orders, acts = M.acting()
     if orders != G.factors \
@@ -292,11 +264,12 @@ def group_homology(G: FinAbGroup, M: ModuleWithAction, n: int) -> tuple:
     blocks = _generator_blocks(acts, orders)
     g, P = M.num_generators, M.presentation
     m = len(orders)
-    return _homology_of_presented(
-        _resolution_differential(blocks, n, g),
-        _block_diag(P, len(_weak_compositions(n - 1, m))),
-        _block_diag(P, len(_weak_compositions(n, m))),
-        _resolution_differential(blocks, n + 1, g))
+    d_n = _resolution_differential(blocks, n, g)
+    return _kernel_structure(
+        d_n,
+        _hcat([_resolution_differential(blocks, n + 1, g),
+               _block_diag(P, len(_weak_compositions(n, m)))], d_n.cols),
+        _block_diag(P, len(_weak_compositions(n - 1, m))))
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +309,10 @@ def coinvariants(M: ModuleWithAction) -> dict:
     |ker mu| <= |G|^{(r-1) d(G) d(M)} and
     d(M) <= r (d(G)+1)^{r-1} d(Z tensor M) are asserted.
     """
-    g = M.num_generators
-    _, acts = M.acting()
-    aug_pieces = [A - IntMatrix.identity(g) for A in acts]
-    R = _hcat([M.presentation] + aug_pieces, g)
+    R = M.coinvariant_relations()
     quot_structure = cokernel_structure(R)
-    # ker(mu) = I.M = (L_1 + rel)/rel
-    L1 = _hcat(aug_pieces, g)
-    rel = M.presentation
-    joint = _hcat([L1, rel], g)
-    ker_structure = _quotient_structure(joint, rel) if joint.cols else (0, ())
+    # ker(mu) = I.M = lattice(R) / lattice(P)
+    ker_structure = _quotient_structure(column_hnf(R), M.presentation)
     ker_order = _order_of(ker_structure)
 
     nilpotent, length = augmentation_filtration(M)
@@ -419,51 +386,41 @@ def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
     |coker| <= prod_p |H_p(G; H_{n-p}(C))| whenever those are finite.
     """
     M = quotient_homology_module(qc, n)
-    X, N, X2 = _homology_map_data(qc, n)
-    g = M.num_generators
-    _, acts = M.acting()
-    Rco = _hcat([X] + [A - IntMatrix.identity(g) for A in acts], g)
-    ker_struct, coker_struct = _map_kernel_cokernel(N, Rco, X2)
+    _, N, X2 = _homology_map_data(qc, n)
+    ker_struct, coker_struct = _map_kernel_cokernel(
+        N, M.coinvariant_relations(), X2)
     report = {
         "ker": ker_struct,
         "coker": coker_struct,
         "ker_order": _order_of(ker_struct),
         "coker_order": _order_of(coker_struct),
     }
-    # bounds
-    ker_bound = 1
-    coker_bound = 1
-    finite = True
+    # bounds, checked only when every group homology order is finite
+    ker_bound = coker_bound = 1
     group = FinAbGroup.from_orders(qc.quotient.moduli)
     for p in range(1, n + 1):
         Mq = quotient_homology_module(qc, n - p)
-        h_p = group_homology(group, Mq, p)
-        h_p1 = group_homology(group, Mq, p + 1)
-        op, op1 = _order_of(h_p), _order_of(h_p1)
+        op, op1 = (_order_of(group_homology(group, Mq, k)) for k in (p, p + 1))
         if op is None or op1 is None:
-            finite = False
-            break
+            return report
         ker_bound *= op1
         coker_bound *= op
-    if finite:
-        if report["ker_order"] is None or report["ker_order"] > ker_bound:
-            raise IdentityViolation(
-                f"|ker nu| = {report['ker_order']} above bound {ker_bound}")
-        if report["coker_order"] is None or report["coker_order"] > coker_bound:
-            raise IdentityViolation(
-                f"|coker nu| = {report['coker_order']} above bound {coker_bound}")
-        report["ker_bound"] = ker_bound
-        report["coker_bound"] = coker_bound
+    if report["ker_order"] is None or report["ker_order"] > ker_bound:
+        raise IdentityViolation(
+            f"|ker nu| = {report['ker_order']} above bound {ker_bound}")
+    if report["coker_order"] is None or report["coker_order"] > coker_bound:
+        raise IdentityViolation(
+            f"|coker nu| = {report['coker_order']} above bound {coker_bound}")
+    report["ker_bound"] = ker_bound
+    report["coker_bound"] = coker_bound
     return report
 
 
 def _map_kernel_cokernel(N: IntMatrix, src_relations: IntMatrix,
                          dst_relations: IntMatrix) -> tuple:
     """Kernel and cokernel structures of a map of presented abelian groups."""
-    pre = _preimage_generators(N, dst_relations)
-    ker = _quotient_structure(pre, src_relations) if pre.cols else (0, ())
-    coker = cokernel_structure(_hcat([N, dst_relations], N.rows))
-    return ker, coker
+    return (_kernel_structure(N, src_relations, dst_relations),
+            cokernel_structure(_hcat([N, dst_relations], N.rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,30 @@ class ModuleWithAction:
                                          self.generator_orders) if o > 1]
         return tuple(o for o, _ in pairs), [A for _, A in pairs]
 
+    def coinvariant_relations(self) -> IntMatrix:
+        """[P | A_j - 1] over the acting generators: the relations of the
+        coinvariants Z tensor_{ZG} M = M / I.M on M's generators."""
+        g = self.num_generators
+        one = IntMatrix.identity(g)
+        return _hcat([self.presentation] + [A - one for A in self.acting()[1]],
+                     g)
+
+
+def _hcat(pieces: Sequence[IntMatrix], rows: int) -> IntMatrix:
+    """The columns of all pieces side by side; rows x 0 if none has any.
+
+    Pieces without columns are skipped and a single piece comes back as is.
+    Chained `hstack` beats a one-pass copy here: most calls join two pieces
+    of a few rows, where the per-call cost dominates.
+    """
+    pieces = [P for P in pieces if P.cols]
+    if not pieces:
+        return IntMatrix.zeros(rows, 0)
+    out = pieces[0]
+    for P in pieces[1:]:
+        out = IntMatrix.hstack(out, P)
+    return out
+
 
 def _maps_into(M: IntMatrix, lattice_hnf: Optional[IntMatrix]) -> bool:
     """Whether every column of M lies in the given column-Hermite lattice."""

@@ -241,18 +241,9 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
 
 
 def _action_rationally_trivial(M) -> bool:
-    """Deck action trivial on Q tensor H_n: (A - 1) maps into torsion."""
-    g = M.num_generators
-    X = M.presentation
-    # (A - 1) columns must become torsion in coker(X): rank test over Q
-    for A in M.generators_action:
-        D = A - IntMatrix.identity(g)
-        if D.is_zero():
-            continue
-        joint = IntMatrix.hstack(X, D) if X.cols else D
-        if rank(joint) != rank(X):
-            return False
-    return True
+    """Deck action trivial on Q tensor H_n: every A - 1 maps into torsion,
+    i.e. the coinvariants keep the free rank of M."""
+    return rank(M.coinvariant_relations()) == rank(M.presentation)
 
 
 def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:

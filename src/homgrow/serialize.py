@@ -160,30 +160,30 @@ def _fmt(x: float) -> str:
 
 
 def tower_report_rows(report) -> tuple:
-    """(header, rows) of the flat per-level x per-degree table."""
-    primes = list(report.primes)
-    header = ["level_index", "index", "degree", "betti_q"]
-    header += [f"betti_p_{p}" for p in primes]
-    header += ["d_hn", "ln_tors", "ln_det_c", "ln_det_alpha", "rho_z", "rho_2"]
-    header += ["betti_q_per_index"]
-    header += [f"betti_p_{p}_per_index" for p in primes]
-    header += ["d_hn_per_index", "ln_tors_per_index", "ln_det_c_per_index",
-               "ln_det_alpha_per_index", "rho_z_per_index", "rho_2_per_index"]
+    """(header, rows) of the flat per-level x per-degree table.
+
+    One list of value columns drives the header, the values and the values
+    per index: an integer column is written with str, a float column with
+    repr(float), and every per-index value is a float.
+    """
+    columns = [("betti_q", str, lambda lv, n: lv.betti_q[n])]
+    columns += [(f"betti_p_{p}", str, lambda lv, n, p=p: lv.betti_mod_p[p][n])
+                for p in report.primes]
+    columns += [("d_hn", str, lambda lv, n: lv.d_hn[n])]
+    columns += [(a, _fmt, lambda lv, n, a=a: getattr(lv, a)[n])
+                for a in ("ln_tors", "ln_det_c", "ln_det_alpha")]
+    columns += [(a, _fmt, lambda lv, n, a=a: getattr(lv, a))
+                for a in ("rho_z", "rho_2")]
+    header = ["level_index", "index", "degree"]
+    header += [name for name, _, _ in columns]
+    header += [f"{name}_per_index" for name, _, _ in columns]
     rows = []
     for li, lv in enumerate(report.levels):
-        idx = lv.index
         for n in range(report.max_degree + 1):
-            row = [str(li), str(idx), str(n), str(lv.betti_q[n])]
-            row += [str(lv.betti_mod_p[p][n]) for p in primes]
-            row += [str(lv.d_hn[n]), _fmt(lv.ln_tors[n]),
-                    _fmt(lv.ln_det_c[n]), _fmt(lv.ln_det_alpha[n]),
-                    _fmt(lv.rho_z), _fmt(lv.rho_2)]
-            row += [_fmt(lv.betti_q[n] / idx)]
-            row += [_fmt(lv.betti_mod_p[p][n] / idx) for p in primes]
-            row += [_fmt(lv.d_hn[n] / idx), _fmt(lv.ln_tors[n] / idx),
-                    _fmt(lv.ln_det_c[n] / idx), _fmt(lv.ln_det_alpha[n] / idx),
-                    _fmt(lv.rho_z / idx), _fmt(lv.rho_2 / idx)]
-            rows.append(row)
+            vals = [(fmt, get(lv, n)) for _, fmt, get in columns]
+            rows.append([str(li), str(lv.index), str(n)]
+                        + [fmt(v) for fmt, v in vals]
+                        + [_fmt(v / lv.index) for _, v in vals])
     return header, rows
 
 

@@ -179,6 +179,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 2 and "--levels" in err and "--moduli-pattern" in err
 
+    def test_tower_pattern_without_i_named(self, capsys):
+        # the default levels 1,2,4,8 all give index 3: the pattern is at
+        # fault, not the --levels that was never given
+        rc = main(["tower", "--example", "circle", "--moduli-pattern", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "--moduli-pattern" in err
+
     def test_level_range_limit(self):
         assert len(_parse_levels(f"1..{MAX_LEVELS}")) == MAX_LEVELS
         with pytest.raises(ParseError):

@@ -3,24 +3,29 @@ from math import comb, prod
 
 import pytest
 
-from homgrow.chain_complex import d_of_abelian_group
+from homgrow.chain_complex import ChainAnalysis, d_of_abelian_group
 from homgrow.corpus import (
     _check_nu_estimate,
     _module_elements,
     _nu_complexes,
     filtration_length_oracle,
+    random_complex,
     random_module_with_action,
     random_nilpotent_module,
 )
 from homgrow.errors import (
     DimensionMismatch,
+    HomgrowError,
     HypothesisViolated,
+    IdentityViolation,
     IncompatibleAction,
 )
 from homgrow.exact_linalg import IntMatrix, rank, smith_normal_form
 from homgrow import finite_homology
 from homgrow.finite_homology import (
     FinAbGroup,
+    Resolution,
+    _kernel_structure,
     _weak_compositions,
     augmentation_filtration,
     coinvariants,
@@ -126,6 +131,46 @@ class TestResolutions:
     def test_matrices_match_entrywise_expansion(self, factors):
         res = standard_resolution(FinAbGroup(factors), 4)
         assert res.differentials_int == entrywise_resolution(factors, 4)
+
+    @pytest.mark.parametrize("degree, factor, message", [
+        (1, 2, "augmentation cokernel is not Z"),
+        (2, 2, "not exact in degree 1"),
+        (3, 3, "not exact in degree 2"),
+    ])
+    def test_scaled_differential_refused(self, degree, factor, message):
+        res = standard_resolution(FinAbGroup((2, 2)), 4)
+        diffs = list(res.differentials_int)
+        diffs[degree - 1] = diffs[degree - 1].scale(factor)
+        with pytest.raises(IdentityViolation, match=message):
+            Resolution(res.group, res.length, res.ranks,
+                       diffs).verify_exactness()
+
+    def test_non_composing_differential_refused(self):
+        # +1 on one entry of d_2 adds column 0 of d_1 to d_1 d_2
+        res = standard_resolution(FinAbGroup((3,)), 3)
+        diffs = list(res.differentials_int)
+        rows = [dict(r) for r in diffs[1].data]
+        rows[0][0] = rows[0].get(0, 0) + 1
+        diffs[1] = IntMatrix._raw(diffs[1].rows, diffs[1].cols, rows)
+        assert not (diffs[0] @ diffs[1]).is_zero()
+        with pytest.raises(HomgrowError):
+            Resolution(res.group, res.length, res.ranks,
+                       diffs).verify_exactness()
+
+
+class TestKernelStructure:
+    def test_free_complex_matches_chain_analysis(self):
+        # with no relations on either side the kernel of c_n modulo
+        # im c_(n+1) is H_n of the complex
+        rng = random.Random(407)
+        for _ in range(200):
+            C = random_complex(rng)
+            an = ChainAnalysis(C)
+            for n in range(C.top_degree + 1):
+                c_n = C.differential(n)
+                none = IntMatrix.zeros(c_n.rows, 0)
+                assert _kernel_structure(c_n, C.differential(n + 1), none) \
+                    == (an.betti(n), an.torsion_factors(n))
 
 
 class TestGroupHomology:
@@ -352,6 +397,33 @@ class TestCoinvariants:
         assert rep["ker_mu_order"] == 2
         assert rep["ker_mu_bound"] == 2
         assert rep["d_bound"] == 4
+
+    def test_ker_mu_matches_element_model(self):
+        # I.M is the subgroup generated by every A x - x
+        rng = random.Random(408)
+        checked = 0
+        while checked < 40:
+            orders = rng.choice([(2,), (3,), (4,), (2, 2)])
+            make = rng.choice([random_module_with_action,
+                               random_nilpotent_module])
+            M = make(rng, orders)
+            model = _module_elements(M)
+            if model is None or len(model[1]) > 64:
+                continue
+            _, elements, actions, reduce = model
+            ideal = {reduce([0] * M.num_generators)}
+            frontier = list(ideal)
+            gens = {reduce([a - b for a, b in zip(act(x), x)])
+                    for act in actions for x in elements}
+            while frontier:
+                x = frontier.pop()
+                for y in gens:
+                    z = reduce([a + b for a, b in zip(x, y)])
+                    if z not in ideal:
+                        ideal.add(z)
+                        frontier.append(z)
+            assert coinvariants(M)["ker_mu_order"] == len(ideal)
+            checked += 1
 
     def test_random_nilpotent_bounds(self):
         rng = random.Random(405)

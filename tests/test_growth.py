@@ -6,11 +6,13 @@ from homgrow.errors import DegenerateLevel, InconsistentProfile
 from homgrow.exact_linalg import IntMatrix
 from homgrow.group_ring import (
     LaurentChainComplex,
+    ModuleWithAction,
     QuotientSpec,
     circle_complex,
     torus_complex,
 )
 from homgrow.growth import (
+    _action_rationally_trivial,
     bound_lambda,
     probe_alpha_vanishing,
     probe_torsion_growth,
@@ -104,6 +106,21 @@ class TestProbes:
                                    [1, 2])
         flags = {r["level"]: r.get("degenerate") for r in rep["levels"]}
         assert flags[2] is True
+
+    @pytest.mark.parametrize("first, second, trivial", [
+        ([[1, 0], [0, 1]], [[1, 0], [0, -1]], False),
+        ([[1, 0], [0, -1]], [[1, 0], [0, 1]], False),
+        ([[0, 1], [1, 0]], [[1, 0], [0, 1]], False),
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1]], True),
+    ])
+    def test_rational_triviality_over_all_generators(self, first, second,
+                                                     trivial):
+        # Z^2 acted on by Z/2 x Z/2: one generator acting nontrivially on
+        # Q tensor M is enough to refuse
+        M = ModuleWithAction(IntMatrix.zeros(2, 0),
+                             [IntMatrix.from_rows(first),
+                              IntMatrix.from_rows(second)], [2, 2])
+        assert _action_rationally_trivial(M) is trivial
 
     def test_alpha_probe_rejects_nontrivial_action(self):
         from homgrow.errors import HypothesisViolated
