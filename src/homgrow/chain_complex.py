@@ -21,8 +21,8 @@ from .exact_linalg import (
     FKDet,
     IntMatrix,
     SmithForm,
-    _colhnf_with_transform,
     _fk_uses_structure,
+    _row_hnf_clean,
     column_hnf,
     det_fraction,
     fk_determinant,
@@ -167,29 +167,26 @@ class ChainAnalysis:
     """Cached exact invariants of a single complex.
 
     Per degree n this derives: a saturated kernel basis K_n of c_n, the
-    matrix X_n expressing im(c_{n+1}) in K_n-coordinates (so H_n =
-    coker(X_n)), torsion data from the Smith form of X_n, integer cycle
+    matrix X_n with K_n X_n = c_{n+1} (so H_n = coker(X_n)), integer cycle
     lifts of a basis of H_n(C)_f, and the harmonic lattice
     ker(c_n) cap ker(c_{n+1}^T).
 
-    Each of these is cached per degree, and so are the facts several of
-    them share:
+    One Smith form is kept per degree, that of X_{n-1}.  K_{n-1} is a
+    saturated basis of full column rank, so some unimodular U has
+    U K_{n-1} = [I; 0], hence U c_n = [X_{n-1}; 0]: c_n and X_{n-1} have the
+    same invariant factors and rank.  `smith(n)` therefore serves both:
 
-      * the Smith form of c_n, computed only where it is needed anyway:
-        when c_{n-1} = 0, K_{n-1} is the identity and X_{n-1} is c_n itself,
-        so the form gives the torsion of H_{n-1}; and when the FK structure
-        route of c_n runs, which reuses it;
-      * the rank of c_n, read from that Smith form when it exists, else
-        from K_n;
-      * the left kernel ker(c_n^T), computed lazily and only for the FK
-        structure route of c_n and, when c_{n-1} = 0, for the harmonic
-        lattice and free lifts in degree n - 1 (there ker(c_n^T) is exactly
-        the lattice they need).
+      * the torsion and Betti number of H_{n-1};
+      * rank c_n, which skips K_n when c_n has full column rank and the
+        left kernel ker(c_n^T) when it has full row rank;
+      * the FK structure route of c_n, which reuses it.
 
-    A kernel is skipped, without a lattice computation, when the rank shows
-    it is empty: rank c_n = cols gives K_n = 0 (read only from a Smith form
-    that exists anyway), rank c_n = rows gives ker(c_n^T) = 0, and b_n = 0,
-    when H_n is already computed, gives an empty harmonic lattice.
+    When c_{n-1} = 0, K_{n-1} is the identity and X_{n-1} is c_n itself.
+    The left kernel ker(c_n^T) is computed lazily, for the FK structure
+    route of c_n and, when c_{n-1} = 0, for the harmonic lattice and free
+    lifts in degree n - 1 (there ker(c_n^T) is exactly the lattice they
+    need).  b_n = 0 gives an empty harmonic lattice without a lattice
+    computation.
     """
 
     def __init__(self, complex_: IntChainComplex):
@@ -198,13 +195,12 @@ class ChainAnalysis:
         self._left_kernel: Dict[int, IntMatrix] = {}
         self._smith: Dict[int, SmithForm] = {}
         self._X: Dict[int, IntMatrix] = {}
-        self._snf_X: Dict[int, tuple] = {}
         self._free_lifts: Dict[int, IntMatrix] = {}
         self._harmonic: Dict[int, IntMatrix] = {}
         self._fk: Dict[int, FKDet] = {}
         self._fk_delta: Dict[int, FKDet] = {}
 
-    # -- per-differential facts -----------------------------------------------
+    # -- per-degree facts -----------------------------------------------------
 
     def _kernel_is_identity(self, n: int) -> bool:
         """True when c_n = 0 in a degree n of the complex: then K_n is the
@@ -213,17 +209,14 @@ class ChainAnalysis:
                 and self.complex.differential(n).is_zero())
 
     def smith(self, n: int) -> SmithForm:
-        """Smith form of c_n."""
+        """Smith form of X_{n-1}, which is also that of c_n."""
         if n not in self._smith:
-            self._smith[n] = smith_normal_form(self.complex.differential(n))
+            self._smith[n] = smith_normal_form(self.relations(n - 1))
         return self._smith[n]
 
     def rank(self, n: int) -> int:
-        """rank c_n, from a Smith form of c_n that H_{n-1} needs anyway when
-        c_{n-1} = 0, else from K_n."""
-        if self._kernel_is_identity(n - 1):
-            return self.smith(n).rank
-        return self.complex.differential(n).cols - self.kernel(n).cols
+        """rank c_n."""
+        return self.smith(n).rank
 
     def left_kernel(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n^T); no columns when c_n has full row
@@ -241,8 +234,7 @@ class ChainAnalysis:
     def kernel(self, n: int) -> IntMatrix:
         if n not in self._kernel:
             c = self.complex.differential(n)
-            if (self._kernel_is_identity(n - 1)
-                    and self.smith(n).rank == c.cols):
+            if n >= 1 and self.rank(n) == c.cols:
                 self._kernel[n] = IntMatrix.zeros(c.cols, 0)
             else:
                 self._kernel[n] = kernel_lattice(c)
@@ -251,33 +243,20 @@ class ChainAnalysis:
     def relations(self, n: int) -> IntMatrix:
         """X_n with kernel(n) @ X_n = c_{n+1}; presents H_n = coker(X_n)."""
         if n not in self._X:
-            K = self.kernel(n)
-            cnext = self.complex.differential(n + 1)
-            if K.cols == 0:
-                self._X[n] = IntMatrix.zeros(0, cnext.cols)
-            else:
-                X = solve_in_lattice(K, cnext)
-                if X is None:
-                    raise IdentityViolation(
-                        "boundaries do not lie in the cycle lattice")
-                self._X[n] = X
+            X = solve_in_lattice(self.kernel(n), self.complex.differential(n + 1))
+            if X is None:
+                raise IdentityViolation(
+                    "boundaries do not lie in the cycle lattice")
+            self._X[n] = X
         return self._X[n]
 
     def torsion_factors(self, n: int) -> tuple:
-        if n not in self._snf_X:
-            if self._kernel_is_identity(n):
-                sf = self.smith(n + 1)
-            else:
-                sf = smith_normal_form(self.relations(n))
-            facs = tuple(d for d in sf.invariant_factors if d != 1)
-            self._snf_X[n] = (sf.rank, facs)
-        return self._snf_X[n][1]
+        return tuple(d for d in self.smith(n + 1).invariant_factors if d != 1)
 
     def betti(self, n: int) -> int:
         if not (0 <= n <= self.complex.top_degree):
             return 0
-        self.torsion_factors(n)
-        return self.kernel(n).cols - self._snf_X[n][0]
+        return self.kernel(n).cols - self.smith(n + 1).rank
 
     def tors_order(self, n: int) -> int:
         return math.prod(self.torsion_factors(n))
@@ -291,36 +270,34 @@ class ChainAnalysis:
                 self._free_lifts[n] = IntMatrix.zeros(self.complex.dim(n), 0)
             else:
                 # D spans {y : X^T y = 0}; pairing with D embeds
-                # Z^k / sat(im X) into Z^b, and the Hermite transform of D^T
-                # hands back preimages of the image-lattice basis.
+                # Z^k / sat(im X) into Z^b, and the first b rows of the row
+                # Hermite transform of D hand back preimages of the
+                # image-lattice basis.
                 if self._kernel_is_identity(n):
                     D = self.left_kernel(n + 1)
                 else:
                     D = kernel_lattice(self.relations(n).transpose())
-                H, V = _colhnf_with_transform(D.transpose())
-                assert H.cols == b
-                Zt = IntMatrix._raw(b, K.cols, V.transpose().data[:b])
+                pivots, _, urows = _row_hnf_clean(D.data, transform=True)
+                assert len(pivots) == b
+                Zt = IntMatrix._raw(b, K.cols, urows[:b])
                 self._free_lifts[n] = K @ Zt.transpose()
         return self._free_lifts[n]
 
     def harmonic(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n) cap ker(c_{n+1}^T) = ker(Delta_n)."""
         if n not in self._harmonic:
-            K = self.kernel(n)
-            if K.cols == 0:
-                self._harmonic[n] = K
-            elif n in self._snf_X and self.betti(n) == 0:
-                # b_n, already known, is its rank; a wrongly empty lattice
-                # still fails the rank check of the Laplacian's Smith form
-                self._harmonic[n] = IntMatrix.zeros(K.rows, 0)
+            if self.betti(n) == 0:
+                # b_n is its rank; a wrongly empty lattice still fails the
+                # rank check of the Laplacian's Smith form
+                self._harmonic[n] = IntMatrix.zeros(self.complex.dim(n), 0)
             elif self._kernel_is_identity(n):
                 # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
                 # already in column Hermite form
                 self._harmonic[n] = self.left_kernel(n + 1)
             else:
+                K = self.kernel(n)
                 M = self.complex.differential(n + 1).transpose() @ K
-                Y = kernel_lattice(M)
-                self._harmonic[n] = column_hnf(K @ Y)
+                self._harmonic[n] = column_hnf(K @ kernel_lattice(M))
         return self._harmonic[n]
 
     # -- determinants ---------------------------------------------------------
@@ -412,15 +389,18 @@ def rho_Z(C: IntChainComplex) -> float:
     return rho_Z_exact(ChainAnalysis(C))[0]
 
 
+def _alternating_product(values: Sequence) -> Fraction:
+    """prod_k values[k]^((-1)^k), exactly."""
+    out = Fraction(1)
+    for k, v in enumerate(values):
+        out = out * v if k % 2 == 0 else out / v
+    return out
+
+
 def rho_Z_exact(an: ChainAnalysis):
     """(float value, exact Fraction equal to exp(rho_Z))."""
-    ratio = Fraction(1)
-    for n in range(an.complex.top_degree + 1):
-        t = an.tors_order(n)
-        if n % 2 == 0:
-            ratio *= t
-        else:
-            ratio /= t
+    ratio = _alternating_product(
+        [an.tors_order(n) for n in range(an.complex.top_degree + 1)])
     val = ln_of_fraction(ratio) if ratio != 1 else 0.0
     return val, ratio
 
@@ -456,13 +436,8 @@ def rho_2_exact(an: ChainAnalysis):
     The Laplacian determinant identity is always checked on the way.
     """
     C = an.complex
-    sq = Fraction(1)
-    for n in range(1, C.top_degree + 1):
-        s = an.fk_differential(n).square_exact
-        if n % 2 == 1:
-            sq *= s
-        else:
-            sq /= s
+    sq = _alternating_product([an.fk_differential(n).square_exact
+                               for n in range(1, C.top_degree + 1)])
     value = 0.5 * ln_of_fraction(sq) if sq != 1 else 0.0
     exponent_sum = 0.0
     for n in range(C.top_degree + 1):
@@ -473,10 +448,7 @@ def rho_2_exact(an: ChainAnalysis):
             raise IdentityViolation(
                 f"Laplacian determinant identity fails in degree {n}")
         if n:
-            if n % 2 == 0:
-                exponent_sum -= 0.5 * n * 0.5 * ln_of_fraction(dn)
-            else:
-                exponent_sum += 0.5 * n * 0.5 * ln_of_fraction(dn)
+            exponent_sum += (-1) ** (n + 1) * 0.25 * n * ln_of_fraction(dn)
     if abs(exponent_sum - value) > 1e-9 * max(1.0, abs(value)):
         raise IdentityViolation(
             f"rho_2 routes disagree: {value} vs {exponent_sum}")
@@ -515,12 +487,7 @@ def rho_identity_from_analysis(an: ChainAnalysis) -> dict:
     lhs = rz - r2
     # exact comparison: exp(2 lhs) = rz_ratio^2 / r2_sq vs prod alpha_sq^(+-1)
     lhs_sq = rz_ratio * rz_ratio / r2_sq
-    rhs_sq = Fraction(1)
-    for n, sq in enumerate(alpha.square_exact):
-        if n % 2 == 0:
-            rhs_sq *= sq
-        else:
-            rhs_sq /= sq
+    rhs_sq = _alternating_product(alpha.square_exact)
     if lhs_sq != rhs_sq:
         raise IdentityViolation(
             f"rho identity fails exactly: {lhs_sq} != {rhs_sq}")

@@ -452,9 +452,9 @@ def kernel_lattice(A: IntMatrix) -> IntMatrix:
     assert len(kvecs) == nker
     if nker == 0:
         return IntMatrix.zeros(A.cols, 0)
-    K = IntMatrix._raw(nker, A.cols, kvecs)   # rows are kernel vectors
-    # canonicalize: column HNF of the basis matrix (kernel vectors as columns)
-    return column_hnf(K.transpose())
+    # canonicalize: row HNF of the kernel vectors, returned as columns
+    _, hrows, _ = _row_hnf_clean(kvecs)
+    return IntMatrix._raw(len(hrows), A.cols, hrows).transpose()
 
 
 def solve_in_lattice(B: IntMatrix, C: IntMatrix) -> Optional[IntMatrix]:

@@ -168,16 +168,22 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
               jobs: int = 1) -> TowerReport:
     """Compute the full invariant table along a tower of quotients.
 
-    Levels must have strictly increasing index.  Levels are independent and
-    may be computed concurrently; the report is merged in level order, so
-    the output does not depend on scheduling.
+    Levels, at least one, must have strictly increasing index, and
+    max_degree must be nonnegative.  Levels are independent and may be
+    computed concurrently; the report is merged in level order, so the
+    output does not depend on scheduling.
     """
     levels = list(levels)
+    if not levels:
+        raise DegenerateLevel("a tower needs at least one level")
     for a, b in zip(levels, levels[1:]):
         if b.index <= a.index:
             raise DegenerateLevel("tower levels must have increasing index")
     if max_degree is None:
         max_degree = C.top_degree
+    if max_degree < 0:
+        raise DegenerateLevel(
+            f"max_degree must be nonnegative, got {max_degree}")
     max_degree = min(max_degree, C.top_degree)
     lam = bound_lambda(C)
 

@@ -97,6 +97,8 @@ def complex_from_document(doc: dict) -> LaurentChainComplex:
     if m < 0 or any(d < 0 for d in dims):
         raise ParseError(f"m and dims must be nonnegative: m = {m}, "
                          f"dims = {dims}")
+    if top < 0:
+        raise ParseError(f"top_degree must be nonnegative, got {top}")
     if len(dims) != top + 1:
         raise ParseError(f"dims has {len(dims)} entries for top_degree {top}")
     _require_list(raw_diffs, top, "differentials", "matrices")

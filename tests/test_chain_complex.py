@@ -330,7 +330,8 @@ class TestConstructions:
 
 def _direct_layers(C, n):
     """Degree-n layers by direct kernel_lattice, smith_normal_form and
-    fk_determinant calls, with nothing shared between degrees."""
+    fk_determinant calls, with nothing shared between degrees; for n >= 1
+    also the Smith form of c_n itself."""
     c, cnext = C.differential(n), C.differential(n + 1)
     K = kernel_lattice(c)
     X = (solve_in_lattice(K, cnext) if K.cols
@@ -346,7 +347,7 @@ def _direct_layers(C, n):
     else:
         _, V = _colhnf_with_transform(kernel_lattice(X.transpose()).transpose())
         Z = K @ IntMatrix._raw(b, K.cols, V.transpose().data[:b]).transpose()
-    return {
+    layers = {
         "kernel": K,
         "left_kernel": kernel_lattice(c.transpose()),
         "harmonic": W,
@@ -354,10 +355,15 @@ def _direct_layers(C, n):
         "torsion": tuple(d for d in sf.invariant_factors if d != 1),
         "fk": fk_determinant(c).square_exact,
     }
+    if n >= 1:
+        layers["smith"] = smith_normal_form(c)
+    return layers
 
 
 def _shared_layers(an, n):
-    return {
+    """The same layers from ChainAnalysis; its smith(n) factors X_(n-1),
+    which must have the invariant factors of c_n."""
+    layers = {
         "kernel": an.kernel(n),
         "left_kernel": an.left_kernel(n),
         "harmonic": an.harmonic(n),
@@ -365,6 +371,9 @@ def _shared_layers(an, n):
         "torsion": an.torsion_factors(n),
         "fk": an.fk_differential(n).square_exact,
     }
+    if n >= 1:
+        layers["smith"] = an.smith(n)
+    return layers
 
 
 def _analysed_level(C):
@@ -396,9 +405,10 @@ def _tier1_tower_levels():
 
 
 class TestSharedLayers:
-    """The per-degree layers ChainAnalysis shares (one Smith form and one
-    left kernel per differential, kernels skipped by rank) agree exactly
-    with the direct computation of each layer."""
+    """The per-degree layers ChainAnalysis shares (one Smith form per
+    degree, of X_(n-1) and so of c_n, one left kernel per differential,
+    kernels skipped by rank) agree exactly with the direct computation of
+    each layer."""
 
     def test_random_corpus(self):
         rng = random.Random(7)
@@ -461,3 +471,16 @@ class TestSharedLayers:
         _analysed_level(C)
         assert sum(M == c1.transpose() for M in calls["kernel_lattice"]) == 1
         assert sum(M == c1 for M in calls["smith_normal_form"]) == 1
+
+    def test_torus3_level_factors_seven_matrices(self, monkeypatch):
+        # X_0 = c_1, X_1 and X_2 (X_3 has no columns), which H_0..H_2 and
+        # the FK structure routes of c_1..c_3 share, and the four
+        # Laplacians of the FK identity; c_2 gets no Smith form of its own
+        C = base_change(torus_complex(3), QuotientSpec((4, 4, 4))).complex
+        calls = self._count_calls(monkeypatch)
+        an = _analysed_level(C)
+        for n in range(1, C.top_degree + 1):
+            an.fk_differential(n)
+        nonzero = [M for M in calls["smith_normal_form"] if not M.is_zero()]
+        assert len(nonzero) == 7
+        assert not any(M == C.differential(2) for M in nonzero)

@@ -239,6 +239,7 @@ class TestCommands:
         ["homology", "--input", "{arity}"],
         ["homology", "--input", "{dir}"],
         ["homology", "--input", "{digits}"],
+        ["homology", "--input", "{negtop}"],
         ["homology", "--example", "circle", "--primes", "9" * 401],
         ["homology", "--example", "circle", "--primes",
          "1000000000000000003"],
@@ -263,7 +264,8 @@ class TestCommands:
             "composite-prime", "homology-two-levels", "tower-without-group",
             "document-not-an-object", "dims-length", "term-not-an-object",
             "exponent-arity", "input-is-a-directory",
-            "coef-beyond-digit-limit", "prime-of-401-digits",
+            "coef-beyond-digit-limit", "negative-top-degree",
+            "prime-of-401-digits",
             "prime-above-cap", "levels-without-group",
             "pattern-without-group", "tower-repeated-prime",
             "homology-repeated-prime", "homology-levels-without-i",
@@ -291,7 +293,11 @@ class TestCommands:
             "{digits}": {"m": 0, "top_degree": 1, "dims": [1, 1],
                          "differentials": [[[[{"exp": [],
                                                 "coef": "1" * 5000}]]]]},
+            "{negtop}": {"m": 1, "top_degree": -1, "dims": [],
+                         "differentials": []},
         }
+        # refusals whose message must name the offending field
+        named = {"{negtop}": "top_degree"}
         paths = {"{missing}": tmp_path / "missing", "{dir}": tmp_path}
         for key, doc in docs.items():
             paths[key] = tmp_path / f"{key.strip('{}')}.json"
@@ -306,6 +312,9 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "verification failure" not in err
+        for key, field in named.items():
+            if key in argv:
+                assert field in err
 
     @pytest.mark.parametrize("command", ["tower", "homology"])
     @pytest.mark.parametrize("out", ["{missing}/x.out", "{dir}"],

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from homgrow import growth
 from homgrow.errors import DegenerateLevel, InconsistentProfile
 from homgrow.exact_linalg import IntMatrix
 from homgrow.group_ring import (
@@ -19,6 +20,10 @@ from homgrow.growth import (
     rank_gradient_example,
     run_tower,
 )
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a level was computed before the refusal")
 
 
 def circle_levels(top):
@@ -67,6 +72,16 @@ class TestRunTower:
         with pytest.raises(DegenerateLevel):
             run_tower(circle_complex(),
                       [QuotientSpec((4,)), QuotientSpec((2,))])
+
+    def test_empty_tower_refused(self, monkeypatch):
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match="at least one level"):
+            run_tower(circle_complex(), [])
+
+    def test_negative_max_degree_refused(self, monkeypatch):
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match="max_degree"):
+            run_tower(circle_complex(), circle_levels(4), max_degree=-1)
 
     def test_jobs_agree(self):
         levels = circle_levels(16)
