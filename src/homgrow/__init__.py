@@ -10,14 +10,11 @@ from .chain_complex import (
     AlphaData,
     HomologySummary,
     IntChainComplex,
-    alpha_log_dets,
     d_of_abelian_group,
     d_primewise,
     direct_sum,
     homology,
     laplacian,
-    rho_2,
-    rho_Z,
     verify_rho_identity,
 )
 from .errors import (
@@ -62,7 +59,6 @@ from .group_ring import (
     QuotientSpec,
     base_change,
     circle_complex,
-    homology_with_action,
     mapping_torus_complex,
     operator_norm_bound,
     tensor,

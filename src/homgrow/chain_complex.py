@@ -38,10 +38,8 @@ __all__ = [
     "AlphaData",
     "homology",
     "d_of_abelian_group",
-    "rho_Z",
+    "d_primewise",
     "laplacian",
-    "rho_2",
-    "alpha_log_dets",
     "verify_rho_identity",
     "direct_sum",
     "ChainAnalysis",
@@ -384,25 +382,12 @@ def homology_from_analysis(an: ChainAnalysis,
     return HomologySummary(betti, facs, tors, log_tors, d_hn, betti_p)
 
 
-def rho_Z(C: IntChainComplex) -> float:
-    """Integral torsion: alternating sum of ln|tors H_n|."""
-    return rho_Z_exact(ChainAnalysis(C))[0]
-
-
 def _alternating_product(values: Sequence) -> Fraction:
     """prod_k values[k]^((-1)^k), exactly."""
     out = Fraction(1)
     for k, v in enumerate(values):
         out = out * v if k % 2 == 0 else out / v
     return out
-
-
-def rho_Z_exact(an: ChainAnalysis):
-    """(float value, exact Fraction equal to exp(rho_Z))."""
-    ratio = _alternating_product(
-        [an.tors_order(n) for n in range(an.complex.top_degree + 1)])
-    val = ln_of_fraction(ratio) if ratio != 1 else 0.0
-    return val, ratio
 
 
 def laplacian(C: IntChainComplex, n: int) -> IntMatrix:
@@ -419,28 +404,36 @@ def laplacian(C: IntChainComplex, n: int) -> IntMatrix:
     return cn.transpose() @ cn + up if cn.rows else up
 
 
-def rho_2(C: IntChainComplex) -> float:
-    """Combinatorial L2-torsion over the trivial group.
+def verify_rho_identity(C: IntChainComplex) -> dict:
+    """`rho_identity_from_analysis` on a fresh analysis of C."""
+    return rho_identity_from_analysis(ChainAnalysis(C))
 
-    rho_2 = -sum_{n>=1} (-1)^n ln det_FK(c_n).  The Laplacian route
-    -1/2 sum_n (-1)^n n ln det_FK(Delta_n) is recomputed and the underlying
-    exact identity det_FK(Delta_n)^2 = (det_FK(c_n)^2 det_FK(c_{n+1})^2)^2
-    is asserted on the exact squares.
+
+def rho_identity_from_analysis(an: ChainAnalysis) -> dict:
+    """Check rho_Z - rho_2 = sum_n (-1)^n ln det(alpha_n), exactly.
+
+    rho_Z = sum_n (-1)^n ln|tors H_n| is the integral torsion and
+    rho_2 = -sum_{n>=1} (-1)^n ln det_FK(c_n) the combinatorial L2-torsion
+    over the trivial group.  The Laplacian route
+    -1/2 sum_n (-1)^n n ln det_FK(Delta_n) is recomputed and must agree with
+    rho_2 within 1e-9, and the underlying exact identity
+    det_FK(Delta_n)^2 = (det_FK(c_n)^2 det_FK(c_{n+1})^2)^2 is asserted on
+    the exact squares in every degree.  The rho identity itself is asserted
+    on the squared exponentials (exact rationals) and, redundantly, on the
+    float values within 1e-9.
     """
-    return rho_2_exact(ChainAnalysis(C))[0]
-
-
-def rho_2_exact(an: ChainAnalysis):
-    """(float value, exact Fraction equal to exp(2 * rho_2)).
-
-    The Laplacian determinant identity is always checked on the way.
-    """
-    C = an.complex
-    sq = _alternating_product([an.fk_differential(n).square_exact
-                               for n in range(1, C.top_degree + 1)])
-    value = 0.5 * ln_of_fraction(sq) if sq != 1 else 0.0
+    top = an.complex.top_degree
+    squares = [an.alpha_square(n) for n in range(top + 1)]
+    alpha = AlphaData([0.5 * ln_of_fraction(sq) if sq != 1 else 0.0
+                       for sq in squares], squares)
+    # exp(rho_Z) and exp(2 rho_2), exactly
+    rz_ratio = _alternating_product([an.tors_order(n) for n in range(top + 1)])
+    rz = ln_of_fraction(rz_ratio) if rz_ratio != 1 else 0.0
+    r2_sq = _alternating_product([an.fk_differential(n).square_exact
+                                  for n in range(1, top + 1)])
+    r2 = 0.5 * ln_of_fraction(r2_sq) if r2_sq != 1 else 0.0
     exponent_sum = 0.0
-    for n in range(C.top_degree + 1):
+    for n in range(top + 1):
         dn = an.fk_laplacian(n).square_exact
         cn = an.fk_differential(n).square_exact
         cn1 = an.fk_differential(n + 1).square_exact
@@ -449,39 +442,9 @@ def rho_2_exact(an: ChainAnalysis):
                 f"Laplacian determinant identity fails in degree {n}")
         if n:
             exponent_sum += (-1) ** (n + 1) * 0.25 * n * ln_of_fraction(dn)
-    if abs(exponent_sum - value) > 1e-9 * max(1.0, abs(value)):
+    if abs(exponent_sum - r2) > 1e-9 * max(1.0, abs(r2)):
         raise IdentityViolation(
-            f"rho_2 routes disagree: {value} vs {exponent_sum}")
-    return value, sq
-
-
-def alpha_log_dets(C: IntChainComplex) -> AlphaData:
-    return alpha_from_analysis(ChainAnalysis(C))
-
-
-def alpha_from_analysis(an: ChainAnalysis) -> AlphaData:
-    logs = []
-    squares = []
-    for n in range(an.complex.top_degree + 1):
-        sq = an.alpha_square(n)
-        squares.append(sq)
-        logs.append(0.5 * ln_of_fraction(sq) if sq != 1 else 0.0)
-    return AlphaData(logs, squares)
-
-
-def verify_rho_identity(C: IntChainComplex) -> dict:
-    """Check rho_Z - rho_2 = sum_n (-1)^n ln det(alpha_n), exactly.
-
-    Equality is asserted on the squared exponentials (exact rationals) and,
-    redundantly, on the float values within 1e-9.
-    """
-    return rho_identity_from_analysis(ChainAnalysis(C))
-
-
-def rho_identity_from_analysis(an: ChainAnalysis) -> dict:
-    alpha = alpha_from_analysis(an)
-    rz, rz_ratio = rho_Z_exact(an)
-    r2, r2_sq = rho_2_exact(an)
+            f"rho_2 routes disagree: {r2} vs {exponent_sum}")
     rhs = sum((-1) ** n * alpha.log_det_alpha[n]
               for n in range(len(alpha.log_det_alpha)))
     lhs = rz - r2

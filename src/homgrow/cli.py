@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -20,6 +19,7 @@ from typing import List, Optional, Sequence
 from . import growth
 from .corpus import SUITES, run_suite
 from .errors import (
+    DegenerateLevel,
     DimensionMismatch,
     HomgrowError,
     NonSquareMatrix,
@@ -100,12 +100,6 @@ MAX_ROWS = 2 ** 20
 # nonzeros 0.27 s and 84 MiB.  Both grow about linearly, so a document at the
 # cap needs several minutes and about 4 GiB; the cap itself was not run.
 MAX_NONZEROS = 8 * MAX_ROWS
-
-# Largest --primes value, refused before the primality test: trial division
-# of the prime 2^40 - 87 takes 0.085 s (CPython 3.11), of 10^18 + 3 over a
-# minute.
-MAX_PRIME = 2 ** 40
-
 
 def _parse_levels(text: str) -> List[int]:
     out: List[int] = []
@@ -200,18 +194,15 @@ def _primes(text: str) -> List[int]:
         if not tok:
             continue
         try:
-            p = int(tok)
+            out.append(int(tok))
         except ValueError as exc:
             raise ParseError(f"bad --primes token {tok!r}") from exc
-        if p > MAX_PRIME:
-            raise ParseError(f"--primes value {p} is above {MAX_PRIME}")
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            raise ParseError(f"{p} is not prime")
-        if p in out:
-            raise ParseError(f"--primes repeats {p}")
-        out.append(p)
     if not out:
         raise ParseError("--primes must be nonempty")
+    try:
+        growth.check_primes(out)
+    except DegenerateLevel as exc:
+        raise ParseError(f"--primes: {exc}") from exc
     return out
 
 

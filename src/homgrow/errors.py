@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HomgrowError", "DimensionMismatch", "DegreeOutOfRange", "NonSquareMatrix",
+    "InvalidComplex", "IdentityViolation", "IncompatibleAction",
+    "HypothesisViolated", "InconsistentProfile", "DegenerateLevel", "ParseError",
+]
+
 
 class HomgrowError(Exception):
     """Base class for all package errors."""

@@ -513,22 +513,19 @@ def _chain_divisibility(diag: list) -> list:
     """Normalize a diagonal multiset into the divisibility chain.
 
     Units divide everything, so they are set aside before the pairwise
-    gcd/lcm loop and lead the chain.
+    gcd/lcm pass and lead the chain.  One pass over the pairs i < j is
+    enough: once the inner loop for i ends, d_i divides every later entry,
+    and later steps only replace entries by gcds and lcms of multiples of
+    d_i, which d_i still divides.  So d_0 | d_1 | ..., which is also sorted.
     """
     d = [abs(x) for x in diag if x]
     units = d.count(1)
     d = [x for x in d if x != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    l = d[i] // g * d[j]
-                    d[i], d[j] = g, l
-                    changed = True
-        d.sort()
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
     return [1] * units + d
 
 

@@ -77,9 +77,10 @@ class FinAbGroup:
     factors: tuple
 
     def __post_init__(self):
-        f = tuple(int(d) for d in self.factors)
-        if any(d < 2 for d in f):
-            raise DimensionMismatch("factors must be >= 2")
+        f = tuple(self.factors)
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 2
+               for d in f):
+            raise DimensionMismatch(f"factors must be ints >= 2, got {f}")
         for a, b in zip(f, f[1:]):
             if b % a:
                 raise DimensionMismatch("factors must form a divisibility chain")

@@ -43,7 +43,6 @@ __all__ = [
     "QuotientComplex",
     "ModuleWithAction",
     "base_change",
-    "homology_with_action",
     "operator_norm_bound",
     "circle_complex",
     "tensor",
@@ -197,9 +196,11 @@ class QuotientSpec:
     moduli: tuple
 
     def __post_init__(self):
-        if any(n < 1 for n in self.moduli):
-            raise DimensionMismatch("moduli must be positive")
-        object.__setattr__(self, "moduli", tuple(int(n) for n in self.moduli))
+        moduli = tuple(self.moduli)
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1
+               for n in moduli):
+            raise DimensionMismatch(f"moduli must be positive ints, got {moduli}")
+        object.__setattr__(self, "moduli", moduli)
 
     @property
     def m(self) -> int:
@@ -400,13 +401,6 @@ def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
              for n in range(1, C.top_degree + 1)]
     complex_ = IntChainComplex(dims, diffs)   # re-checks boundary composition
     return QuotientComplex(complex_, q, C)
-
-
-def homology_with_action(C: LaurentChainComplex, q: QuotientSpec,
-                         n: int) -> ModuleWithAction:
-    """H_n(C[i]) with the induced action of each generator of G/G_i."""
-    qc = base_change(C, q)
-    return quotient_homology_module(qc, n)
 
 
 def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:

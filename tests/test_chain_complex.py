@@ -8,20 +8,17 @@ from homgrow import chain_complex, exact_linalg
 from homgrow.chain_complex import (
     ChainAnalysis,
     IntChainComplex,
-    alpha_log_dets,
     d_of_abelian_group,
     d_primewise,
     direct_sum,
     homology,
     homology_from_analysis,
     laplacian,
-    rho_2,
-    rho_Z,
     rho_identity_from_analysis,
     verify_rho_identity,
 )
 from homgrow.corpus import random_complex, random_unimodular
-from homgrow.errors import DegreeOutOfRange, InvalidComplex
+from homgrow.errors import DegreeOutOfRange, IdentityViolation, InvalidComplex
 from homgrow.exact_linalg import (
     IntMatrix,
     _colhnf_with_transform,
@@ -181,22 +178,25 @@ class TestMinimalGenerators:
 
 class TestTorsionInvariants:
     def test_rho_z_multiplication(self):
-        assert abs(rho_Z(mult_complex(3)) - math.log(3)) < 1e-12
+        assert abs(verify_rho_identity(mult_complex(3))["rho_Z"]
+                   - math.log(3)) < 1e-12
 
     def test_rho_z_circle(self):
         for i in (1, 2, 5, 8):
-            assert abs(rho_Z(circle_level(i))) < 1e-12
+            assert abs(verify_rho_identity(circle_level(i))["rho_Z"]) < 1e-12
 
     def test_rho_z_empty(self):
-        assert rho_Z(IntChainComplex([0], [])) == 0.0
+        assert verify_rho_identity(IntChainComplex([0], []))["rho_Z"] == 0.0
 
     def test_rho_2_circle(self):
         for i in (1, 2, 3, 8):
-            assert abs(rho_2(circle_level(i)) - math.log(i)) < 1e-12
+            assert abs(verify_rho_identity(circle_level(i))["rho_2"]
+                       - math.log(i)) < 1e-12
 
     def test_rho_2_multiplication(self):
         for n in (1, 2, 5):
-            assert abs(rho_2(mult_complex(n)) - math.log(n)) < 1e-12
+            assert abs(verify_rho_identity(mult_complex(n))["rho_2"]
+                       - math.log(n)) < 1e-12
 
     def test_laplacian_circle(self):
         L = laplacian(circle_level(4), 1)
@@ -231,13 +231,13 @@ def _fraction_inverse(M: list) -> list:
 class TestAlpha:
     def test_circle_values(self):
         for i in (1, 2, 3, 5, 16):
-            a = alpha_log_dets(circle_level(i))
+            a = verify_rho_identity(circle_level(i))["alpha"]
             assert a.square_exact[1] == i
             assert a.square_exact[0] == Fraction(1, i)
             assert abs(a.log_det_alpha[1] - 0.5 * math.log(i)) < 1e-12
 
     def test_concentrated_complex(self):
-        a = alpha_log_dets(IntChainComplex([1], []))
+        a = verify_rho_identity(IntChainComplex([1], []))["alpha"]
         assert a.square_exact == [Fraction(1)]
 
     def test_invariance_under_homology_rebasing(self):
@@ -278,7 +278,7 @@ class TestAlpha:
         rng = random.Random(206)
         for _ in range(15):
             C = random_complex(rng)
-            a1 = alpha_log_dets(C)
+            a1 = verify_rho_identity(C)["alpha"]
             perms = []
             for n in range(C.top_degree + 1):
                 d = C.dim(n)
@@ -292,7 +292,7 @@ class TestAlpha:
             diffs = [perms[n - 1] @ C.differential(n) @ inv[n]
                      for n in range(1, C.top_degree + 1)]
             C2 = IntChainComplex(C.dims, diffs)
-            a2 = alpha_log_dets(C2)
+            a2 = verify_rho_identity(C2)["alpha"]
             assert a1.square_exact == a2.square_exact
 
 
@@ -313,6 +313,34 @@ class TestRhoIdentity:
         rng = random.Random(206)
         for _ in range(60):
             verify_rho_identity(random_complex(rng))
+
+    def test_each_check_raises(self, monkeypatch):
+        # circle level 5: alpha squares 1/5 and 5, FK square of c_1 25,
+        # FK square of Delta_1 625; each plant breaks exactly one check
+        exact_ln = chain_complex.ln_of_fraction
+
+        class SkewedLaplacian(ChainAnalysis):
+            def fk_laplacian(self, n):
+                fk = super().fk_laplacian(n)
+                return type(fk)(fk.log_value, 4 * fk.square_exact)
+
+        with pytest.raises(IdentityViolation, match="Laplacian determinant"):
+            rho_identity_from_analysis(SkewedLaplacian(circle_level(5)))
+
+        for planted, message in [
+                (lambda x: exact_ln(x) + (x > 100), "rho_2 routes disagree"),
+                (lambda x: exact_ln(x) + (x == 5), "fails in floats")]:
+            monkeypatch.setattr(chain_complex, "ln_of_fraction", planted)
+            with pytest.raises(IdentityViolation, match=message):
+                verify_rho_identity(circle_level(5))
+        monkeypatch.undo()
+
+        class SkewedAlpha(ChainAnalysis):
+            def alpha_square(self, n):
+                return (4 if n == 0 else 1) * super().alpha_square(n)
+
+        with pytest.raises(IdentityViolation, match="fails exactly"):
+            rho_identity_from_analysis(SkewedAlpha(circle_level(5)))
 
 
 class TestConstructions:

@@ -315,6 +315,8 @@ class TestCommands:
         for key, field in named.items():
             if key in argv:
                 assert field in err
+        if "--primes" in argv:
+            assert "--primes" in err
 
     @pytest.mark.parametrize("command", ["tower", "homology"])
     @pytest.mark.parametrize("out", ["{missing}/x.out", "{dir}"],

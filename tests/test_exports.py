@@ -1,6 +1,8 @@
-"""Every name a homgrow module exports in __all__ must exist, and so must
-every entry point the benchmark's tracer wraps."""
+"""Every name a homgrow module exports in __all__ must exist, every name the
+package imports from a module must be in that module's __all__, and every
+entry point the benchmark's tracer wraps must exist."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -20,6 +22,19 @@ def test_all_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_exports_are_module_exports():
+    # a name deleted from a module fails the package import, but a name kept
+    # while dropped from its module's __all__ would leave a stale export
+    tree = ast.parse(Path(homgrow.__file__).read_text())
+    stale = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"homgrow.{node.module}")
+            stale += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name not in getattr(module, "__all__", ())]
+    assert stale == []
 
 
 def test_traced_entry_points_exist():

@@ -105,6 +105,11 @@ class TestFinAbGroup:
         with pytest.raises(DimensionMismatch):
             FinAbGroup((4, 2))
 
+    @pytest.mark.parametrize("factors", [(4.0,), (2, 4.5), (True, 2), ("3",)])
+    def test_non_int_factors_refused(self, factors):
+        with pytest.raises(DimensionMismatch):
+            FinAbGroup(factors)
+
 
 class TestResolutions:
     def test_rank_formula(self):

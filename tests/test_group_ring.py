@@ -16,9 +16,9 @@ from homgrow.group_ring import (
     QuotientSpec,
     base_change,
     circle_complex,
-    homology_with_action,
     mapping_torus_complex,
     operator_norm_bound,
+    quotient_homology_module,
     tensor,
     torus_complex,
 )
@@ -97,6 +97,13 @@ class TestBaseChange:
         assert q.m == 0 and q.index == 1
         with pytest.raises(DimensionMismatch):
             QuotientSpec((0,))
+
+    @pytest.mark.parametrize("moduli", [(2.7,), (2.0,), (4, 2.0), (True,),
+                                        ("2",)])
+    def test_non_int_moduli_refused(self, moduli):
+        # int() would read 2.7 as the index-2 level
+        with pytest.raises(DimensionMismatch):
+            QuotientSpec(moduli)
 
     def test_m0_complex_read_unchanged(self):
         rng = random.Random(0)
@@ -214,13 +221,15 @@ def _collapse(C, big, small):
 class TestHomologyWithAction:
     def test_circle_h1_trivial_action(self):
         for i in (2, 3, 4):
-            M = homology_with_action(circle_complex(), QuotientSpec((i,)), 1)
+            M = quotient_homology_module(
+                base_change(circle_complex(), QuotientSpec((i,))), 1)
             assert M.structure() == (1, ())
             assert M.generators_action[0] == IntMatrix.identity(1)
 
     def test_circle_h0_trivial_action(self):
         # the deck action permutes the generators but is trivial on H_0
-        M = homology_with_action(circle_complex(), QuotientSpec((5,)), 0)
+        M = quotient_homology_module(
+            base_change(circle_complex(), QuotientSpec((5,))), 0)
         assert M.structure() == (1, ())
         from homgrow.exact_linalg import column_hnf, solve_in_lattice
         rel = column_hnf(M.presentation)
@@ -229,7 +238,8 @@ class TestHomologyWithAction:
         assert solve_in_lattice(rel, diff) is not None
 
     def test_torus_h1(self):
-        M = homology_with_action(torus_complex(2), QuotientSpec((2, 2)), 1)
+        M = quotient_homology_module(
+            base_change(torus_complex(2), QuotientSpec((2, 2))), 1)
         assert M.structure() == (2, ())
 
 

@@ -83,6 +83,20 @@ class TestRunTower:
         with pytest.raises(DegenerateLevel, match="max_degree"):
             run_tower(circle_complex(), circle_levels(4), max_degree=-1)
 
+    @pytest.mark.parametrize("primes, message", [
+        ((4,), "not prime"), ((1,), "not prime"), ((-3,), "not prime"),
+        ((2, 2), "repeat"), ((3, 5, 3), "repeat"),
+        # a prime whose trial division would take over a minute
+        ((10 ** 18 + 3,), "above")],
+        ids=["composite", "one", "negative", "repeat", "later-repeat",
+             "above-cap"])
+    def test_bad_primes_refused(self, primes, message, monkeypatch):
+        # s_p counts are F_p dimensions only for a prime p, and a repeat
+        # would write its betti_p column twice
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match=message):
+            run_tower(circle_complex(), circle_levels(4), primes=primes)
+
     def test_jobs_agree(self):
         levels = circle_levels(16)
         r1 = run_tower(circle_complex(), levels, primes=(2,), jobs=1)
