@@ -16,11 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .errors import DegreeOutOfRange, IdentityViolation, InvalidComplex
+from .errors import (
+    DegenerateLevel,
+    DegreeOutOfRange,
+    IdentityViolation,
+    InvalidComplex,
+)
 from .exact_linalg import (
     FKDet,
     IntMatrix,
     SmithForm,
+    _fk_det,
+    _fk_uses_characters,
     _fk_uses_structure,
     _row_hnf_clean,
     column_hnf,
@@ -37,6 +44,8 @@ __all__ = [
     "HomologySummary",
     "AlphaData",
     "homology",
+    "check_primes",
+    "MAX_PRIME",
     "d_of_abelian_group",
     "d_primewise",
     "laplacian",
@@ -185,10 +194,17 @@ class ChainAnalysis:
     lifts in degree n - 1 (there ker(c_n^T) is exactly the lattice they
     need).  b_n = 0 gives an empty harmonic lattice without a lattice
     computation.
+
+    A complex base-changed from Z[Z^m] may carry `characters`, the
+    `characters.CharacterSplit` of its Laurent source and quotient.  Then
+    `fk_differential` takes the FK square of c_n over Galois orbits of
+    characters when `_fk_uses_characters` says that is cheaper, and checks
+    the orbit ranks against rank c_n.
     """
 
-    def __init__(self, complex_: IntChainComplex):
+    def __init__(self, complex_: IntChainComplex, characters=None):
         self.complex = complex_
+        self.characters = characters
         self._kernel: Dict[int, IntMatrix] = {}
         self._left_kernel: Dict[int, IntMatrix] = {}
         self._smith: Dict[int, SmithForm] = {}
@@ -305,6 +321,9 @@ class ChainAnalysis:
             cn = self.complex.differential(n)
             if not 1 <= n <= self.complex.top_degree or cn.is_zero():
                 self._fk[n] = fk_determinant(cn)
+            elif self.characters is not None and _fk_uses_characters(
+                    cn, self.rank(n), self.characters.cost(n)):
+                self._fk[n] = _fk_det(self._character_square(n))
             elif _fk_uses_structure(cn, self.rank(n)):
                 self._fk[n] = fk_determinant(
                     cn, kernel=self.kernel(n), left_kernel=self.left_kernel(n),
@@ -312,6 +331,19 @@ class ChainAnalysis:
             else:
                 self._fk[n] = fk_determinant(cn, kernel=self.kernel(n))
         return self._fk[n]
+
+    def _character_square(self, n: int) -> int:
+        """Product of the orbit norms of c_n, once the orbit ranks add up,
+        phi(d) times each, to the rank of the shared Smith form."""
+        factors = self.characters.factors(n)
+        r = sum(f * r_chi for f, r_chi, _ in factors)
+        if r != self.rank(n):
+            raise IdentityViolation(
+                f"character ranks give rank c_{n} = {r}, "
+                f"the Smith form {self.rank(n)}")
+        if any(norm < 1 for _, _, norm in factors):
+            raise IdentityViolation(f"an orbit norm of c_{n} is below 1")
+        return math.prod(norm for _, _, norm in factors)
 
     def fk_laplacian(self, n: int) -> FKDet:
         if n not in self._fk_delta:
@@ -352,6 +384,55 @@ class ChainAnalysis:
 # public operations
 # ---------------------------------------------------------------------------
 
+# Largest prime accepted for mod-p Betti numbers.
+MAX_PRIME = 2 ** 40
+
+# The first 12 primes: as Miller-Rabin bases they decide primality exactly
+# below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 2017), far above
+# MAX_PRIME.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over `_MR_BASES`."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_primes(primes: Sequence[int]) -> None:
+    """Refuse a value that is not an int (bools included), one above
+    MAX_PRIME, a nonprime and a repeat, in that order for each value, with
+    `DegenerateLevel`; s_p counts mean dimensions over F_p only for a prime
+    p."""
+    for k, p in enumerate(primes):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise DegenerateLevel(f"primes must be ints, got {p!r}")
+        if p > MAX_PRIME:
+            raise DegenerateLevel(f"prime {p} is above {MAX_PRIME}")
+        if not _is_prime(p):
+            raise DegenerateLevel(f"{p} is not prime")
+        if p in primes[:k]:
+            raise DegenerateLevel(f"primes repeat {p}")
+
+
 def homology(C: IntChainComplex, primes: Sequence[int] = ()) -> HomologySummary:
     """Exact homology H_n = ker(c_n)/im(c_{n+1}) for all degrees.
 
@@ -364,6 +445,9 @@ def homology(C: IntChainComplex, primes: Sequence[int] = ()) -> HomologySummary:
 
 def homology_from_analysis(an: ChainAnalysis,
                            primes: Sequence[int] = ()) -> HomologySummary:
+    """`homology` on a shared analysis; the primes must pass
+    `check_primes`."""
+    check_primes(primes)
     C = an.complex
     top = C.top_degree
     betti = [an.betti(n) for n in range(top + 1)]

@@ -27,6 +27,10 @@ of two factorizations, whichever does less dense work for the rank r of A:
   * structure, kernel Gram x |tors coker A|^2 x cokernel-projection Gram:
     Gram determinants whose sizes are the coranks cols - r and rows - r.
 
+A tower level of m >= 1 may instead take the square of a differential over
+Galois orbits of characters (`characters`); `_fk_uses_characters`, beside
+the rule between the two factorizations, decides.
+
 The literal Cauchy-Binet minor sum is kept as an independent oracle: the
 test suite compares all three, and `fk_factorization_check` compares the
 minor sum (or, past its work budget, the image-lattice route) with the
@@ -899,6 +903,15 @@ def _fk_uses_structure(A: IntMatrix, r: int) -> bool:
     two corank-sized Grams cost no more than the image route's two
     rank-sized ones, 2 r^3 >= (cols - r)^3 + (rows - r)^3."""
     return 2 * r ** 3 >= (A.cols - r) ** 3 + (A.rows - r) ** 3
+
+
+def _fk_uses_characters(A: IntMatrix, r: int, orbit_cost: int) -> bool:
+    """The character route rule for a base-changed A of rank r: True when
+    the orbit work of `characters.orbit_cost` is below the cheaper of the
+    two Gram routes, orbit_cost < min(2 r^3, (cols - r)^3 + (rows - r)^3).
+    Ties go to the Gram routes."""
+    return orbit_cost < min(2 * r ** 3,
+                            (A.cols - r) ** 3 + (A.rows - r) ** 3)
 
 
 def fk_determinant(A: IntMatrix, kernel: Optional[IntMatrix] = None,

@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from .chain_complex import ChainAnalysis, IntChainComplex
+from .characters import CharacterSplit
 from .errors import (
     DimensionMismatch,
     IncompatibleAction,
@@ -230,8 +231,12 @@ class QuotientComplex:
 
     @cached_property
     def analysis(self) -> ChainAnalysis:
-        """The `ChainAnalysis` of `complex`."""
-        return ChainAnalysis(self.complex)
+        """The `ChainAnalysis` of `complex`; for m >= 1 it carries the
+        character split of the Laurent source at this quotient, which the
+        FK squares of the differentials may take."""
+        q = self.quotient
+        split = CharacterSplit(self.source, q.moduli) if q.m else None
+        return ChainAnalysis(self.complex, split)
 
     @cached_property
     def augmented(self) -> ChainAnalysis:

@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .chain_complex import homology_from_analysis, rho_identity_from_analysis
+from .chain_complex import (
+    MAX_PRIME,
+    check_primes,
+    homology_from_analysis,
+    rho_identity_from_analysis,
+)
 from .errors import (
     DegenerateLevel,
     HypothesisViolated,
@@ -89,24 +94,6 @@ class TowerReport:
         if key not in _SERIES_FIELDS:
             raise KeyError(key)
         return [getattr(lv, key)[degree] / lv.index for lv in self.levels]
-
-
-# Largest prime for mod-p Betti numbers, refused before the primality test:
-# trial division of the prime 2^40 - 87 takes 0.085 s (CPython 3.11), of
-# 10^18 + 3 over a minute.
-MAX_PRIME = 2 ** 40
-
-
-def check_primes(primes: Sequence[int]) -> None:
-    """Refuse a value above MAX_PRIME, a nonprime and a repeat, in that order
-    for each value; s_p counts mean dimensions over F_p only for a prime p."""
-    for k, p in enumerate(primes):
-        if p > MAX_PRIME:
-            raise DegenerateLevel(f"prime {p} is above {MAX_PRIME}")
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            raise DegenerateLevel(f"{p} is not prime")
-        if p in primes[:k]:
-            raise DegenerateLevel(f"primes repeat {p}")
 
 
 def bound_lambda(C: LaurentChainComplex) -> float:

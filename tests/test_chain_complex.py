@@ -18,7 +18,12 @@ from homgrow.chain_complex import (
     verify_rho_identity,
 )
 from homgrow.corpus import random_complex, random_unimodular
-from homgrow.errors import DegreeOutOfRange, IdentityViolation, InvalidComplex
+from homgrow.errors import (
+    DegenerateLevel,
+    DegreeOutOfRange,
+    IdentityViolation,
+    InvalidComplex,
+)
 from homgrow.exact_linalg import (
     IntMatrix,
     _colhnf_with_transform,
@@ -79,6 +84,28 @@ class TestHomology:
     def test_zero_complex(self):
         h = homology(IntChainComplex([0], []))
         assert h.betti_q == [0]
+
+    @pytest.mark.parametrize("primes, message", [
+        ((4, 1), "4 is not prime"), ((1,), "not prime"), ((-3,), "not prime"),
+        ((2.0,), "must be ints"), ((True,), "must be ints"),
+        ((3, "5"), "must be ints"), ((2, 2), "repeat"),
+        ((2 ** 40 + 15,), "above")],
+        ids=["composite", "one", "negative", "float", "bool", "str",
+             "repeat", "above-cap"])
+    def test_bad_primes_refused(self, primes, message):
+        # s_p counts are F_p dimensions only for a prime p
+        with pytest.raises(DegenerateLevel, match=message):
+            homology(mult_complex(4), primes=primes)
+
+    def test_primality_against_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+        assert [n for n in range(-2, 30000) if chain_complex._is_prime(n)] \
+            == [n for n in range(-2, 30000) if trial(n)]
+        # strong pseudoprimes to the prime bases 2..7 and 2..23, and
+        # the largest prime below MAX_PRIME
+        for n in (3215031751, 3825123056546413051, 2 ** 40 - 87):
+            assert chain_complex._is_prime(n) == trial(n)
 
     def test_mod_p_against_fp_rank(self):
         # betti_mod_p from invariant factors equals an independent F_p rank

@@ -86,10 +86,11 @@ class TestRunTower:
     @pytest.mark.parametrize("primes, message", [
         ((4,), "not prime"), ((1,), "not prime"), ((-3,), "not prime"),
         ((2, 2), "repeat"), ((3, 5, 3), "repeat"),
-        # a prime whose trial division would take over a minute
-        ((10 ** 18 + 3,), "above")],
+        # a prime above MAX_PRIME
+        ((10 ** 18 + 3,), "above"),
+        ((2.0,), "must be ints"), ((False,), "must be ints")],
         ids=["composite", "one", "negative", "repeat", "later-repeat",
-             "above-cap"])
+             "above-cap", "float", "bool"])
     def test_bad_primes_refused(self, primes, message, monkeypatch):
         # s_p counts are F_p dimensions only for a prime p, and a repeat
         # would write its betti_p column twice
