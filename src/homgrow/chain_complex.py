@@ -26,6 +26,7 @@ from .exact_linalg import (
     FKDet,
     IntMatrix,
     SmithForm,
+    _exact_int,
     _fk_det,
     _fk_uses_characters,
     _fk_uses_structure,
@@ -66,7 +67,7 @@ class IntChainComplex:
     __slots__ = ("top_degree", "dims", "differentials")
 
     def __init__(self, dims: Sequence[int], differentials: Sequence[IntMatrix]):
-        dims = list(int(d) for d in dims)
+        dims = list(map(_exact_int, dims))
         if not dims:
             raise InvalidComplex("a complex needs at least degree 0")
         if len(differentials) != len(dims) - 1:

@@ -15,7 +15,10 @@ appear only at the list constructors and `to_lists`, in the determinants and
 the minor-sum oracle.  There is one Smith form, the sparse heap-pivot
 elimination; it returns invariant factors, not transforms.  It shares one
 column-clearing step, `_clear_column`, with the Hermite form, and its column
-phase only reduces the pivot row to remainders mod the pivot.
+phase only reduces the pivot row to remainders mod the pivot.  A pivot of
++-1, nearly every pivot of a base-changed differential or Laplacian, clears
+its column in one pass with the exact quotients -b*a and leaves nothing for
+a column phase, so both eliminations take it without Euclid passes.
 
 The Fuglede-Kadison determinant of an integer matrix A is the product of its
 nonzero singular values.  Its square is an integer: the sum of the squares of
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
+from numbers import Integral
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, IdentityViolation
@@ -70,6 +74,17 @@ __all__ = [
 # IntMatrix
 # ---------------------------------------------------------------------------
 
+def _exact_int(x) -> int:
+    """x as an int.  A float, Fraction, string or bool is refused rather
+    than truncated or parsed by int(); any other `numbers.Integral`, such
+    as a numpy integer, is converted."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Integral) and not isinstance(x, bool):
+        return int(x)
+    raise DimensionMismatch(f"expected an integer, got {x!r}")
+
+
 class IntMatrix:
     """Sparse arbitrary-precision integer matrix, immutable.
 
@@ -90,7 +105,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        entries = [int(x) for x in entries]
+        entries = [x if type(x) is int else _exact_int(x) for x in entries]
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries, got {len(entries)}"
@@ -119,7 +134,7 @@ class IntMatrix:
         for r in data:
             if len(r) != cols:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(int(x) for x in r)
+            flat.extend(r)
         return cls(rows, cols, flat)
 
     @classmethod
@@ -137,7 +152,7 @@ class IntMatrix:
         k = len(diag)
         e = [0] * (k * k)
         for i, d in enumerate(diag):
-            e[i * k + i] = int(d)
+            e[i * k + i] = d
         return cls(k, k, e)
 
     @classmethod
@@ -148,22 +163,28 @@ class IntMatrix:
             if len(col) != nrows:
                 raise DimensionMismatch("column of wrong length")
             for i, v in enumerate(col):
-                e[i * ncols + j] = int(v)
+                e[i * ncols + j] = v
         return cls(nrows, ncols, e)
 
     # -- access --------------------------------------------------------------
 
     def __getitem__(self, ij) -> int:
         i, j = ij
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range")
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range")
         return self.data[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range")
         r = self.data[i]
         return tuple(r.get(j, 0) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
         return tuple(r.get(j, 0) for r in self.data)
 
     def to_lists(self) -> list:
@@ -333,14 +354,25 @@ def _clear_column(rows: list, colindex, col: int, cand: list, key,
     """Reduce the rows `cand`, all holding col, until one holds it; return
     that row.  Each pass picks the candidate with the least key, whose
     first component is |entry in col|, and sets every other candidate's
-    entry to its symmetric remainder mod that one.  The U rows, if given,
-    follow every axpy."""
+    entry to its symmetric remainder mod that one.  When that least entry
+    a is +-1 the pass is the last: q = -b*a clears every other candidate
+    exactly, so the unit row is returned without checking again which rows
+    hold col.  The U rows, if given, follow every axpy."""
     while len(cand) > 1:
         # a is the least |entry| in col, so every other candidate b has
         # |b| >= |a|: q != 0 and |b - q*a| <= |a|/2.  Each pass shrinks
         # the least entry until one row is left holding col.
         i0 = min(cand, key=key)
         a = rows[i0][col]
+        if a == 1 or a == -1:
+            # A unit clears the column exactly: q = -b*a, the last pass.
+            for i in cand:
+                if i != i0:
+                    q = -rows[i][col] * a
+                    _indexed_axpy(rows, colindex, i, i0, q)
+                    if urows is not None:
+                        _row_axpy(urows[i], urows[i0], q)
+            return i0
         nxt = [i0]
         for i in cand:
             if i != i0:
@@ -555,6 +587,15 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
     symmetric remainder mod the pivot.  The least nonzero remainder, if
     any, becomes the pivot and its column is cleared in turn; each round
     shrinks the pivot, so the step ends with it alone in row and column.
+
+    A popped record of |v| = 1 takes a one-pass unit step instead, with
+    the same pivot row, fill and records.  The pivot row is the one
+    `_clear_column` would pick, the least (|entry|, len(row), row) in pj,
+    and its entry there is a = +-1.  Each other row of the column, holding
+    b in pj, drops pj and gains -b*a times the rest of the pivot row.
+    Every remainder mod 1 is 0, so the pivot row and column pj leave the
+    matrix whole, and every other row of the column, the popped row among
+    them, gets a fresh record.
     """
     rows = [dict(r) for r in A.data]
     colindex = defaultdict(set)
@@ -603,28 +644,42 @@ def _snf_diagonal_sparse(A: IntMatrix) -> list:
         # below, or its invariant factor is lost.
         live[i0] = None
         pj = cur[3]
-        while True:
-            cand = list(colindex[pj])
+        if cur[0] == 1:
+            # Unit pivot: one pass clears column pj, as `_clear_column`
+            # would, and leaves no remainders for a column phase.
+            cand = colindex.pop(pj)
             touched.update(cand)
-            pi = _clear_column(rows, colindex, pj, cand, key)
+            pi = min(cand, key=key)
             row = rows[pi]
-            a = row[pj]
-            nxt = None
-            for j in list(row):
-                if j != pj:
-                    rem = row[j] - _nearest_quotient(row[j], a) * a
-                    if not rem:
-                        del row[j]
-                        colindex[j].discard(pi)
-                    else:
-                        row[j] = rem
-                        if nxt is None or abs(rem) < abs(row[nxt]):
-                            nxt = j
-            if nxt is None:
-                break
-            pj = nxt
+            a = row.pop(pj)
+            for i in cand:
+                if i != pi:
+                    _indexed_axpy(rows, colindex, i, pi, -rows[i].pop(pj) * a)
+            for j in row:
+                colindex[j].discard(pi)
+        else:
+            while True:
+                cand = list(colindex[pj])
+                touched.update(cand)
+                pi = _clear_column(rows, colindex, pj, cand, key)
+                row = rows[pi]
+                a = row[pj]
+                nxt = None
+                for j in list(row):
+                    if j != pj:
+                        rem = row[j] - _nearest_quotient(row[j], a) * a
+                        if not rem:
+                            del row[j]
+                            colindex[j].discard(pi)
+                        else:
+                            row[j] = rem
+                            if nxt is None or abs(rem) < abs(row[nxt]):
+                                nxt = j
+                if nxt is None:
+                    break
+                pj = nxt
+            colindex[pj].discard(pi)
         diag.append(abs(a))
-        colindex[pj].discard(pi)
         rows[pi] = {}
         for i in touched:
             if rows[i]:

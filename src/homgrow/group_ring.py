@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    _exact_int,
     cokernel_structure,
     column_hnf,
     det_bareiss,
@@ -66,9 +67,9 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = int(c)
+                c = _exact_int(c)
                 if c:
-                    e = tuple(int(x) for x in e)
+                    e = tuple(map(_exact_int, e))
                     if len(e) != m:
                         raise DimensionMismatch("exponent arity mismatch")
                     clean[e] = clean.get(e, 0) + c
@@ -139,7 +140,7 @@ class LaurentChainComplex:
     def __init__(self, m: int, dims: Sequence[int],
                  differentials: Sequence[Sequence[Sequence[LaurentPoly]]]):
         self.m = m
-        self.dims = list(int(d) for d in dims)
+        self.dims = list(map(_exact_int, dims))
         if len(differentials) != len(self.dims) - 1:
             raise InvalidComplex("wrong number of differentials")
         mats: List[List[List[LaurentPoly]]] = []

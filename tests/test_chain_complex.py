@@ -21,6 +21,7 @@ from homgrow.corpus import random_complex, random_unimodular
 from homgrow.errors import (
     DegenerateLevel,
     DegreeOutOfRange,
+    DimensionMismatch,
     IdentityViolation,
     InvalidComplex,
 )
@@ -64,6 +65,13 @@ class TestConstruction:
     def test_shape_check(self):
         with pytest.raises(InvalidComplex):
             IntChainComplex([2, 1], [IntMatrix.from_rows([[1]])])
+
+    @pytest.mark.parametrize("dims", [[1.9, 1], [1, 1.0], [True, 1],
+                                      ["1", 1]])
+    def test_non_integer_dims_refused(self, dims):
+        # int() would read [1.9, 1] as [1, 1]
+        with pytest.raises(DimensionMismatch):
+            IntChainComplex(dims, [IntMatrix.zeros(1, 1)])
 
 
 class TestHomology:

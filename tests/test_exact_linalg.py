@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
+from homgrow import exact_linalg
+from homgrow.chain_complex import laplacian
 from homgrow.corpus import invert_unimodular, random_unimodular
-from homgrow.errors import IdentityViolation
+from homgrow.errors import DimensionMismatch, IdentityViolation
 from homgrow.exact_linalg import (
     IntMatrix,
     cokernel_structure,
@@ -95,6 +98,19 @@ def _sparse_banded_matrices(draw, max_dim=30, bound=3):
 
 
 @st.composite
+def _unit_dense_matrices(draw, max_dim=9):
+    """Matrices up to max_dim x max_dim, mostly +-1 with some zeros and a
+    few 2s, so nearly every Smith pivot is a unit; half are replaced by
+    A @ A^T, the shape of a Laplacian."""
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim))
+    entries = draw(st.lists(st.sampled_from([1, -1, 1, -1, 0, 0, 2]),
+                            min_size=n * m, max_size=n * m))
+    A = IntMatrix(n, m, entries)
+    return A @ A.transpose() if draw(st.booleans()) else A
+
+
+@st.composite
 def _matrices_with_zero_lines(draw, max_dim=7, bound=5):
     """Up to max_dim x max_dim, some rows and columns set to zero."""
     n = draw(st.integers(0, max_dim))
@@ -162,19 +178,56 @@ class TestIntMatrixAgainstLists:
         assert (A == B) == (a == b)
 
     @settings(max_examples=200, deadline=None)
-    @given(_list_operands())
-    def test_kernels_leave_input_unchanged(self, operands):
-        _, k, _, _, a, b, _, _ = operands
-        A = _from_lists(a, k) + _from_lists(b, k).scale(0)   # shares rows
+    @given(st.one_of(_list_operands().map(lambda o: _from_lists(o[4], o[1])),
+                     _sparse_banded_matrices()))
+    def test_kernels_leave_input_unchanged(self, M):
+        a = M.to_lists()
+        A = M + M.scale(0)                                   # shares rows
         H = column_hnf(A)
         h = H.to_lists()
         smith_normal_form(A)
         kernel_lattice(A)
         column_hnf(A)
+        rank(A)
         X = solve_in_lattice(H, A)
-        assert A.to_lists() == a
+        assert A.to_lists() == a and M.to_lists() == a
         assert H.to_lists() == h
         assert H @ X == A
+
+    @pytest.mark.parametrize("build", [
+        lambda: IntMatrix(2, 2, [1, 2, 3, 4.5]),
+        lambda: IntMatrix(1, 2, [Fraction(3), 1]),
+        lambda: IntMatrix(1, 2, ["3", 1]),
+        lambda: IntMatrix(1, 2, [True, 1]),
+        lambda: IntMatrix.from_rows([[1.7, 2], [3, 4]]),
+        lambda: IntMatrix.from_rows([[2.0]]),
+        lambda: IntMatrix.diagonal([2.5]),
+        lambda: IntMatrix.from_columns([[1.5]], 1),
+    ], ids=["init-float", "init-fraction", "init-str", "init-bool",
+            "from_rows", "from_rows-integral-float", "diagonal",
+            "from_columns"])
+    def test_non_integer_entries_refused(self, build):
+        # int() would truncate 4.5 to 4 and parse "3"
+        with pytest.raises(DimensionMismatch):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        A = IntMatrix.from_rows(np.array([[1, -2], [0, 3]]))
+        assert A.to_lists() == [[1, -2], [0, 3]]
+        assert all(type(v) is int for r in A.data for v in r.values())
+        assert IntMatrix.diagonal([np.int32(5)]).to_lists() == [[5]]
+
+    def test_indices_outside_the_shape_refused(self):
+        A = IntMatrix.from_rows([[1, 2], [3, 4]])
+        for bad in ((-1, 0), (2, 0), (0, -1), (0, 2)):
+            with pytest.raises(IndexError):
+                A[bad]
+        for i in (-1, 2):
+            with pytest.raises(IndexError):
+                A.row(i)
+            with pytest.raises(IndexError):
+                A.column(i)
+        assert A[1, 0] == 3 and A.row(1) == (3, 4) and A.column(1) == (2, 4)
 
 
 class TestSmithNormalForm:
@@ -230,6 +283,37 @@ class TestSmithNormalForm:
         A = IntMatrix(5, 4, [0, 0, 2, 2, -2, -2, 0, 5, 0, 0, 3, 0,
                              -2, -2, 1, 3, 3, 2, 0, 1])
         assert smith_normal_form(A).invariant_factors == (1, 1, 1, 12)
+
+    def test_unit_pivot_row_other_than_the_popped_row(self):
+        # In one unit step the least (|entry|, row length, row) in the
+        # pivot column is not the row whose heap record was popped; that
+        # row stays nonempty and needs a fresh record.
+        A = IntMatrix.from_rows([[0, 1, -1, 0, 1], [0, 1, 1, -1, 0],
+                                 [-1, 0, 0, 0, -1], [0, -1, 2, 2, 1]])
+        assert smith_normal_form(A).invariant_factors == (1, 1, 1, 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_unit_dense_matrices())
+    def test_unit_pivots_agree_with_sympy(self, A):
+        reference = tuple(abs(int(d)) for d in sympy_factors(
+            _sympy(A), domain=ZZ) if d)
+        assert smith_normal_form(A).invariant_factors == reference
+
+    def test_unit_pivots_skip_euclid(self, monkeypatch):
+        # A unit pivot clears its column in one pass and needs no
+        # remainders: on circle 512 every pivot of Delta_0 but the last
+        # one is a unit, and every pivot of the kernel's Hermite form is.
+        X = base_change(circle_complex(), QuotientSpec((512,))).complex
+        calls = []
+        quotient = exact_linalg._nearest_quotient
+        monkeypatch.setattr(exact_linalg, "_nearest_quotient",
+                            lambda b, a: calls.append(1) or quotient(b, a))
+        assert smith_normal_form(laplacian(X, 0)).invariant_factors \
+            == (1,) * 510 + (512,)
+        assert len(calls) < 10
+        calls.clear()
+        assert kernel_lattice(X.differential(1)).shape == (512, 1)
+        assert calls == []
 
     def test_chain_sets_units_aside(self):
         assert _chain_divisibility([6, 1, -4, 0, 1, 9]) == [1, 1, 1, 6, 36]

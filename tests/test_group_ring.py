@@ -83,6 +83,23 @@ class TestLaurentPoly:
         p = LaurentPoly(1, {(0,): 1}) - LaurentPoly(1, {(0,): 1})
         assert p.is_zero() and p.terms == {}
 
+    @pytest.mark.parametrize("terms", [{(0,): 2.5}, {(0.5,): 2},
+                                       {(0,): "2"}, {(True,): 1}],
+                             ids=["coefficient", "exponent", "str", "bool"])
+    def test_non_integer_terms_refused(self, terms):
+        # int() would keep the coefficient 2 and the exponent 0
+        with pytest.raises(DimensionMismatch):
+            LaurentPoly(1, terms)
+
+    def test_numpy_integer_terms_accepted(self):
+        p = LaurentPoly(1, {(np.int64(2),): np.int32(3)})
+        assert p.terms == {(2,): 3}
+        assert LaurentChainComplex(1, [np.int64(1)], []).dims == [1]
+
+    def test_non_integer_dims_refused(self):
+        with pytest.raises(DimensionMismatch):
+            LaurentChainComplex(1, [1.9], [])
+
 
 class TestBaseChange:
     def test_circle_circulant(self):
