@@ -28,8 +28,9 @@ from .exact_linalg import (
     SmithForm,
     _exact_int,
     _fk_det,
-    _fk_uses_characters,
-    _fk_uses_structure,
+    _fk_route,
+    _fk_square_image_lattice,
+    _fk_square_structure,
     _row_hnf_clean,
     column_hnf,
     det_fraction,
@@ -196,11 +197,11 @@ class ChainAnalysis:
     need).  b_n = 0 gives an empty harmonic lattice without a lattice
     computation.
 
-    A complex base-changed from Z[Z^m] may carry `characters`, the
-    `characters.CharacterSplit` of its Laurent source and quotient.  Then
-    `fk_differential` takes the FK square of c_n over Galois orbits of
-    characters when `_fk_uses_characters` says that is cheaper, and checks
-    the orbit ranks against rank c_n.
+    `fk_differential` asks `_fk_route` once per degree and calls the route
+    it names.  A complex base-changed from Z[Z^m] may carry `characters`,
+    the `characters.CharacterSplit` of its Laurent source and quotient;
+    then the rule also weighs the FK square of c_n over Galois orbits of
+    characters, and that route checks the orbit ranks against rank c_n.
     """
 
     def __init__(self, complex_: IntChainComplex, characters=None):
@@ -320,17 +321,20 @@ class ChainAnalysis:
     def fk_differential(self, n: int) -> FKDet:
         if n not in self._fk:
             cn = self.complex.differential(n)
-            if not 1 <= n <= self.complex.top_degree or cn.is_zero():
-                self._fk[n] = fk_determinant(cn)
-            elif self.characters is not None and _fk_uses_characters(
-                    cn, self.rank(n), self.characters.cost(n)):
-                self._fk[n] = _fk_det(self._character_square(n))
-            elif _fk_uses_structure(cn, self.rank(n)):
-                self._fk[n] = fk_determinant(
-                    cn, kernel=self.kernel(n), left_kernel=self.left_kernel(n),
-                    smith=self.smith(n))
+            if cn.is_zero():
+                square = 1
             else:
-                self._fk[n] = fk_determinant(cn, kernel=self.kernel(n))
+                cost = (None if self.characters is None
+                        else self.characters.cost(n))
+                route = _fk_route(cn, self.rank(n), cost)
+                if route == "characters":
+                    square = self._character_square(n)
+                elif route == "structure":
+                    square = _fk_square_structure(
+                        cn, self.kernel(n), self.left_kernel(n), self.smith(n))
+                else:
+                    square = _fk_square_image_lattice(cn)
+            self._fk[n] = _fk_det(square)
         return self._fk[n]
 
     def _character_square(self, n: int) -> int:

@@ -33,6 +33,7 @@ from .exact_linalg import det_bareiss
 
 __all__ = [
     "CharacterSplit",
+    "char_poly",
     "cyclotomic",
     "orbits",
     "orbit_cost",
@@ -201,8 +202,8 @@ def _charpoly(H: List[List[list]], R: _Cyclotomic) -> List[list]:
     [1, -a, -r C, -r A C, ..., -r A^(s-1) C] times that of the leading
     s x s block A, where C, r and a are the new column, row and corner."""
     one = [1] + [0] * (R.f - 1)
-    p = [one, _neg(H[0][0])]
-    for s in range(1, len(H)):
+    p = [one]
+    for s in range(len(H)):
         row = H[s][:s]
         items = [one, _neg(H[s][s])]
         v = [H[i][s] for i in range(s)]
@@ -213,6 +214,13 @@ def _charpoly(H: List[List[list]], R: _Cyclotomic) -> List[list]:
         p = [R.dot([items[i - j] for j in range(min(i, s) + 1)],
                    p[:min(i, s) + 1]) for i in range(s + 2)]
     return p
+
+
+def char_poly(A) -> List[int]:
+    """Coefficients [1, c_1, ..., c_k] of det(lambda - A) for a square
+    integer matrix A: the Berkowitz recursion over Z = Z[x]/Phi_1."""
+    H = [[[x] for x in row] for row in A.to_lists()]
+    return [c for c, in _charpoly(H, _Cyclotomic(1))]
 
 
 def _orbit_factor(matrix, d: int, s: tuple) -> Tuple[int, int]:

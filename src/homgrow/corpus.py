@@ -35,7 +35,6 @@ from .chain_complex import (
 from .errors import HomgrowError, IdentityViolation
 from .exact_linalg import (
     IntMatrix,
-    _colhnf_with_transform,
     column_hnf,
     fk_factorization_check,
     smith_normal_form,
@@ -59,7 +58,6 @@ from .group_ring import (
 
 __all__ = [
     "random_unimodular",
-    "invert_unimodular",
     "random_complex",
     "random_int_matrix",
     "random_finite_group_factors",
@@ -72,31 +70,32 @@ __all__ = [
 ]
 
 
-def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
-    """Product of random elementary row operations, |det| = 1."""
+def random_unimodular(n: int, rng: random.Random) -> tuple:
+    """(U, U^{-1}) for U a product of random elementary row operations.
+
+    U^{-1} is built alongside: each row operation's inverse is applied to
+    it as the matching column operation, in the same order, so
+    U^{-1} = E_1^{-1} ... E_k^{-1} for U = E_k ... E_1.
+    """
     U = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n + 2):
-        i, j = rng.randrange(n) if n else 0, rng.randrange(n) if n else 0
-        if n == 0:
-            break
+    V = [list(row) for row in U]
+    for _ in range(2 * n + 2 if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             q = rng.randint(-2, 2)
             if q:
                 for k in range(n):
                     U[i][k] += q * U[j][k]
+                    V[k][j] -= q * V[k][i]
         if rng.random() < 0.3:
             U[i], U[j] = U[j], U[i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
         if rng.random() < 0.3:
             U[i] = [-x for x in U[i]]
-    return IntMatrix.from_rows(U) if n else IntMatrix.zeros(0, 0)
-
-
-def invert_unimodular(U: IntMatrix) -> IntMatrix:
-    """U^{-1}, the column Hermite transform V with U @ V = I."""
-    H, V = _colhnf_with_transform(U)
-    if H != IntMatrix.identity(U.cols):
-        raise IdentityViolation("matrix is not unimodular")
-    return V
+            for row in V:
+                row[i] = -row[i]
+    return IntMatrix.from_rows(U), IntMatrix.from_rows(V)
 
 
 def random_complex(rng: random.Random) -> IntChainComplex:
@@ -112,8 +111,7 @@ def random_complex(rng: random.Random) -> IntChainComplex:
                                          bottom_degree=n - 1)
         C = direct_sum(C, piece)
     Us = [random_unimodular(C.dim(n), rng) for n in range(C.top_degree + 1)]
-    Uinv = [invert_unimodular(U) for U in Us]
-    diffs = [Us[n - 1] @ C.differential(n) @ Uinv[n]
+    diffs = [Us[n - 1][0] @ C.differential(n) @ Us[n][1]
              for n in range(1, C.top_degree + 1)]
     return IntChainComplex(C.dims, diffs)
 
@@ -203,8 +201,7 @@ def _conjugated_module(pieces: Sequence[tuple], nfree: int,
          for t, (q, _) in enumerate(pieces)], g)
     acts = [IntMatrix.diagonal([units[j] for _, units in pieces] + [1] * nfree)
             for j in range(len(orders))]
-    U = random_unimodular(g, rng)
-    Ui = invert_unimodular(U)
+    U, Ui = random_unimodular(g, rng)
     return ModuleWithAction(U @ P, [U @ A @ Ui for A in acts], list(orders))
 
 

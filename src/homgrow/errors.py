@@ -48,7 +48,9 @@ class InconsistentProfile(HomgrowError):
 
 
 class DegenerateLevel(HomgrowError):
-    """A tower level is degenerate, e.g. det(A^i - I) = 0."""
+    """A tower request is refused before any level is computed: no levels,
+    levels out of order or below index 1, a bad max_degree, or primes that
+    fail `check_primes`."""
 
 
 class ParseError(HomgrowError):

@@ -31,8 +31,8 @@ of two factorizations, whichever does less dense work for the rank r of A:
     Gram determinants whose sizes are the coranks cols - r and rows - r.
 
 A tower level of m >= 1 may instead take the square of a differential over
-Galois orbits of characters (`characters`); `_fk_uses_characters`, beside
-the rule between the two factorizations, decides.
+Galois orbits of characters (`characters`).  One rule, `_fk_route`, picks
+among the three routes by their estimated dense work.
 
 The literal Cauchy-Binet minor sum is kept as an independent oracle: the
 test suite compares all three, and `fk_factorization_check` compares the
@@ -523,17 +523,6 @@ def solve_in_lattice(B: IntMatrix, C: IntMatrix) -> Optional[IntMatrix]:
     return IntMatrix._raw(C.cols, B.cols, out).transpose()
 
 
-def _colhnf_with_transform(A: IntMatrix):
-    """Column HNF with transform: returns (H, V) with A @ V = [H | 0].
-
-    V is unimodular of size A.cols; H has rank(A) columns.
-    """
-    _, hrows, urows = _row_hnf_clean(A.transpose().data, transform=True)
-    H = IntMatrix._raw(len(hrows), A.rows, hrows).transpose()
-    V = IntMatrix._raw(len(urows), A.cols, urows).transpose()
-    return H, V
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -953,38 +942,36 @@ def _fk_square_structure(A: IntMatrix, K: Optional[IntMatrix] = None,
     return jk_sq * tors * tors * prc_sq
 
 
-def _fk_uses_structure(A: IntMatrix, r: int) -> bool:
-    """The FK route rule for A of rank r: True when the structure route's
-    two corank-sized Grams cost no more than the image route's two
-    rank-sized ones, 2 r^3 >= (cols - r)^3 + (rows - r)^3."""
-    return 2 * r ** 3 >= (A.cols - r) ** 3 + (A.rows - r) ** 3
+def _fk_route(A: IntMatrix, r: int, orbit_cost: Optional[int] = None) -> str:
+    """The FK route rule for A of rank r, by estimated dense work.
 
-
-def _fk_uses_characters(A: IntMatrix, r: int, orbit_cost: int) -> bool:
-    """The character route rule for a base-changed A of rank r: True when
-    the orbit work of `characters.orbit_cost` is below the cheaper of the
-    two Gram routes, orbit_cost < min(2 r^3, (cols - r)^3 + (rows - r)^3).
-    Ties go to the Gram routes."""
-    return orbit_cost < min(2 * r ** 3,
-                            (A.cols - r) ** 3 + (A.rows - r) ** 3)
+    "image" costs its two rank-sized Grams, 2 r^3; "structure" its two
+    corank-sized ones, (cols - r)^3 + (rows - r)^3.  A base-changed A with
+    a character split also offers "characters" at the orbit work
+    `orbit_cost` of `characters.orbit_cost`.  Ties go to structure over
+    image, and to the Gram routes over characters.
+    """
+    image = 2 * r ** 3
+    structure = (A.cols - r) ** 3 + (A.rows - r) ** 3
+    if orbit_cost is not None and orbit_cost < min(image, structure):
+        return "characters"
+    return "structure" if structure <= image else "image"
 
 
 def fk_determinant(A: IntMatrix, kernel: Optional[IntMatrix] = None,
-                   left_kernel: Optional[IntMatrix] = None,
-                   smith: Optional[SmithForm] = None) -> FKDet:
+                   left_kernel: Optional[IntMatrix] = None) -> FKDet:
     """Fuglede-Kadison determinant of A over the trivial group, exactly.
 
     square_exact equals the Cauchy-Binet sum of squared maximal-rank minors;
-    rank 0 gives the empty product 1.  `_fk_uses_structure` picks the route.
-    Saturated kernel bases of A and A^T and the Smith form of A may be
-    supplied: the kernel gives r without a rank computation, and the
-    structure route reuses all three.
+    rank 0 gives the empty product 1.  `_fk_route` picks the Gram route.
+    Saturated kernel bases of A and A^T may be supplied: the kernel gives r
+    without a rank computation, and the structure route reuses both.
     """
     if A.rows == 0 or A.cols == 0 or A.is_zero():
         return _fk_det(1)
     r = A.cols - kernel.cols if kernel is not None else rank(A)
-    if _fk_uses_structure(A, r):
-        return _fk_det(_fk_square_structure(A, kernel, left_kernel, smith))
+    if _fk_route(A, r) == "structure":
+        return _fk_det(_fk_square_structure(A, kernel, left_kernel))
     return _fk_det(_fk_square_image_lattice(A))
 
 

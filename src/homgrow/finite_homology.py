@@ -39,6 +39,7 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    _exact_int,
     cokernel_structure,
     column_hnf,
     kernel_lattice,
@@ -88,8 +89,9 @@ class FinAbGroup:
 
     @classmethod
     def from_orders(cls, orders: Sequence[int]) -> "FinAbGroup":
-        """Chained normalization of an arbitrary cyclic decomposition."""
-        orders = [int(o) for o in orders if int(o) > 1]
+        """Chained normalization of an arbitrary cyclic decomposition;
+        orders below 2 are dropped, and `_exact_int` refuses non-ints."""
+        orders = [o for o in map(_exact_int, orders) if o > 1]
         return cls(cokernel_structure(IntMatrix.diagonal(orders))[1])
 
     @property

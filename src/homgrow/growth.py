@@ -26,13 +26,20 @@ from .chain_complex import (
     homology_from_analysis,
     rho_identity_from_analysis,
 )
+from .characters import char_poly
 from .errors import (
     DegenerateLevel,
     HypothesisViolated,
     IdentityViolation,
     InconsistentProfile,
 )
-from .exact_linalg import IntMatrix, det_bareiss, ln_of_fraction, rank
+from .exact_linalg import (
+    IntMatrix,
+    _exact_int,
+    det_bareiss,
+    ln_of_fraction,
+    rank,
+)
 from .group_ring import (
     LaurentChainComplex,
     QuotientSpec,
@@ -176,7 +183,8 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     """Compute the full invariant table along a tower of quotients.
 
     Levels, at least one, must have strictly increasing index, primes must
-    pass `check_primes`, and max_degree must be nonnegative.  Levels are
+    pass `check_primes`, and max_degree must be a nonnegative int; else
+    `DegenerateLevel` is raised before any level runs.  Levels are
     independent and may be computed concurrently; the report is merged in
     level order, so the output does not depend on scheduling.
     """
@@ -189,9 +197,10 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     check_primes(primes)
     if max_degree is None:
         max_degree = C.top_degree
-    if max_degree < 0:
+    if isinstance(max_degree, bool) or not isinstance(max_degree, int) \
+            or max_degree < 0:
         raise DegenerateLevel(
-            f"max_degree must be nonnegative, got {max_degree}")
+            f"max_degree must be a nonnegative int, got {max_degree!r}")
     max_degree = min(max_degree, C.top_degree)
     lam = bound_lambda(C)
 
@@ -300,28 +309,10 @@ def _det_power_minus_identity(A: IntMatrix, i: int) -> int:
     return det_bareiss((P - IntMatrix.identity(A.rows)).to_lists())
 
 
-def _char_poly(A: IntMatrix) -> list:
-    """Characteristic polynomial coefficients, highest degree first."""
-    # Faddeev-LeVerrier; exact over Z
-    n = A.rows
-    coeffs = [1]
-    M = IntMatrix.zeros(n, n)
-    c = 1
-    I = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        M = A @ M + I.scale(c)
-        AM = A @ M
-        tr = sum(AM[i, i] for i in range(n))
-        assert tr % k == 0
-        c = -tr // k
-        coeffs.append(c)
-    return coeffs
-
-
 def _mahler_measure_log(A: IntMatrix) -> float:
     """ln M(char poly A) = sum of max(ln|root|, 0) (monic integer poly)."""
     import numpy as np
-    coeffs = _char_poly(A)
+    coeffs = char_poly(A)
     roots = np.roots([float(c) for c in coeffs])
     return float(sum(max(math.log(abs(r)), 0.0) for r in roots if abs(r) > 0))
 
@@ -333,9 +324,13 @@ def rank_gradient_example(profile: Sequence[int],
     `profile` is (b1_Q, b1_Fp, d_H1, d_H) for the free factor H.  Per level:
     b_1(G_i; K) = 1 + i b_1(H; K), d(H_1(G_i)) = 1 + i d(H_1(H)) and
     d(G_i) = 1 + i d(H); the limits are b_1(H;K), d(H_1(H)) and the rank
-    gradient d(H).
+    gradient d(H).  `_exact_int` refuses a float, string or bool entry or
+    level, and a level below 1 raises `DegenerateLevel`.
     """
-    b1q, b1p, d_h1, d_h = (int(x) for x in profile)
+    b1q, b1p, d_h1, d_h = map(_exact_int, profile)
+    levels = [_exact_int(i) for i in levels]
+    if any(i < 1 for i in levels):
+        raise DegenerateLevel(f"levels must be at least 1, got {levels}")
     if not (0 <= b1q <= b1p <= d_h1 <= d_h):
         raise InconsistentProfile(
             f"profile must satisfy b1_Q <= b1_Fp <= d_H1 <= d_H, got {profile}")

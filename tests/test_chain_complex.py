@@ -27,7 +27,7 @@ from homgrow.errors import (
 )
 from homgrow.exact_linalg import (
     IntMatrix,
-    _colhnf_with_transform,
+    _row_hnf_clean,
     column_hnf,
     fk_determinant,
     kernel_lattice,
@@ -303,7 +303,7 @@ class TestAlpha:
                 if b == 0:
                     continue
                 Z = an.free_lifts(n)
-                U = random_unimodular(b, rng)
+                U, _ = random_unimodular(b, rng)
                 assert alpha_square_with_lifts(an, n, Z @ U) == \
                     an.alpha_square(n)
 
@@ -408,8 +408,9 @@ def _direct_layers(C, n):
     if b == 0:
         Z = IntMatrix.zeros(C.dim(n), 0)
     else:
-        _, V = _colhnf_with_transform(kernel_lattice(X.transpose()).transpose())
-        Z = K @ IntMatrix._raw(b, K.cols, V.transpose().data[:b]).transpose()
+        _, _, urows = _row_hnf_clean(kernel_lattice(X.transpose()).data,
+                                     transform=True)
+        Z = K @ IntMatrix._raw(b, K.cols, urows[:b]).transpose()
     layers = {
         "kernel": K,
         "left_kernel": kernel_lattice(c.transpose()),

@@ -1,20 +1,28 @@
 """The character-orbit route for the FK squares of tower differentials.
 
 The oracle is the regular route: `ChainAnalysis` of the base-changed
-integer complex without a character split, so its FK squares come from the
-Gram routes of `fk_determinant`.
+integer complex without a character split, so `_fk_route` sends its FK
+squares to the Gram routes.
 """
 
 import math
+import random
 
 import pytest
+from sympy import Matrix
 
-from homgrow import characters, chain_complex, growth, serialize
+from homgrow import characters, chain_complex, exact_linalg, growth, serialize
 from homgrow.chain_complex import ChainAnalysis, rho_identity_from_analysis
-from homgrow.characters import CharacterSplit, cyclotomic, orbit_cost, orbits
+from homgrow.characters import (
+    CharacterSplit,
+    char_poly,
+    cyclotomic,
+    orbit_cost,
+    orbits,
+)
 from homgrow.cli import builtin_complex
 from homgrow.errors import IdentityViolation
-from homgrow.exact_linalg import IntMatrix, _fk_uses_characters
+from homgrow.exact_linalg import IntMatrix, _fk_route
 from homgrow.group_ring import (
     QuotientSpec,
     base_change,
@@ -74,6 +82,16 @@ def test_orbits_partition_the_dual_group(moduli):
     assert len(set(found)) == len(found)
 
 
+def test_char_poly_matches_sympy():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        expected = Matrix(rows).charpoly().all_coeffs()
+        assert char_poly(IntMatrix.from_rows(rows)) == expected
+    assert char_poly(IntMatrix.zeros(0, 0)) == [1]
+
+
 def test_cyclotomic_values():
     assert cyclotomic(1) == (-1, 1)
     assert cyclotomic(2) == (1, 1)
@@ -84,11 +102,10 @@ def test_cyclotomic_values():
 
 
 def _rule(C, moduli):
-    """The character route rule for each nonzero differential of a level."""
+    """The FK route of each nonzero differential of a level."""
     qc = base_change(C, QuotientSpec(moduli))
     an, split = qc.analysis, CharacterSplit(C, moduli)
-    return [_fk_uses_characters(qc.complex.differential(n), an.rank(n),
-                                split.cost(n))
+    return [_fk_route(qc.complex.differential(n), an.rank(n), split.cost(n))
             for n in range(1, C.top_degree + 1)]
 
 
@@ -97,13 +114,27 @@ def _rule(C, moduli):
     (circle_complex(), (4096,)), (MAPPING_TORUS, (200,))],
     ids=["circle-2", "circle-512", "circle-4096", "mapping-torus-200"])
 def test_rule_keeps_low_corank_levels_regular(C, moduli):
-    assert _rule(C, moduli) == [False] * C.top_degree
+    assert "characters" not in _rule(C, moduli)
 
 
 @pytest.mark.parametrize("m, moduli", [
     (3, (2, 2, 2)), (3, (4, 4, 4)), (2, (16, 16))])
 def test_rule_takes_characters_on_tori(m, moduli):
-    assert _rule(torus_complex(m), moduli) == [True] * m
+    assert _rule(torus_complex(m), moduli) == ["characters"] * m
+
+
+def test_rule_tie_breaks():
+    # 2 x 2 of rank 1: the image route's 2 r^3 and the structure route's
+    # 1^3 + 1^3 are both 2, and an orbit cost of 2 ties with them
+    tie = IntMatrix.from_rows([[1, 1], [1, 1]])
+    assert _fk_route(tie, 1) == "structure"
+    assert _fk_route(tie, 1, orbit_cost=2) == "structure"
+    assert _fk_route(tie, 1, orbit_cost=1) == "characters"
+    # 3 x 3 of rank 1: image 2 against structure 2^3 + 2^3
+    cheap_image = IntMatrix.from_rows([[1, 1, 1]] * 3)
+    assert _fk_route(cheap_image, 1) == "image"
+    assert _fk_route(cheap_image, 1, orbit_cost=2) == "image"
+    assert _fk_route(cheap_image, 1, orbit_cost=1) == "characters"
 
 
 def _csv(C, moduli):
@@ -119,8 +150,8 @@ def test_torus4_level_same_csv_as_regular_route(monkeypatch):
                         lambda *a: calls.append(1) or real(*a))
     via_characters = _csv(C, (4, 2, 2, 2))
     assert calls
-    monkeypatch.setattr(chain_complex, "_fk_uses_characters",
-                        lambda *a: False)
+    monkeypatch.setattr(chain_complex, "_fk_route",
+                        lambda A, r, cost: exact_linalg._fk_route(A, r))
     assert _csv(C, (4, 2, 2, 2)) == via_characters
 
 

@@ -14,8 +14,8 @@ from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
 from homgrow import exact_linalg
 from homgrow.chain_complex import laplacian
-from homgrow.corpus import invert_unimodular, random_unimodular
-from homgrow.errors import DimensionMismatch, IdentityViolation
+from homgrow.corpus import random_unimodular
+from homgrow.errors import DimensionMismatch
 from homgrow.exact_linalg import (
     IntMatrix,
     cokernel_structure,
@@ -31,11 +31,11 @@ from homgrow.exact_linalg import (
 )
 from homgrow.exact_linalg import (
     _chain_divisibility,
-    _colhnf_with_transform,
     _fk_square_image_lattice,
     _fk_square_minor_sum,
     _fk_square_structure,
     _gram_int,
+    _row_hnf_clean,
 )
 from homgrow.group_ring import (
     QuotientSpec,
@@ -108,6 +108,58 @@ def _unit_dense_matrices(draw, max_dim=9):
                             min_size=n * m, max_size=n * m))
     A = IntMatrix(n, m, entries)
     return A @ A.transpose() if draw(st.booleans()) else A
+
+
+@st.composite
+def _unit_pivot_off_the_popped_row(draw):
+    """Matrices whose unit Smith step pivots on a row other than the popped
+    one, which survives the step.
+
+    Rows i1 < i0 have the same length and units in a shared column pj; i0
+    also has a unit in column q, i1 one in column s.  At first i0's best
+    entry is in q (fq other rows) and i1's record is worse (pj holds k + 2
+    rows, s holds fs + 1, and fq < min(k + 1, fs)).  Then k rows
+    {c_t: 1, pj: 1}, each alone in its column c_t, pivot first and leave
+    pj without touching i0 or i1, so i1's record goes stale.  i0 pops next,
+    now best in pj (fq >= 2), and the unit step there pivots on i1, the
+    least (|entry|, length, row), and leaves i0 changed and nonempty.
+
+    Every other entry is even, and each filler row of q and s holds a 2 in
+    a column of its own: it pivots there, m = 0, and its even entries
+    reduce to 0 mod 2 without touching i0.  So no later step refreshes i0:
+    only the fresh record of the unit step keeps its factor 1.
+    """
+    fq = draw(st.integers(2, 3))
+    k = draw(st.integers(fq, fq + 2))
+    fs = draw(st.integers(fq + 1, fq + 3))
+    extra = draw(st.integers(0, 3))          # columns shared by the fillers
+    pad = draw(st.integers(0, 2))            # equal extra length of i0, i1
+    even = st.sampled_from([2, -2, 4, -4, 6])
+    unit = st.sampled_from([1, -1])
+    pj, q, s = 0, 1, 2
+    ncols = 3 + k + fq + fs
+    spare = list(range(ncols, ncols + extra + 2 * pad))
+    rows = [{3 + t: draw(unit), pj: draw(unit)} for t in range(k)]
+    i1 = {pj: draw(unit), s: draw(unit)}
+    i0 = {pj: draw(unit), q: draw(unit)}
+    i1.update({j: draw(even) for j in spare[extra:extra + pad]})
+    i0.update({j: draw(even) for j in spare[extra + pad:]})
+    for f, col in enumerate([q] * fq + [s] * fs):
+        r = {3 + k + f: draw(st.sampled_from([2, -2])), col: draw(even)}
+        if spare:
+            r.update({j: draw(even) for j in draw(
+                st.lists(st.sampled_from(spare), max_size=2))})
+        rows.append(r)
+    order = draw(st.permutations(range(len(rows) + 2)))
+    a, b = sorted(order[:2])
+    placed = [None] * (len(rows) + 2)
+    placed[a], placed[b] = i1, i0
+    for pos, r in zip(order[2:], rows):
+        placed[pos] = r
+    ncols += len(spare)
+    perm = draw(st.permutations(range(ncols)))
+    return IntMatrix(len(placed), ncols, [
+        r.get(perm[j], 0) for r in placed for j in range(ncols)])
 
 
 @st.composite
@@ -299,6 +351,13 @@ class TestSmithNormalForm:
             _sympy(A), domain=ZZ) if d)
         assert smith_normal_form(A).invariant_factors == reference
 
+    @settings(max_examples=100, deadline=None)
+    @given(_unit_pivot_off_the_popped_row())
+    def test_unit_pivot_off_the_popped_row(self, A):
+        reference = tuple(abs(int(d)) for d in sympy_factors(
+            _sympy(A), domain=ZZ) if d)
+        assert smith_normal_form(A).invariant_factors == reference
+
     def test_unit_pivots_skip_euclid(self, monkeypatch):
         # A unit pivot clears its column in one pass and needs no
         # remainders: on circle 512 every pivot of Delta_0 but the last
@@ -360,11 +419,19 @@ class TestKernelLattice:
 
     def test_unimodular_inverse(self):
         rng = random.Random(106)
-        for n in range(6):
-            U = random_unimodular(n, rng)
-            assert U @ invert_unimodular(U) == IntMatrix.identity(n)
-        with pytest.raises(IdentityViolation):
-            invert_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+        for n in range(11):
+            for _ in range(20):
+                U, Ui = random_unimodular(n, rng)
+                assert U @ Ui == IntMatrix.identity(n)
+                assert Ui @ U == IntMatrix.identity(n)
+
+    def test_unimodular_draws_are_pinned(self):
+        # the corpora are seeded: the same draws must give the same U
+        rng = random.Random(0)
+        U, Ui = random_unimodular(3, rng)
+        assert U.to_lists() == [[0, 0, 1], [-2, 1, 0], [1, -1, 0]]
+        assert Ui.to_lists() == [[0, -1, -1], [0, -1, -2], [1, 0, 0]]
+        assert rng.random() == 0.8050278270130223
 
 
 def _assert_column_hermite_basis(A, H, r):
@@ -381,9 +448,23 @@ def _assert_column_hermite_basis(A, H, r):
     return X
 
 
+def _column_hermite_transform(A):
+    """(H, V) with A @ V = [H | 0] and V unimodular, from the transform
+    mode of _row_hnf_clean on A^T."""
+    _, hrows, urows = _row_hnf_clean(A.transpose().data, transform=True)
+    H = IntMatrix._raw(len(hrows), A.rows, hrows).transpose()
+    V = IntMatrix._raw(len(urows), A.cols, urows).transpose()
+    return H, V
+
+
+def _is_unimodular(V):
+    sf = smith_normal_form(V)
+    return sf.rank == V.rows == V.cols and set(sf.invariant_factors) <= {1}
+
+
 class TestHermiteAgainstSympy:
-    """rank, kernel_lattice, column_hnf and _colhnf_with_transform all run
-    the one reduction loop of _row_hnf_clean; each is checked here against
+    """rank, kernel_lattice, column_hnf and the transform mode all run the
+    one reduction loop of _row_hnf_clean; each is checked here against
     sympy or against a defining property."""
 
     @settings(max_examples=200, deadline=None)
@@ -405,7 +486,7 @@ class TestHermiteAgainstSympy:
         if r:
             assert _unit_factors(X, r)
 
-        H2, V = _colhnf_with_transform(A)
+        H2, V = _column_hermite_transform(A)
         assert H2 == H
         assert V.shape == (A.cols, A.cols)
         assert abs(_sympy(V).det()) == 1
@@ -451,8 +532,8 @@ class TestHermiteLoop:
 
         _assert_column_hermite_basis(A, column_hnf(A), r)
 
-        _, V = _colhnf_with_transform(A)
-        assert V @ invert_unimodular(V) == IntMatrix.identity(A.cols)
+        _, V = _column_hermite_transform(A)
+        assert _is_unimodular(V)
 
 
 class TestCokernelStructure:

@@ -1,6 +1,7 @@
 """Every name a homgrow module exports in __all__ must exist, every name the
-package imports from a module must be in that module's __all__, and every
-entry point the benchmark's tracer wraps must exist."""
+package imports from a module must be in that module's __all__, every
+entry point the benchmark's tracer wraps must exist, and no module imports
+a test-only dependency or imports numpy at import time."""
 
 import ast
 import importlib
@@ -55,3 +56,36 @@ def test_traced_entry_points_exist():
         if not found:
             missing.append(f"{module}.{qualname}")
     assert missing == []
+
+
+SOURCES = sorted(Path(homgrow.__file__).parent.rglob("*.py"))
+TEST_ONLY = {"sympy", "hypothesis", "pytest"}
+
+
+def _imports(tree):
+    """(top-level package, inside a function) of each absolute import."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((a.name.split(".")[0], in_function)
+                             for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.module.split(".")[0], in_function))
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_test_only_or_eager_numpy_imports(path):
+    # sympy, hypothesis and pytest are test dependencies only; numpy is
+    # imported where a float routine needs it, so `import homgrow` stays
+    # cheap
+    found = _imports(ast.parse(path.read_text()))
+    assert [m for m, _ in found if m in TEST_ONLY] == []
+    assert [m for m, in_function in found
+            if m == "numpy" and not in_function] == []

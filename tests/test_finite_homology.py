@@ -101,6 +101,13 @@ class TestFinAbGroup:
         assert FinAbGroup.from_orders(()).factors == ()
         assert FinAbGroup((2, 4)).order == 8
 
+    @pytest.mark.parametrize("orders", [(2.7,), ("3",), (True,), (4, 2.0)],
+                             ids=["float", "string", "bool", "float-later"])
+    def test_from_orders_refuses_non_ints(self, orders):
+        # int() would read these as Z/2, Z/3, a dropped 1 and Z/2 x Z/4
+        with pytest.raises(DimensionMismatch, match="integer"):
+            FinAbGroup.from_orders(orders)
+
     def test_invalid_chain_rejected(self):
         with pytest.raises(DimensionMismatch):
             FinAbGroup((4, 2))

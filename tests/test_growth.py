@@ -3,7 +3,11 @@ import math
 import pytest
 
 from homgrow import growth
-from homgrow.errors import DegenerateLevel, InconsistentProfile
+from homgrow.errors import (
+    DegenerateLevel,
+    DimensionMismatch,
+    InconsistentProfile,
+)
 from homgrow.exact_linalg import IntMatrix
 from homgrow.group_ring import (
     LaurentChainComplex,
@@ -82,6 +86,15 @@ class TestRunTower:
         monkeypatch.setattr(growth, "_analyze_level", _never_called)
         with pytest.raises(DegenerateLevel, match="max_degree"):
             run_tower(circle_complex(), circle_levels(4), max_degree=-1)
+
+    @pytest.mark.parametrize("max_degree", [1.5, True, "1"],
+                             ids=["float", "bool", "string"])
+    def test_non_int_max_degree_refused(self, max_degree, monkeypatch):
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match="nonnegative int"):
+            run_tower(torus_complex(2), [QuotientSpec((2, 2))],
+                      max_degree=max_degree)
 
     @pytest.mark.parametrize("primes, message", [
         ((4,), "not prime"), ((1,), "not prime"), ((-3,), "not prime"),
@@ -185,3 +198,19 @@ class TestRankGradient:
     def test_inconsistent_profile(self):
         with pytest.raises(InconsistentProfile):
             rank_gradient_example((2, 1, 1, 1), [1])
+
+    @pytest.mark.parametrize("profile, levels", [
+        ((0, 1.9, 2, 3), [1]), ((0, 1, 2, "3"), [1]), ((0, True, 2, 3), [1]),
+        ((0, 1, 2, 3), [1, 1.5]), ((0, 1, 2, 3), [True])],
+        ids=["float", "string", "bool", "float-level", "bool-level"])
+    def test_non_int_input_refused(self, profile, levels):
+        # int() would truncate 1.9 to 1 and read True as level 1
+        with pytest.raises(DimensionMismatch, match="expected an integer"):
+            rank_gradient_example(profile, levels)
+
+    @pytest.mark.parametrize("levels", [[0], [1, -2]],
+                             ids=["zero", "negative"])
+    def test_levels_below_one_refused(self, levels):
+        # level 0 divided by zero
+        with pytest.raises(DegenerateLevel, match="at least 1"):
+            rank_gradient_example((0, 1, 2, 3), levels)
