@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import (
     DegenerateLevel,
@@ -202,11 +202,25 @@ class ChainAnalysis:
     the `characters.CharacterSplit` of its Laurent source and quotient;
     then the rule also weighs the FK square of c_n over Galois orbits of
     characters, and that route checks the orbit ranks against rank c_n.
+
+    Such a level also lifts its harmonic lattices from `lift`, the analysis
+    of the augmented complex Z tensor_{ZG} C of that source, built on first
+    use.  The norm map N_G, e_(i) -> the sum of e_(i, v) over the group
+    elements v, is a chain map that scales inner products by |G| and splits
+    over Z.  So when b_n equals the augmented b_n, every harmonic vector is
+    G-invariant, and the harmonic lattice is N_G of the augmented one: each
+    augmented row repeated |G| times in the block layout of base change,
+    saturated and exactly ker(Delta_n), with no elimination.  Otherwise,
+    and without characters, the kernel route runs.  `alpha_square` cannot
+    see a wrong lattice scale, but the Laplacian identity can: the FK
+    structure route of Delta_n reads det(W^T W).  That route factors a
+    repeated diagonal block of the Laplacian once (`fk_determinant`).
     """
 
     def __init__(self, complex_: IntChainComplex, characters=None):
         self.complex = complex_
         self.characters = characters
+        self._lift: Optional[ChainAnalysis] = None
         self._kernel: Dict[int, IntMatrix] = {}
         self._left_kernel: Dict[int, IntMatrix] = {}
         self._smith: Dict[int, SmithForm] = {}
@@ -299,10 +313,20 @@ class ChainAnalysis:
                 self._free_lifts[n] = K @ Zt.transpose()
         return self._free_lifts[n]
 
+    def lift(self) -> Optional["ChainAnalysis"]:
+        """The analysis of the augmented complex of the characters' source,
+        which the harmonic lattices lift from, built on first call; None
+        without characters."""
+        if self._lift is None and self.characters is not None:
+            self._lift = ChainAnalysis(
+                self.characters.source.augmented_complex())
+        return self._lift
+
     def harmonic(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n) cap ker(c_{n+1}^T) = ker(Delta_n)."""
         if n not in self._harmonic:
-            if self.betti(n) == 0:
+            b = self.betti(n)
+            if b == 0:
                 # b_n is its rank; a wrongly empty lattice still fails the
                 # rank check of the Laplacian's Smith form
                 self._harmonic[n] = IntMatrix.zeros(self.complex.dim(n), 0)
@@ -310,6 +334,15 @@ class ChainAnalysis:
                 # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
                 # already in column Hermite form
                 self._harmonic[n] = self.left_kernel(n + 1)
+            elif (src := self.lift()) is not None and src.betti(n) == b:
+                # Every harmonic vector is invariant, so the lattice is the
+                # norm map of the lift's: each of its rows repeated once per
+                # group element, in the block layout of base change
+                W = src.harmonic(n)
+                reps = self.complex.dim(n) // src.complex.dim(n)
+                self._harmonic[n] = IntMatrix._raw(
+                    W.rows * reps, W.cols,
+                    [r for r in W.data for _ in range(reps)])
             else:
                 K = self.kernel(n)
                 M = self.complex.differential(n + 1).transpose() @ K

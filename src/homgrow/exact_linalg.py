@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -690,6 +690,63 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     return SmithForm(tuple(factors), len(factors))
 
 
+def _smith_by_blocks(A: IntMatrix) -> SmithForm:
+    """`smith_normal_form` of A, one call per distinct diagonal block.
+
+    The blocks are the connected components of the row-column graph of A
+    (row i meets column j when A[i, j] != 0), found by union-find over the
+    columns of each row.  A block-diagonal matrix has the Smith form of its
+    blocks' factors together, re-chained, and the elimination costs it the
+    sum of its blocks.  So the only saving is a repeated block: each block,
+    its rows in order and its columns relabelled by rank, is factored once
+    however often it repeats.  A single component is factored whole.  A
+    torus Laplacian Delta_n splits into C(m, n) copies of one block.  The
+    split is kept to the FK structure route, since finding components
+    costs every small Smith form more than it saves.
+    """
+    parent = list(range(A.cols))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    # each merge joins two components of the nonzero columns
+    merges = 0
+    for r in A.data:
+        if len(r) > 1:
+            it = iter(r)
+            root = find(next(it))
+            for j in it:
+                if parent[j] != root:
+                    k = find(j)
+                    if k != root:
+                        parent[k] = root
+                        merges += 1
+    if len(set().union(*A.data)) - merges <= 1:
+        return smith_normal_form(A)
+    comp_rows = defaultdict(list)
+    for i, r in enumerate(A.data):
+        if r:
+            comp_rows[find(next(iter(r)))].append(i)
+    comp_cols = defaultdict(list)
+    for j in range(A.cols):
+        comp_cols[find(j)].append(j)
+    counts = Counter()
+    for root, rows in comp_rows.items():
+        label = {j: t for t, j in enumerate(comp_cols[root])}
+        counts[len(label), tuple(
+            tuple(sorted((label[j], v) for j, v in A.data[i].items()))
+            for i in rows)] += 1
+    diag = []
+    for (ncols, rows), times in counts.items():
+        sf = smith_normal_form(IntMatrix._raw(len(rows), ncols,
+                                              [dict(r) for r in rows]))
+        diag.extend(sf.invariant_factors * times)
+    factors = _chain_divisibility(diag)
+    return SmithForm(tuple(factors), len(factors))
+
+
 def rank(A: IntMatrix) -> int:
     pivots, _, _ = _row_hnf_clean(A.transpose().data,
                                   reduce_off_pivots=False)
@@ -965,13 +1022,16 @@ def fk_determinant(A: IntMatrix, kernel: Optional[IntMatrix] = None,
     square_exact equals the Cauchy-Binet sum of squared maximal-rank minors;
     rank 0 gives the empty product 1.  `_fk_route` picks the Gram route.
     Saturated kernel bases of A and A^T may be supplied: the kernel gives r
-    without a rank computation, and the structure route reuses both.
+    without a rank computation, and the structure route reuses both.  The
+    structure route takes the Smith form by diagonal blocks,
+    `_smith_by_blocks`.
     """
     if A.rows == 0 or A.cols == 0 or A.is_zero():
         return _fk_det(1)
     r = A.cols - kernel.cols if kernel is not None else rank(A)
     if _fk_route(A, r) == "structure":
-        return _fk_det(_fk_square_structure(A, kernel, left_kernel))
+        return _fk_det(_fk_square_structure(A, kernel, left_kernel,
+                                            _smith_by_blocks(A)))
     return _fk_det(_fk_square_image_lattice(A))
 
 

@@ -90,8 +90,12 @@ class FinAbGroup:
     @classmethod
     def from_orders(cls, orders: Sequence[int]) -> "FinAbGroup":
         """Chained normalization of an arbitrary cyclic decomposition;
-        orders below 2 are dropped, and `_exact_int` refuses non-ints."""
-        orders = [o for o in map(_exact_int, orders) if o > 1]
+        orders of 1 are dropped, `_exact_int` refuses non-ints and an order
+        below 1 raises `DimensionMismatch`."""
+        orders = list(map(_exact_int, orders))
+        if any(o < 1 for o in orders):
+            raise DimensionMismatch(f"orders must be at least 1, got {orders}")
+        orders = [o for o in orders if o > 1]
         return cls(cokernel_structure(IntMatrix.diagonal(orders))[1])
 
     @property

@@ -167,6 +167,10 @@ class LaurentChainComplex:
             return self.dims[n]
         return 0
 
+    def augmented_complex(self) -> IntChainComplex:
+        """Z tensor_{ZG} C: every Laurent entry evaluated at 1."""
+        return base_change(self, QuotientSpec((1,) * self.m)).complex
+
     def __repr__(self):
         return f"LaurentChainComplex(m={self.m}, dims={self.dims})"
 
@@ -232,9 +236,10 @@ class QuotientComplex:
 
     @cached_property
     def analysis(self) -> ChainAnalysis:
-        """The `ChainAnalysis` of `complex`; for m >= 1 it carries the
+        """The `ChainAnalysis` of `complex`.  For m >= 1 it carries the
         character split of the Laurent source at this quotient, which the
-        FK squares of the differentials may take."""
+        FK squares of the differentials may take and the harmonic lattices
+        lift through."""
         q = self.quotient
         split = CharacterSplit(self.source, q.moduli) if q.m else None
         return ChainAnalysis(self.complex, split)
@@ -242,9 +247,10 @@ class QuotientComplex:
     @cached_property
     def augmented(self) -> ChainAnalysis:
         """The analysis of Z tensor_{Z[G/G_i]} C[i]: every Laurent entry
-        evaluated at 1."""
-        trivial = QuotientSpec((1,) * self.quotient.m)
-        return ChainAnalysis(base_change(self.source, trivial).complex)
+        evaluated at 1.  For m >= 1 it is the lift of `analysis`."""
+        if not self.quotient.m:
+            return ChainAnalysis(self.source.augmented_complex())
+        return self.analysis.lift()
 
     @cached_property
     def actions(self) -> List[List[IntMatrix]]:

@@ -324,9 +324,13 @@ def rank_gradient_example(profile: Sequence[int],
     `profile` is (b1_Q, b1_Fp, d_H1, d_H) for the free factor H.  Per level:
     b_1(G_i; K) = 1 + i b_1(H; K), d(H_1(G_i)) = 1 + i d(H_1(H)) and
     d(G_i) = 1 + i d(H); the limits are b_1(H;K), d(H_1(H)) and the rank
-    gradient d(H).  `_exact_int` refuses a float, string or bool entry or
-    level, and a level below 1 raises `DegenerateLevel`.
+    gradient d(H).  A profile without four entries raises
+    `InconsistentProfile`, `_exact_int` refuses a float, string or bool
+    entry or level, and a level below 1 raises `DegenerateLevel`.
     """
+    if len(profile) != 4:
+        raise InconsistentProfile(
+            f"profile must have four entries, got {tuple(profile)}")
     b1q, b1p, d_h1, d_h = map(_exact_int, profile)
     levels = [_exact_int(i) for i in levels]
     if any(i < 1 for i in levels):

@@ -455,7 +455,7 @@ def _assert_layers_agree(C):
         assert _shared_layers(an, n) == _direct_layers(C, n), n
 
 
-def _tier1_tower_levels():
+def _tier1_quotients():
     A = IntMatrix.from_rows([[2, 1], [1, 1]])
     towers = [
         (circle_complex(), [(2 ** k,) for k in range(9)]),
@@ -465,7 +465,12 @@ def _tier1_tower_levels():
     ]
     for L, levels in towers:
         for moduli in levels:
-            yield base_change(L, QuotientSpec(moduli)).complex
+            yield base_change(L, QuotientSpec(moduli))
+
+
+def _tier1_tower_levels():
+    for qc in _tier1_quotients():
+        yield qc.complex
 
 
 class TestSharedLayers:
@@ -548,3 +553,64 @@ class TestSharedLayers:
         nonzero = [M for M in calls["smith_normal_form"] if not M.is_zero()]
         assert len(nonzero) == 7
         assert not any(M == C.differential(2) for M in nonzero)
+
+
+class TestHarmonicLift:
+    """A quotient complex lifts its harmonic lattice from the augmented
+    complex when their Betti numbers agree, and keeps the kernel route
+    when they do not."""
+
+    @staticmethod
+    def _lifted(an, n):
+        return (an.betti(n) and not an._kernel_is_identity(n)
+                and an.lift().betti(n) == an.betti(n))
+
+    def test_lift_equals_kernel_route_on_tier1_levels(self):
+        lifted = 0
+        for qc in _tier1_quotients():
+            an, direct = qc.analysis, ChainAnalysis(qc.complex)
+            for n in range(qc.complex.top_degree + 1):
+                lifted += bool(self._lifted(an, n))
+                assert column_hnf(an.harmonic(n)) == direct.harmonic(n), \
+                    (qc.quotient, n)
+        # every degree n >= 1 of circle, torus2 and torus3 above index 1;
+        # the mapping torus has b_n = 0
+        assert lifted == 8 + 3 * 2 + 2 * 3
+
+    def test_betti_numbers_above_the_augmented_take_the_kernel_route(self):
+        swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+        qc = base_change(mapping_torus_complex(swap), QuotientSpec((64,)))
+        an = qc.analysis
+        assert [an.betti(n) for n in range(3)] == [2, 2, 0]
+        assert [qc.augmented.betti(n) for n in range(3)] == [1, 1, 0]
+        # the lift would give one column
+        W = an.harmonic(1)
+        assert W.cols == 2
+        assert W == ChainAnalysis(qc.complex).harmonic(1)
+        rho_identity_from_analysis(an)
+
+    def test_planted_lift_scaled_by_two_fails_the_laplacian_identity(self):
+        # alpha_n cannot see the scale of the harmonic lattice, but the FK
+        # structure route of Delta_n reads det(W^T W)
+        qc = base_change(torus_complex(2), QuotientSpec((4, 4)))
+        an = qc.analysis
+        aug = an.lift()
+        assert self._lifted(an, 1)
+        aug._harmonic[1] = aug.harmonic(1).scale(2)
+        with pytest.raises(IdentityViolation, match="Laplacian"):
+            rho_identity_from_analysis(an)
+
+    def test_lifted_torus3_degree_computes_no_harmonic_kernel(
+            self, monkeypatch):
+        qc = base_change(torus_complex(3), QuotientSpec((4, 4, 4)))
+        an = qc.analysis
+        calls = TestSharedLayers._count_calls(monkeypatch)
+        for n in (1, 2):
+            assert self._lifted(an, n)
+            an.lift().harmonic(n)
+            an.kernel(n)
+            del calls["kernel_lattice"][:]
+            W = an.harmonic(n)
+            assert calls["kernel_lattice"] == []
+            assert (laplacian(qc.complex, n) @ W).is_zero()
+            assert W.cols == an.betti(n) == 3

@@ -36,6 +36,7 @@ from homgrow.exact_linalg import (
     _fk_square_structure,
     _gram_int,
     _row_hnf_clean,
+    _smith_by_blocks,
 )
 from homgrow.group_ring import (
     QuotientSpec,
@@ -174,6 +175,30 @@ def _matrices_with_zero_lines(draw, max_dim=7, bound=5):
     return IntMatrix(n, m, [
         0 if i in zero_rows or j in zero_cols else entries[i * m + j]
         for i in range(n) for j in range(m)])
+
+
+@st.composite
+def _permuted_block_diagonals(draw, max_blocks=4, max_dim=4, bound=3):
+    """Block-diagonal matrices under random row and column permutations.
+    A few distinct blocks, some of them zero, each repeated up to three
+    times."""
+    distinct = draw(st.lists(_small_matrices(max_dim, bound), min_size=1,
+                             max_size=max_blocks))
+    blocks = [B for B in distinct
+              for _ in range(draw(st.integers(1, 3)))]
+    n = sum(B.rows for B in blocks)
+    m = sum(B.cols for B in blocks)
+    cells = {}
+    r0 = c0 = 0
+    for B in blocks:
+        for i, row in enumerate(B.data):
+            for j, v in row.items():
+                cells[r0 + i, c0 + j] = v
+        r0, c0 = r0 + B.rows, c0 + B.cols
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(m)))
+    return IntMatrix(n, m, [cells.get((rows[i], cols[j]), 0)
+                            for i in range(n) for j in range(m)])
 
 
 def _sympy(A):
@@ -373,6 +398,26 @@ class TestSmithNormalForm:
         calls.clear()
         assert kernel_lattice(X.differential(1)).shape == (512, 1)
         assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(_permuted_block_diagonals())
+    def test_by_blocks_agrees_with_whole_and_sympy(self, A):
+        reference = tuple(abs(int(d)) for d in sympy_factors(
+            _sympy(A), domain=ZZ) if d)
+        sf = _smith_by_blocks(A)
+        assert sf == smith_normal_form(A)
+        assert sf.invariant_factors == reference
+
+    def test_torus_laplacian_factors_one_block(self, monkeypatch):
+        # Delta_1 of a torus3 level is three copies of one block
+        X = base_change(torus_complex(3), QuotientSpec((4, 4, 2))).complex
+        delta = laplacian(X, 1)
+        calls = []
+        real = exact_linalg.smith_normal_form
+        monkeypatch.setattr(exact_linalg, "smith_normal_form",
+                            lambda A: calls.append(A.shape) or real(A))
+        assert _smith_by_blocks(delta) == real(delta)
+        assert calls == [(32, 32)]
 
     def test_chain_sets_units_aside(self):
         assert _chain_divisibility([6, 1, -4, 0, 1, 9]) == [1, 1, 1, 6, 36]

@@ -108,6 +108,17 @@ class TestFinAbGroup:
         with pytest.raises(DimensionMismatch, match="integer"):
             FinAbGroup.from_orders(orders)
 
+    @pytest.mark.parametrize("orders", [(0, 4), (-3,), (2, -2)],
+                             ids=["zero", "negative", "negative-later"])
+    def test_from_orders_refuses_orders_below_one(self, orders):
+        # dropping them read (0, 4) as Z/4 and (-3,) as the trivial group
+        with pytest.raises(DimensionMismatch, match="at least 1"):
+            FinAbGroup.from_orders(orders)
+
+    def test_from_orders_drops_order_one(self):
+        assert FinAbGroup.from_orders((1, 4, 1)).factors == (4,)
+        assert FinAbGroup.from_orders((1,)).factors == ()
+
     def test_invalid_chain_rejected(self):
         with pytest.raises(DimensionMismatch):
             FinAbGroup((4, 2))

@@ -199,6 +199,13 @@ class TestRankGradient:
         with pytest.raises(InconsistentProfile):
             rank_gradient_example((2, 1, 1, 1), [1])
 
+    @pytest.mark.parametrize("profile", [(0, 1, 2), (0, 1, 2, 3, 4), ()],
+                             ids=["three", "five", "empty"])
+    def test_profile_of_wrong_length_refused(self, profile):
+        # tuple unpacking raised a bare ValueError
+        with pytest.raises(InconsistentProfile, match="four entries"):
+            rank_gradient_example(profile, [1])
+
     @pytest.mark.parametrize("profile, levels", [
         ((0, 1.9, 2, 3), [1]), ((0, 1, 2, "3"), [1]), ((0, True, 2, 3), [1]),
         ((0, 1, 2, 3), [1, 1.5]), ((0, 1, 2, 3), [True])],
