@@ -213,8 +213,17 @@ class ChainAnalysis:
     saturated and exactly ker(Delta_n), with no elimination.  Otherwise,
     and without characters, the kernel route runs.  `alpha_square` cannot
     see a wrong lattice scale, but the Laplacian identity can: the FK
-    structure route of Delta_n reads det(W^T W).  That route factors a
-    repeated diagonal block of the Laplacian once (`fk_determinant`).
+    structure route of Delta_n reads det(W^T W).
+
+    The Laplacians repeat diagonal blocks across degrees: a torus Delta_n
+    is C(m, n) copies of Delta_0, and the circle's Delta_0 equals Delta_1
+    because the circulant t - 1 is normal (so too for a mapping torus of a
+    symmetric matrix A, as tA - I commutes with its adjoint t^-1 A - I).
+    So the analysis keeps one dict of block Smith forms, made here and
+    dropped with it, which `fk_laplacian` passes to `fk_determinant`: each
+    distinct block is factored once per analysis, not once per degree.  No
+    cache outlives the analysis, and what the dict returns still meets the
+    Laplacian identity check.
     """
 
     def __init__(self, complex_: IntChainComplex, characters=None):
@@ -229,6 +238,7 @@ class ChainAnalysis:
         self._harmonic: Dict[int, IntMatrix] = {}
         self._fk: Dict[int, FKDet] = {}
         self._fk_delta: Dict[int, FKDet] = {}
+        self._smith_blocks: Dict[tuple, tuple] = {}
 
     # -- per-degree facts -----------------------------------------------------
 
@@ -390,7 +400,8 @@ class ChainAnalysis:
             if not (delta @ W).is_zero():
                 raise IdentityViolation(
                     "harmonic lattice is not annihilated by the Laplacian")
-            self._fk_delta[n] = fk_determinant(delta, kernel=W, left_kernel=W)
+            self._fk_delta[n] = fk_determinant(delta, kernel=W, left_kernel=W,
+                                               blocks=self._smith_blocks)
         return self._fk_delta[n]
 
     # -- alpha ---------------------------------------------------------------

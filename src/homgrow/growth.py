@@ -183,10 +183,11 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     """Compute the full invariant table along a tower of quotients.
 
     Levels, at least one, must have strictly increasing index, primes must
-    pass `check_primes`, and max_degree must be a nonnegative int; else
-    `DegenerateLevel` is raised before any level runs.  Levels are
-    independent and may be computed concurrently; the report is merged in
-    level order, so the output does not depend on scheduling.
+    pass `check_primes`, max_degree must be a nonnegative int and jobs a
+    positive int (bools refused); else `DegenerateLevel` is raised before
+    any level runs.  Levels are independent and may be computed
+    concurrently; the report is merged in level order, so the output does
+    not depend on scheduling.
     """
     levels = list(levels)
     if not levels:
@@ -202,6 +203,8 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
         raise DegenerateLevel(
             f"max_degree must be a nonnegative int, got {max_degree!r}")
     max_degree = min(max_degree, C.top_degree)
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise DegenerateLevel(f"jobs must be a positive int, got {jobs!r}")
     lam = bound_lambda(C)
 
     if jobs > 1 and len(levels) > 1:

@@ -377,6 +377,21 @@ class TestRhoIdentity:
         with pytest.raises(IdentityViolation, match="fails exactly"):
             rho_identity_from_analysis(SkewedAlpha(circle_level(5)))
 
+    def test_planted_block_factor_fails_the_laplacian_identity(self):
+        # the memo's output still goes through the Laplacian identity
+        # circle level 5: Delta_0 = Delta_1, one block with factors
+        # (1, 1, 1, 5); a planted last factor of 10 has the right rank
+        C = circle_level(5)
+        ref = ChainAnalysis(C)
+        rho_identity_from_analysis(ref)
+        (key, factors), = ref._smith_blocks.items()
+        assert factors == (1, 1, 1, 5)
+        an = ChainAnalysis(C)
+        an._smith_blocks[key] = factors[:-1] + (2 * factors[-1],)
+        with pytest.raises(IdentityViolation,
+                           match="Laplacian determinant identity fails"):
+            rho_identity_from_analysis(an)
+
 
 class TestConstructions:
     def test_direct_sum_betti_additivity(self):
@@ -541,18 +556,41 @@ class TestSharedLayers:
         assert sum(M == c1.transpose() for M in calls["kernel_lattice"]) == 1
         assert sum(M == c1 for M in calls["smith_normal_form"]) == 1
 
-    def test_torus3_level_factors_seven_matrices(self, monkeypatch):
+    def test_torus3_level_factors_four_matrices(self, monkeypatch):
         # X_0 = c_1, X_1 and X_2 (X_3 has no columns), which H_0..H_2 and
-        # the FK structure routes of c_1..c_3 share, and the four
-        # Laplacians of the FK identity; c_2 gets no Smith form of its own
+        # the FK structure routes of c_1..c_3 share, and one Laplacian
+        # block: Delta_0..Delta_3 are 1, 3, 3 and 1 copies of one block,
+        # factored once per analysis; c_2 gets no Smith form of its own
         C = base_change(torus_complex(3), QuotientSpec((4, 4, 4))).complex
         calls = self._count_calls(monkeypatch)
         an = _analysed_level(C)
         for n in range(1, C.top_degree + 1):
             an.fk_differential(n)
         nonzero = [M for M in calls["smith_normal_form"] if not M.is_zero()]
-        assert len(nonzero) == 7
+        assert len(nonzero) == 4
         assert not any(M == C.differential(2) for M in nonzero)
+
+    @pytest.mark.parametrize("complex_, moduli", [
+        (circle_complex(), (64,)),
+        (mapping_torus_complex(IntMatrix.from_rows([[2, 1], [1, 1]])), (50,)),
+        (torus_complex(3), (4, 4, 2))],
+        ids=["circle", "mapping-torus", "torus3"])
+    def test_level_factors_one_laplacian_block(self, complex_, moduli,
+                                               monkeypatch):
+        # circle and mapping torus: Delta_0 = Delta_1, one component each;
+        # torus3: every Delta_n is copies of Delta_0.  A second, fresh
+        # analysis of the same level factors the block again.
+        C = base_change(complex_, QuotientSpec(moduli)).complex
+        calls = self._count_calls(monkeypatch)["smith_normal_form"]
+        for _ in range(2):
+            del calls[:]
+            an = _analysed_level(C)
+            relations = [id(X) for X in an._X.values()]
+            blocks = [M for M in calls if id(M) not in relations]
+            assert len(calls) - len(blocks) == len(an._smith)
+            assert len(blocks) == 1
+            assert list(an._smith_blocks.values()) \
+                == [smith_normal_form(blocks[0]).invariant_factors]
 
 
 class TestHarmonicLift:

@@ -201,6 +201,45 @@ def _permuted_block_diagonals(draw, max_blocks=4, max_dim=4, bound=3):
                             for i in range(n) for j in range(m)])
 
 
+@st.composite
+def _shared_pool_block_diagonals(draw, max_blocks=3, max_dim=3, bound=3):
+    """Two or three block-diagonal matrices drawn from one pool of
+    distinct blocks, and the number of pool blocks they use.
+
+    Every pool entry is nonzero, so each block is one component.  The
+    rows of the blocks are interleaved at random but keep their order
+    within a block, and so do the columns, so a block keeps its key
+    wherever it lands and the distinct keys are the distinct blocks."""
+    entries = st.integers(-bound, bound).filter(bool)
+    pool = draw(st.lists(st.integers(1, max_dim).flatmap(
+        lambda n: st.integers(1, max_dim).flatmap(
+            lambda m: st.lists(entries, min_size=n * m, max_size=n * m).map(
+                lambda e: IntMatrix(n, m, e)))),
+        min_size=1, max_size=max_blocks, unique=True))
+    matrices, used = [], set()
+    for _ in range(draw(st.integers(2, 3))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                              max_size=4))
+        used.update(picks)
+        blocks = [pool[k] for k in picks]
+        row_of = draw(st.permutations(
+            [b for b, B in enumerate(blocks) for _ in range(B.rows)]))
+        col_of = draw(st.permutations(
+            [b for b, B in enumerate(blocks) for _ in range(B.cols)]))
+        cols = [[] for _ in blocks]
+        for j, b in enumerate(col_of):
+            cols[b].append(j)
+        nxt = [0] * len(blocks)
+        data = []
+        for b in row_of:
+            data.append({cols[b][j]: v
+                         for j, v in blocks[b].data[nxt[b]].items()})
+            nxt[b] += 1
+        matrices.append(IntMatrix(len(data), len(col_of), [
+            r.get(j, 0) for r in data for j in range(len(col_of))]))
+    return matrices, len(used)
+
+
 def _sympy(A):
     return Matrix(A.rows, A.cols, [x for r in A.to_lists() for x in r])
 
@@ -407,6 +446,33 @@ class TestSmithNormalForm:
         sf = _smith_by_blocks(A)
         assert sf == smith_normal_form(A)
         assert sf.invariant_factors == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shared_pool_block_diagonals())
+    def test_one_dict_factors_each_distinct_block_once(self, drawn):
+        matrices, distinct = drawn
+        real = exact_linalg.smith_normal_form
+        calls = []
+        blocks = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_linalg, "smith_normal_form",
+                       lambda A: calls.append(A) or real(A))
+            results = [_smith_by_blocks(A, blocks) for A in matrices]
+        assert len(calls) == len(blocks) == distinct
+        for A, sf in zip(matrices, results):
+            reference = tuple(abs(int(d)) for d in sympy_factors(
+                _sympy(A), domain=ZZ) if d)
+            assert sf == smith_normal_form(A)
+            assert sf.invariant_factors == reference
+
+    def test_keys_keep_row_boundaries(self):
+        # both blocks read 0,2,1,2,0,2,1,2 row after row, but the first
+        # has rank 2 and the second rank 1
+        blocks = {}
+        for rows in ([[2, 0], [0, 2], [2, 2]], [[2, 2], [2, 2]]):
+            A = IntMatrix.from_rows(rows)
+            assert _smith_by_blocks(A, blocks) == smith_normal_form(A)
+        assert len(blocks) == 2
 
     def test_torus_laplacian_factors_one_block(self, monkeypatch):
         # Delta_1 of a torus3 level is three copies of one block

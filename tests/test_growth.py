@@ -111,6 +111,14 @@ class TestRunTower:
         with pytest.raises(DegenerateLevel, match=message):
             run_tower(circle_complex(), circle_levels(4), primes=primes)
 
+    @pytest.mark.parametrize("jobs", [0, -3, "2", 1.0, True],
+                             ids=["zero", "negative", "string", "float",
+                                  "bool"])
+    def test_bad_jobs_refused(self, jobs, monkeypatch):
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match="jobs must be a positive"):
+            run_tower(circle_complex(), circle_levels(4), jobs=jobs)
+
     def test_jobs_agree(self):
         levels = circle_levels(16)
         r1 = run_tower(circle_complex(), levels, primes=(2,), jobs=1)
