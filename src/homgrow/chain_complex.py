@@ -207,13 +207,14 @@ class ChainAnalysis:
     of the augmented complex Z tensor_{ZG} C of that source, built on first
     use.  The norm map N_G, e_(i) -> the sum of e_(i, v) over the group
     elements v, is a chain map that scales inner products by |G| and splits
-    over Z.  So when b_n equals the augmented b_n, every harmonic vector is
-    G-invariant, and the harmonic lattice is N_G of the augmented one: each
-    augmented row repeated |G| times in the block layout of base change,
-    saturated and exactly ker(Delta_n), with no elimination.  Otherwise,
-    and without characters, the kernel route runs.  `alpha_square` cannot
-    see a wrong lattice scale, but the Laplacian identity can: the FK
-    structure route of Delta_n reads det(W^T W).
+    over Z.  So when b_n equals the augmented b_n (`rationally_trivial`),
+    every harmonic vector is G-invariant, and the harmonic lattice is N_G
+    of the augmented one: each augmented row repeated |G| times in the
+    block layout of base change, saturated and exactly ker(Delta_n), with
+    no elimination.  Otherwise, and without characters, the kernel route
+    runs.  `alpha_square` cannot see a wrong lattice scale, but the
+    Laplacian identity can: the FK structure route of Delta_n reads
+    det(W^T W).
 
     The Laplacians repeat diagonal blocks across degrees: a torus Delta_n
     is C(m, n) copies of Delta_0, and the circle's Delta_0 equals Delta_1
@@ -332,6 +333,15 @@ class ChainAnalysis:
                 self.characters.source.augmented_complex())
         return self._lift
 
+    def rationally_trivial(self, n: int) -> bool:
+        """Whether the deck group G acts trivially on Q tensor H_n: b_n
+        equals the b_n of `lift`.  Coinvariants are exact over Q, so the
+        augmented b_n is the dimension of the G-coinvariants of Q tensor
+        H_n, which is b_n only for the trivial action.  True without
+        characters, where there is no deck group."""
+        src = self.lift()
+        return src is None or src.betti(n) == self.betti(n)
+
     def harmonic(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n) cap ker(c_{n+1}^T) = ker(Delta_n)."""
         if n not in self._harmonic:
@@ -344,12 +354,12 @@ class ChainAnalysis:
                 # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
                 # already in column Hermite form
                 self._harmonic[n] = self.left_kernel(n + 1)
-            elif (src := self.lift()) is not None and src.betti(n) == b:
+            elif self.characters is not None and self.rationally_trivial(n):
                 # Every harmonic vector is invariant, so the lattice is the
                 # norm map of the lift's: each of its rows repeated once per
                 # group element, in the block layout of base change
-                W = src.harmonic(n)
-                reps = self.complex.dim(n) // src.complex.dim(n)
+                W = self.lift().harmonic(n)
+                reps = self.complex.dim(n) // W.rows
                 self._harmonic[n] = IntMatrix._raw(
                     W.rows * reps, W.cols,
                     [r for r in W.data for _ in range(reps)])
@@ -606,11 +616,6 @@ def rho_identity_from_analysis(an: ChainAnalysis) -> dict:
 def direct_sum(C: IntChainComplex, D: IntChainComplex) -> IntChainComplex:
     top = max(C.top_degree, D.top_degree)
     dims = [C.dim(n) + D.dim(n) for n in range(top + 1)]
-    diffs = []
-    for n in range(1, top + 1):
-        a = C.differential(n) if n <= C.top_degree else IntMatrix.zeros(C.dim(n - 1), 0)
-        b = D.differential(n) if n <= D.top_degree else IntMatrix.zeros(D.dim(n - 1), 0)
-        shifted = [{a.cols + j: v for j, v in r.items()} for r in b.data]
-        diffs.append(IntMatrix._raw(a.rows + b.rows, a.cols + b.cols,
-                                    a.data + shifted))
+    diffs = [IntMatrix.block_diag([C.differential(n), D.differential(n)])
+             for n in range(1, top + 1)]
     return IntChainComplex(dims, diffs)

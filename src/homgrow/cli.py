@@ -4,7 +4,8 @@
     homgrow tower --example mapping_torus:[[2,1],[1,1]] --levels 1,2,...,50
     homgrow verify --suite rho-identity --count 200
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error (a
+`ParseError`, or a `DegenerateLevel` request refused before any level runs).
 """
 
 from __future__ import annotations
@@ -287,13 +288,6 @@ def cmd_tower(args) -> int:
     specs = [_parse_moduli_pattern(args.moduli_pattern, C, i, terms)
              for i in levels]
     _check_levels_used(args, tower=True)
-    if any(b.index <= a.index for a, b in zip(specs, specs[1:])):
-        raise ParseError("--levels must give quotients of increasing index")
-    if args.max_degree is not None and args.max_degree < 0:
-        raise ParseError(f"--max-degree must be nonnegative, got "
-                         f"{args.max_degree}")
-    if args.jobs < 1:
-        raise ParseError(f"--jobs must be positive, got {args.jobs}")
     primes = _primes(args.primes)
     report = growth.run_tower(C, specs, primes=primes,
                               max_degree=args.max_degree, jobs=args.jobs)
@@ -374,7 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         raise ParseError(f"unknown command {args.command}")
-    except ParseError as exc:
+    except (ParseError, DegenerateLevel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except HomgrowError as exc:

@@ -90,7 +90,8 @@ class IntMatrix:
 
     The only storage is `data`, one dict per row mapping a column index to
     a nonzero int, so memory and the O(nnz) operations (transpose, +, -, @,
-    hstack) follow the nonzeros, not rows * cols.  Two rules hold:
+    hstack, block_diag) follow the nonzeros, not rows * cols.  Two rules
+    hold:
 
       * no row dict ever stores a 0;
       * row dicts may be shared between matrices and are never mutated, so a
@@ -271,18 +272,42 @@ class IntMatrix:
     # -- block helpers ---------------------------------------------------------
 
     @staticmethod
-    def hstack(left: "IntMatrix", right: "IntMatrix") -> "IntMatrix":
-        if left.rows != right.rows:
+    def hstack(pieces: Sequence["IntMatrix"], rows: int) -> "IntMatrix":
+        """The columns of `pieces`, each with `rows` rows, side by side;
+        rows x 0 if none has a column.  Pieces without columns are skipped
+        and a single piece comes back as is.  Joining pairwise beats a
+        one-pass copy: most calls join two pieces of a few rows, where the
+        per-call cost dominates."""
+        if any(P.rows != rows for P in pieces):
             raise DimensionMismatch("hstack row mismatch")
-        off = left.cols
-        out = []
-        for a, b in zip(left.data, right.data):
-            if b:
-                a = dict(a)
-                for j, v in b.items():
-                    a[off + j] = v
-            out.append(a)
-        return IntMatrix._raw(left.rows, left.cols + right.cols, out)
+        pieces = [P for P in pieces if P.cols]
+        if not pieces:
+            return IntMatrix.zeros(rows, 0)
+        out = pieces[0]
+        for P in pieces[1:]:
+            off = out.cols
+            data = []
+            for a, b in zip(out.data, P.data):
+                if b:
+                    a = dict(a)
+                    for j, v in b.items():
+                        a[off + j] = v
+                data.append(a)
+            out = IntMatrix._raw(rows, off + P.cols, data)
+        return out
+
+    @staticmethod
+    def block_diag(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
+        """The blocks down the diagonal, zero elsewhere; 0 x 0 for none.
+        Rows past a column offset are shifted into new dicts, so the first
+        block keeps its row dicts."""
+        data: list = []
+        off = 0
+        for B in blocks:
+            data += (B.data if not off else
+                     [{off + j: v for j, v in r.items()} for r in B.data])
+            off += B.cols
+        return IntMatrix._raw(len(data), off, data)
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,9 @@ from .exact_linalg import (
     solve_in_lattice,
 )
 from .group_ring import (
-    LaurentPoly,
     ModuleWithAction,
     QuotientComplex,
     QuotientSpec,
-    _hcat,
-    _regular_rows,
     quotient_homology_module,
 )
 
@@ -199,9 +196,8 @@ def standard_resolution(G: FinAbGroup, up_to: int) -> Resolution:
     """
     if up_to < 0:
         raise DimensionMismatch("up_to must be >= 0")
-    perms = [IntMatrix._raw(G.order, G.order, _regular_rows(
-                 [[LaurentPoly.variable(G.d, j)]], QuotientSpec(G.factors)))
-             for j in range(G.d)]
+    q = QuotientSpec(G.factors)
+    perms = [q.regular_generator(j) for j in range(G.d)]
     blocks = _generator_blocks(perms, G.factors)
     res = Resolution(
         G, up_to, [len(_weak_compositions(n, G.d)) for n in range(up_to + 1)],
@@ -214,14 +210,6 @@ def standard_resolution(G: FinAbGroup, up_to: int) -> Resolution:
 # ---------------------------------------------------------------------------
 # presented-module homology
 # ---------------------------------------------------------------------------
-
-def _block_diag(P: IntMatrix, copies: int) -> IntMatrix:
-    q = P.cols
-    return IntMatrix._raw(
-        P.rows * copies, q * copies,
-        [{b * q + j: v for j, v in r.items()}
-         for b in range(copies) for r in P.data])
-
 
 def _quotient_structure(S: IntMatrix, R: IntMatrix) -> tuple:
     """Structure (free rank, factors) of (lattice S)/(sublattice R).
@@ -242,7 +230,7 @@ def _kernel_structure(N: IntMatrix, src_relations: IntMatrix,
     """Structure of ker(N : coker(src_relations) -> coker(dst_relations)):
     the preimage lattice {v : N v in im(dst_relations)}, cut from
     ker [N | dst_relations], modulo im(src_relations)."""
-    S = kernel_lattice(_hcat([N, dst_relations], N.rows))
+    S = kernel_lattice(IntMatrix.hstack([N, dst_relations], N.rows))
     if dst_relations.cols:
         S = column_hnf(IntMatrix._raw(N.cols, S.cols, S.data[:N.cols]))
     return _quotient_structure(S, src_relations)
@@ -274,9 +262,11 @@ def group_homology(G: FinAbGroup, M: ModuleWithAction, n: int) -> tuple:
     d_n = _resolution_differential(blocks, n, g)
     return _kernel_structure(
         d_n,
-        _hcat([_resolution_differential(blocks, n + 1, g),
-               _block_diag(P, len(_weak_compositions(n, m)))], d_n.cols),
-        _block_diag(P, len(_weak_compositions(n - 1, m))))
+        IntMatrix.hstack(
+            [_resolution_differential(blocks, n + 1, g),
+             IntMatrix.block_diag([P] * len(_weak_compositions(n, m)))],
+            d_n.cols),
+        IntMatrix.block_diag([P] * len(_weak_compositions(n - 1, m))))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +288,14 @@ def augmentation_filtration(M: ModuleWithAction) -> tuple:
     for step in range(65):
         # I^step M = 0 iff L + rel = rel; both sides are canonical column
         # Hermite forms, so the lattices are equal iff the matrices are
-        cur = column_hnf(_hcat([L, rel], g))
+        cur = column_hnf(IntMatrix.hstack([L, rel], g))
         if cur == rel:
             return True, step
         if cur == prev_hnf:
             return False, None
         prev_hnf = cur
         # next power: spanned by (A_j - 1) L, the g x 0 lattice if no A_j
-        L = column_hnf(_hcat([(A @ L) - L for A in acts], g))
+        L = column_hnf(IntMatrix.hstack([(A @ L) - L for A in acts], g))
     return False, None
 
 
@@ -351,12 +341,11 @@ def coinvariants(M: ModuleWithAction) -> dict:
 
 
 def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
-    """Sum over group coordinates on each free block of C[i]_n."""
+    """Sum over group coordinates on each free block of C[i]_n: one
+    1 x index row of ones per free generator."""
     ng = qc.quotient.index
-    rows = qc.complex.dim(n) // ng if ng else 0
-    return IntMatrix._raw(rows, qc.complex.dim(n),
-                          [{b * ng + gpos: 1 for gpos in range(ng)}
-                           for b in range(rows)])
+    ones = IntMatrix._raw(1, ng, [dict.fromkeys(range(ng), 1)])
+    return IntMatrix.block_diag([ones] * qc.source.dim(n))
 
 
 def _homology_map_data(qc: QuotientComplex, n: int):
@@ -427,7 +416,7 @@ def _map_kernel_cokernel(N: IntMatrix, src_relations: IntMatrix,
                          dst_relations: IntMatrix) -> tuple:
     """Kernel and cokernel structures of a map of presented abelian groups."""
     return (_kernel_structure(N, src_relations, dst_relations),
-            cokernel_structure(_hcat([N, dst_relations], N.rows)))
+            cokernel_structure(IntMatrix.hstack([N, dst_relations], N.rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,12 @@ class QuotientSpec:
     def index(self) -> int:
         return math.prod(self.moduli)
 
+    def regular_generator(self, j: int) -> IntMatrix:
+        """The permutation matrix of x_j on Z[Z^m / this quotient], on the
+        group elements in the lexicographic order of base change."""
+        return IntMatrix._raw(self.index, self.index, _regular_rows(
+            [[LaurentPoly.variable(self.m, j)]], self))
+
 
 @dataclass
 class QuotientComplex:
@@ -247,33 +253,22 @@ class QuotientComplex:
     @cached_property
     def augmented(self) -> ChainAnalysis:
         """The analysis of Z tensor_{Z[G/G_i]} C[i]: every Laurent entry
-        evaluated at 1.  For m >= 1 it is the lift of `analysis`."""
+        evaluated at 1.  For m >= 1 it is the lift of `analysis`; for
+        m = 0 the quotient is trivial, and it is `analysis` itself."""
         if not self.quotient.m:
-            return ChainAnalysis(self.source.augmented_complex())
+            return self.analysis
         return self.analysis.lift()
 
     @cached_property
     def actions(self) -> List[List[IntMatrix]]:
         """Per degree, the permutation matrix of each generator x_j of G/G_i:
-        the regular representation of x_j times the identity.
-
-        Built on first access: only homology with action reads them.  Each
-        generator is expanded once at the largest rank; a degree of rank r
-        takes the first r blocks of rows.
-        """
-        q, m, n_g = self.quotient, self.quotient.m, self.quotient.index
-        dims = self.source.dims
-        top = max(dims, default=0)
-        zero = LaurentPoly.zero(m)
-        out: List[List[IntMatrix]] = [[] for _ in dims]
-        for j in range(m):
-            x_j = [[LaurentPoly.variable(m, j) if a == b else zero
-                    for b in range(top)] for a in range(top)]
-            rows = _regular_rows(x_j, q)
-            for level, r in zip(out, dims):
-                level.append(IntMatrix._raw(
-                    r * n_g, r * n_g, [dict(row) for row in rows[:r * n_g]]))
-        return out
+        on a degree of rank r, r copies of `QuotientSpec.regular_generator`
+        down the diagonal.  Built on first access: only homology with
+        action reads them."""
+        q = self.quotient
+        perms = [q.regular_generator(j) for j in range(q.m)]
+        return [[IntMatrix.block_diag([P] * r) for P in perms]
+                for r in self.source.dims]
 
 
 @dataclass
@@ -335,24 +330,8 @@ class ModuleWithAction:
         coinvariants Z tensor_{ZG} M = M / I.M on M's generators."""
         g = self.num_generators
         one = IntMatrix.identity(g)
-        return _hcat([self.presentation] + [A - one for A in self.acting()[1]],
-                     g)
-
-
-def _hcat(pieces: Sequence[IntMatrix], rows: int) -> IntMatrix:
-    """The columns of all pieces side by side; rows x 0 if none has any.
-
-    Pieces without columns are skipped and a single piece comes back as is.
-    Chained `hstack` beats a one-pass copy here: most calls join two pieces
-    of a few rows, where the per-call cost dominates.
-    """
-    pieces = [P for P in pieces if P.cols]
-    if not pieces:
-        return IntMatrix.zeros(rows, 0)
-    out = pieces[0]
-    for P in pieces[1:]:
-        out = IntMatrix.hstack(out, P)
-    return out
+        return IntMatrix.hstack(
+            [self.presentation] + [A - one for A in self.acting()[1]], g)
 
 
 def _maps_into(M: IntMatrix, lattice_hnf: Optional[IntMatrix]) -> bool:

@@ -38,7 +38,6 @@ from .exact_linalg import (
     _exact_int,
     det_bareiss,
     ln_of_fraction,
-    rank,
 )
 from .group_ring import (
     LaurentChainComplex,
@@ -46,7 +45,6 @@ from .group_ring import (
     base_change,
     mapping_torus_complex,
     operator_norm_bound,
-    quotient_homology_module,
 )
 
 __all__ = [
@@ -182,16 +180,20 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
               jobs: int = 1) -> TowerReport:
     """Compute the full invariant table along a tower of quotients.
 
-    Levels, at least one, must have strictly increasing index, primes must
-    pass `check_primes`, max_degree must be a nonnegative int and jobs a
-    positive int (bools refused); else `DegenerateLevel` is raised before
-    any level runs.  Levels are independent and may be computed
-    concurrently; the report is merged in level order, so the output does
-    not depend on scheduling.
+    Levels, at least one, must each have the arity m of C and together
+    strictly increasing index, primes must pass `check_primes`, max_degree
+    must be a nonnegative int and jobs a positive int (bools refused); else
+    `DegenerateLevel` is raised before any level runs.  Levels are
+    independent and may be computed concurrently; the report is merged in
+    level order, so the output does not depend on scheduling.
     """
     levels = list(levels)
     if not levels:
         raise DegenerateLevel("a tower needs at least one level")
+    for spec in levels:
+        if spec.m != C.m:
+            raise DegenerateLevel(f"level {spec.moduli} has arity {spec.m}, "
+                                  f"the complex has m = {C.m}")
     for a, b in zip(levels, levels[1:]):
         if b.index <= a.index:
             raise DegenerateLevel("tower levels must have increasing index")
@@ -240,17 +242,17 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
     """|ln det alpha_n| / index along the tower, with hypothesis checks.
 
     Requires the deck action on Q tensor H_n(C[i]) to be trivial at every
-    level; asserts that the tail of the sequence does not increase and that
-    the final value is below the threshold.
+    level (`ChainAnalysis.rationally_trivial`); asserts that the tail of
+    the sequence does not increase and that the final value is below the
+    threshold.
     """
     rows = []
     for spec in levels:
-        qc = base_change(C, spec)
-        M = quotient_homology_module(qc, n)
-        if not _action_rationally_trivial(M):
+        an = base_change(C, spec).analysis
+        if not an.rationally_trivial(n):
             raise HypothesisViolated(
                 f"deck action nontrivial on Q tensor H_{n} at level {spec.moduli}")
-        sq = qc.analysis.alpha_square(n)
+        sq = an.alpha_square(n)
         val = abs(0.5 * ln_of_fraction(sq)) / spec.index
         rows.append({"moduli": spec.moduli, "index": spec.index,
                      "normalized_abs_log": val})
@@ -264,12 +266,6 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
         raise IdentityViolation(
             f"final normalized alpha log {vals[-1]} above {tail_threshold}")
     return {"degree": n, "levels": rows, "final": vals[-1] if vals else 0.0}
-
-
-def _action_rationally_trivial(M) -> bool:
-    """Deck action trivial on Q tensor H_n: every A - 1 maps into torsion,
-    i.e. the coinvariants keep the free rank of M."""
-    return rank(M.coinvariant_relations()) == rank(M.presentation)
 
 
 def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:

@@ -11,7 +11,7 @@ from homgrow.cli import (
     builtin_complex,
     main,
 )
-from homgrow.errors import IdentityViolation, ParseError
+from homgrow.errors import DegenerateLevel, IdentityViolation, ParseError
 from homgrow.serialize import (
     complex_from_document,
     complex_to_document,
@@ -379,6 +379,19 @@ class TestCommands:
                    "--out", str(out)])
         assert rc == 1
         assert out.read_text() == "previous result\n"
+
+    @pytest.mark.parametrize("command", ["tower", "homology"])
+    def test_refused_request_is_an_input_error(self, command, monkeypatch,
+                                               capsys):
+        # run_tower refuses a bad request before any level runs; the CLI
+        # keeps no copy of those checks, so the refusal itself exits 2
+        def refusing(*a, **kw):
+            raise DegenerateLevel("planted refusal")
+
+        monkeypatch.setattr(cli.growth, "run_tower", refusing)
+        assert main([command, "--example", "circle", "--levels", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: planted refusal\n"
 
     @pytest.mark.parametrize("argv", [
         ["homology", "--example", "circle", "--max-degree", "1"],

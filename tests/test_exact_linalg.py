@@ -280,7 +280,7 @@ class TestIntMatrixAgainstLists:
                              for r, s in zip(a, b)]),
             (-A, (n, k), [[-x for x in r] for r in a]),
             (A.transpose(), (k, n), at),
-            (IntMatrix.hstack(A, _from_lists(d, w)), (n, k + w),
+            (IntMatrix.hstack([A, _from_lists(d, w)], n), (n, k + w),
              [r + s for r, s in zip(a, d)]),
             (A.scale(0), (n, k), [[0] * k for _ in range(n)]),
             (IntMatrix.from_columns(at, n), (n, k), a),
@@ -344,6 +344,86 @@ class TestIntMatrixAgainstLists:
             with pytest.raises(IndexError):
                 A.column(i)
         assert A[1, 0] == 3 and A.row(1) == (3, 4) and A.column(1) == (2, 4)
+
+
+def _dense_block_diag(blocks):
+    """Oracle for `IntMatrix.block_diag` on lists of lists."""
+    cols = sum(B.cols for B in blocks)
+    out, off = [], 0
+    for B in blocks:
+        for r in B.to_lists():
+            out.append([0] * off + r + [0] * (cols - off - B.cols))
+        off += B.cols
+    return out
+
+
+class TestBlockBuilders:
+    def test_hstack_of_no_pieces(self):
+        assert IntMatrix.hstack([], 3) == IntMatrix.zeros(3, 0)
+        assert IntMatrix.hstack([], 0).shape == (0, 0)
+
+    def test_hstack_skips_pieces_without_columns(self):
+        A = _from_lists([[1, 0], [0, -2]], 2)
+        Z = IntMatrix.zeros(2, 0)
+        assert IntMatrix.hstack([Z, A, Z], 2) is A
+        assert IntMatrix.hstack([Z, Z], 2) == Z
+        B = _from_lists([[3], [0]], 1)
+        assert IntMatrix.hstack([A, Z, B], 2).to_lists() \
+            == [[1, 0, 3], [0, -2, 0]]
+
+    @pytest.mark.parametrize("pieces, rows", [
+        ([IntMatrix.zeros(2, 2), IntMatrix.zeros(3, 1)], 2),
+        ([IntMatrix.zeros(2, 2)], 3),
+        ([IntMatrix.zeros(2, 1), IntMatrix.zeros(3, 0)], 2)],
+        ids=["pieces-differ", "single-piece", "piece-without-columns"])
+    def test_hstack_row_mismatch_refused(self, pieces, rows):
+        with pytest.raises(DimensionMismatch, match="row mismatch"):
+            IntMatrix.hstack(pieces, rows)
+
+    def test_block_diag_of_no_blocks(self):
+        assert IntMatrix.block_diag([]).shape == (0, 0)
+
+    def test_block_diag_of_zero_size_blocks(self):
+        A = _from_lists([[1, 2, 0], [0, 0, 5]], 3)
+        blocks = [IntMatrix.zeros(0, 2), A, IntMatrix.zeros(1, 0),
+                  IntMatrix.zeros(0, 0), _from_lists([[-4]], 1)]
+        R = IntMatrix.block_diag(blocks)
+        assert R.shape == (4, 6)
+        assert R.to_lists() == _dense_block_diag(blocks)
+        assert IntMatrix.block_diag([IntMatrix.zeros(0, 0)] * 3).shape \
+            == (0, 0)
+
+    def test_first_rows_shared_and_inputs_unchanged(self):
+        A = _from_lists([[1, 0], [0, 2]], 2)
+        B = _from_lists([[0, 3], [4, 0]], 2)
+        before = [dict(r) for r in A.data + B.data]
+        D = IntMatrix.block_diag([A, B])
+        assert all(r is s for r, s in zip(D.data, A.data))
+        assert not any(r is s for r in D.data[2:] for s in B.data)
+        H = IntMatrix.hstack([A, IntMatrix.zeros(2, 0), B], 2)
+        assert H.to_lists() == [[1, 0, 0, 3], [0, 2, 4, 0]]
+        assert [dict(r) for r in A.data + B.data] == before
+
+    def test_builders_match_dense_reference(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            blocks = [_random_matrix(rng, max_dim=4, bound=3)
+                      for _ in range(rng.randint(0, 4))]
+            D = IntMatrix.block_diag(blocks)
+            assert D.to_lists() == _dense_block_diag(blocks)
+            assert D.shape == (sum(B.rows for B in blocks),
+                               sum(B.cols for B in blocks))
+            assert all(v for r in D.data for v in r.values())
+            rows = rng.randint(0, 4)
+            pieces = [IntMatrix(rows, w, [rng.randint(-3, 3)
+                                          for _ in range(rows * w)])
+                      for w in (rng.randint(0, 3)
+                                for _ in range(rng.randint(0, 4)))]
+            H = IntMatrix.hstack(pieces, rows)
+            assert H.shape == (rows, sum(P.cols for P in pieces))
+            assert H.to_lists() == [sum((P.to_lists()[i] for P in pieces),
+                                        []) for i in range(rows)]
+            assert all(v for r in H.data for v in r.values())
 
 
 class TestSmithNormalForm:

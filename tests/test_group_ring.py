@@ -14,6 +14,7 @@ from homgrow.group_ring import (
     LaurentChainComplex,
     LaurentPoly,
     QuotientSpec,
+    _regular_rows,
     base_change,
     circle_complex,
     mapping_torus_complex,
@@ -22,6 +23,15 @@ from homgrow.group_ring import (
     tensor,
     torus_complex,
 )
+
+# The tower levels the tier-1 tests run, per complex.
+TIER1_TOWERS = [
+    (circle_complex(), [(2 ** k,) for k in range(9)]),
+    (torus_complex(2), [(i, i) for i in (1, 2, 4, 8)] + [(3, 5)]),
+    (torus_complex(3), [(1, 1, 1), (2, 2, 2), (4, 4, 2)]),
+    (mapping_torus_complex(IntMatrix.from_rows([[2, 1], [1, 1]])),
+     [(i,) for i in range(1, 51)]),
+]
 
 
 def subset_torus(m):
@@ -170,6 +180,29 @@ class TestBaseChange:
                             blk * n_g + k] = 1
                 assert A.to_lists() == expected
         assert qc.actions is qc.actions
+
+    def test_actions_equal_laurent_diagonal_on_tier1_levels(self):
+        # oracle: x_j expanded once as the top x top Laurent diagonal x_j I,
+        # a degree of rank r taking its first r blocks of rows
+        for C, levels in TIER1_TOWERS:
+            top = max(C.dims)
+            for moduli in levels:
+                q = QuotientSpec(moduli)
+                qc = base_change(C, q)
+                zero, n_g = LaurentPoly.zero(q.m), q.index
+                for j in range(q.m):
+                    x_j = [[LaurentPoly.variable(q.m, j) if a == b else zero
+                            for b in range(top)] for a in range(top)]
+                    rows = _regular_rows(x_j, q)
+                    for n, r in enumerate(C.dims):
+                        assert qc.actions[n][j] == IntMatrix._raw(
+                            r * n_g, r * n_g, rows[:r * n_g]), (moduli, n, j)
+
+    def test_m0_level_has_no_actions_and_is_its_own_augmentation(self):
+        S2 = LaurentChainComplex(0, [1, 0, 1], [[[]], []])
+        qc = base_change(S2, QuotientSpec(()))
+        assert qc.actions == [[], [], []]
+        assert qc.augmented is qc.analysis
 
     def test_entries_cancelling_mod_n_store_nothing(self):
         # t^2 - 1 vanishes modulo t^2 = 1: both terms land on the same

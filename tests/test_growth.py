@@ -3,21 +3,26 @@ import math
 import pytest
 
 from homgrow import growth
+from homgrow.cli import builtin_complex
 from homgrow.errors import (
     DegenerateLevel,
     DimensionMismatch,
+    HypothesisViolated,
     InconsistentProfile,
 )
-from homgrow.exact_linalg import IntMatrix
+from homgrow.exact_linalg import IntMatrix, rank
 from homgrow.group_ring import (
     LaurentChainComplex,
+    LaurentPoly,
     ModuleWithAction,
     QuotientSpec,
+    base_change,
     circle_complex,
+    mapping_torus_complex,
+    quotient_homology_module,
     torus_complex,
 )
 from homgrow.growth import (
-    _action_rationally_trivial,
     bound_lambda,
     probe_alpha_vanishing,
     probe_torsion_growth,
@@ -28,6 +33,30 @@ from homgrow.growth import (
 
 def _never_called(*args, **kwargs):
     raise AssertionError("a level was computed before the refusal")
+
+
+def _module_rationally_trivial(M):
+    """Oracle for `ChainAnalysis.rationally_trivial` on the homology module
+    with action: the deck action is trivial on Q tensor M when every A - 1
+    maps into torsion, i.e. the coinvariants keep the free rank of M."""
+    return rank(M.coinvariant_relations()) == rank(M.presentation)
+
+
+def _mapping_torus(rows):
+    return mapping_torus_complex(IntMatrix.from_rows(rows))
+
+
+# The tier-1 tower levels, with the even levels of two mapping tori whose
+# deck action is rationally nontrivial there.
+RATIONAL_TRIVIALITY_LEVELS = [
+    (circle_complex(), [(2 ** k,) for k in range(9)]),
+    (torus_complex(2), [(i, i) for i in (1, 2, 4, 8)] + [(3, 5)]),
+    (torus_complex(3), [(1, 1, 1), (2, 2, 2), (4, 4, 2)]),
+    (_mapping_torus([[2, 1], [1, 1]]), [(i,) for i in range(1, 51)]),
+    (builtin_complex("s1_cross"), [(i,) for i in range(1, 13)]),
+    (_mapping_torus([[0, 1], [1, 0]]), [(i,) for i in (1, 2, 3, 4, 8, 64)]),
+    (_mapping_torus([[-1]]), [(i,) for i in range(1, 9)]),
+]
 
 
 def circle_levels(top):
@@ -81,6 +110,16 @@ class TestRunTower:
         monkeypatch.setattr(growth, "_analyze_level", _never_called)
         with pytest.raises(DegenerateLevel, match="at least one level"):
             run_tower(circle_complex(), [])
+
+    def test_level_of_wrong_arity_refused(self, monkeypatch):
+        # the (2, 2) level used to fail in base change, after (2,) and (3,)
+        # had run
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match="arity"):
+            run_tower(circle_complex(), [QuotientSpec((2,)),
+                                         QuotientSpec((3,)),
+                                         QuotientSpec((2, 2))])
 
     def test_negative_max_degree_refused(self, monkeypatch):
         monkeypatch.setattr(growth, "_analyze_level", _never_called)
@@ -171,11 +210,56 @@ class TestProbes:
         M = ModuleWithAction(IntMatrix.zeros(2, 0),
                              [IntMatrix.from_rows(first),
                               IntMatrix.from_rows(second)], [2, 2])
-        assert _action_rationally_trivial(M) is trivial
+        assert _module_rationally_trivial(M) is trivial
+
+    def test_predicate_equals_module_route(self):
+        nontrivial = 0
+        for C, levels in RATIONAL_TRIVIALITY_LEVELS:
+            for moduli in levels:
+                qc = base_change(C, QuotientSpec(moduli))
+                for n in range(C.top_degree + 1):
+                    got = qc.analysis.rationally_trivial(n)
+                    assert got is _module_rationally_trivial(
+                        quotient_homology_module(qc, n)), (moduli, n)
+                    nontrivial += not got
+        # [[0, 1], [1, 0]] at 2, 4, 8, 64 and [[-1]] at 2, 4, 6, 8, in
+        # degrees 0 and 1
+        assert nontrivial == 16
+
+    def test_one_of_two_generators_acting_nontrivially(self):
+        # t_1 + 1 over Z[Z^2] at quotient (2, 1): t_1 acts by -1 on
+        # H_0 = H_1 = Z, and t_2 has order 1
+        m = 2
+        C = LaurentChainComplex(m, [1, 1], [[[
+            LaurentPoly.variable(m, 0) + LaurentPoly.const(m, 1)]]])
+        spec = QuotientSpec((2, 1))
+        qc = base_change(C, spec)
+        for n in (0, 1):
+            M = quotient_homology_module(qc, n)
+            assert M.structure() == (1, ())
+            assert _module_rationally_trivial(M) is False
+            assert qc.analysis.rationally_trivial(n) is False
+        with pytest.raises(HypothesisViolated, match="nontrivial"):
+            probe_alpha_vanishing(C, [spec], 0)
+
+    def test_alpha_probe_builds_no_homology_module(self, monkeypatch):
+        # the Betti numbers decide the hypothesis: no deck actions, no
+        # homology module with action
+        built = []
+
+        def recorded(C, spec):
+            built.append(base_change(C, spec))
+            return built[-1]
+
+        monkeypatch.setattr(growth, "base_change", recorded)
+        probe_alpha_vanishing(torus_complex(2),
+                              [QuotientSpec((i, i)) for i in (1, 2, 4)], 1,
+                              tail_threshold=1.0)
+        assert len(built) == 3
+        for qc in built:
+            assert qc.modules == {} and "actions" not in vars(qc)
 
     def test_alpha_probe_rejects_nontrivial_action(self):
-        from homgrow.errors import HypothesisViolated
-        from homgrow.group_ring import mapping_torus_complex
         # t has eigenvalue -1 on H_0, so the rational action is nontrivial
         A = IntMatrix.from_rows([[-1, 0], [0, 1]])
         with pytest.raises(HypothesisViolated):
