@@ -10,6 +10,7 @@ identity rho_Z - rho_2 = sum_n (-1)^n ln det(alpha_n) with exact arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -172,8 +173,32 @@ def d_primewise(invariant_factors: Sequence[int], free_rank: int) -> int:
     return free_rank + (max(counts.values()) if counts else 0)
 
 
+_MISSING = object()
+
+
+def _per_degree(method):
+    """Memoize ``method(obj, n)`` in ``obj._memo`` under the key (method
+    name, n): one value per object and degree, dropped with the object."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(obj, n):
+        value = obj._memo.get((name, n), _MISSING)
+        if value is _MISSING:
+            value = obj._memo[name, n] = method(obj, n)
+        return value
+
+    return memoized
+
+
 class ChainAnalysis:
-    """Cached exact invariants of a single complex.
+    """Exact invariants of a single complex, each computed once.
+
+    Every per-degree method below (`smith`, `left_kernel`, `kernel`,
+    `relations`, `free_lifts`, `harmonic`, `fk_differential` and
+    `fk_laplacian`) keeps its result in the one dict `_memo`, keyed by
+    (method name, n), and `lift` is a cached property.  Both live on the
+    analysis and die with it; no cache outlives the analysis.
 
     Per degree n this derives: a saturated kernel basis K_n of c_n, the
     matrix X_n with K_n X_n = c_{n+1} (so H_n = coker(X_n)), integer cycle
@@ -222,23 +247,14 @@ class ChainAnalysis:
     symmetric matrix A, as tA - I commutes with its adjoint t^-1 A - I).
     So the analysis keeps one dict of block Smith forms, made here and
     dropped with it, which `fk_laplacian` passes to `fk_determinant`: each
-    distinct block is factored once per analysis, not once per degree.  No
-    cache outlives the analysis, and what the dict returns still meets the
-    Laplacian identity check.
+    distinct block is factored once per analysis, not once per degree.
+    What the dict returns still meets the Laplacian identity check.
     """
 
     def __init__(self, complex_: IntChainComplex, characters=None):
         self.complex = complex_
         self.characters = characters
-        self._lift: Optional[ChainAnalysis] = None
-        self._kernel: Dict[int, IntMatrix] = {}
-        self._left_kernel: Dict[int, IntMatrix] = {}
-        self._smith: Dict[int, SmithForm] = {}
-        self._X: Dict[int, IntMatrix] = {}
-        self._free_lifts: Dict[int, IntMatrix] = {}
-        self._harmonic: Dict[int, IntMatrix] = {}
-        self._fk: Dict[int, FKDet] = {}
-        self._fk_delta: Dict[int, FKDet] = {}
+        self._memo: Dict[tuple, object] = {}
         self._smith_blocks: Dict[tuple, tuple] = {}
 
     # -- per-degree facts -----------------------------------------------------
@@ -249,47 +265,42 @@ class ChainAnalysis:
         return (0 <= n <= self.complex.top_degree
                 and self.complex.differential(n).is_zero())
 
+    @_per_degree
     def smith(self, n: int) -> SmithForm:
         """Smith form of X_{n-1}, which is also that of c_n."""
-        if n not in self._smith:
-            self._smith[n] = smith_normal_form(self.relations(n - 1))
-        return self._smith[n]
+        return smith_normal_form(self.relations(n - 1))
 
     def rank(self, n: int) -> int:
         """rank c_n."""
         return self.smith(n).rank
 
+    @_per_degree
     def left_kernel(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n^T); no columns when c_n has full row
         rank."""
-        if n not in self._left_kernel:
-            c = self.complex.differential(n)
-            if self.rank(n) == c.rows:
-                self._left_kernel[n] = IntMatrix.zeros(c.rows, 0)
-            else:
-                self._left_kernel[n] = kernel_lattice(c.transpose())
-        return self._left_kernel[n]
+        c = self.complex.differential(n)
+        if self.rank(n) == c.rows:
+            return IntMatrix.zeros(c.rows, 0)
+        return kernel_lattice(c.transpose())
 
     # -- lattice layers -----------------------------------------------------
 
+    @_per_degree
     def kernel(self, n: int) -> IntMatrix:
-        if n not in self._kernel:
-            c = self.complex.differential(n)
-            if n >= 1 and self.rank(n) == c.cols:
-                self._kernel[n] = IntMatrix.zeros(c.cols, 0)
-            else:
-                self._kernel[n] = kernel_lattice(c)
-        return self._kernel[n]
+        """Saturated basis K_n of ker(c_n); no columns when c_n has full
+        column rank."""
+        c = self.complex.differential(n)
+        if n >= 1 and self.rank(n) == c.cols:
+            return IntMatrix.zeros(c.cols, 0)
+        return kernel_lattice(c)
 
+    @_per_degree
     def relations(self, n: int) -> IntMatrix:
         """X_n with kernel(n) @ X_n = c_{n+1}; presents H_n = coker(X_n)."""
-        if n not in self._X:
-            X = solve_in_lattice(self.kernel(n), self.complex.differential(n + 1))
-            if X is None:
-                raise IdentityViolation(
-                    "boundaries do not lie in the cycle lattice")
-            self._X[n] = X
-        return self._X[n]
+        X = solve_in_lattice(self.kernel(n), self.complex.differential(n + 1))
+        if X is None:
+            raise IdentityViolation("boundaries do not lie in the cycle lattice")
+        return X
 
     def torsion_factors(self, n: int) -> tuple:
         return tuple(d for d in self.smith(n + 1).invariant_factors if d != 1)
@@ -302,36 +313,32 @@ class ChainAnalysis:
     def tors_order(self, n: int) -> int:
         return math.prod(self.torsion_factors(n))
 
+    @_per_degree
     def free_lifts(self, n: int) -> IntMatrix:
         """Integer cycles whose classes form a Z-basis of H_n(C)_f."""
-        if n not in self._free_lifts:
-            K = self.kernel(n)
-            b = self.betti(n)
-            if b == 0:
-                self._free_lifts[n] = IntMatrix.zeros(self.complex.dim(n), 0)
-            else:
-                # D spans {y : X^T y = 0}; pairing with D embeds
-                # Z^k / sat(im X) into Z^b, and the first b rows of the row
-                # Hermite transform of D hand back preimages of the
-                # image-lattice basis.
-                if self._kernel_is_identity(n):
-                    D = self.left_kernel(n + 1)
-                else:
-                    D = kernel_lattice(self.relations(n).transpose())
-                pivots, _, urows = _row_hnf_clean(D.data, transform=True)
-                assert len(pivots) == b
-                Zt = IntMatrix._raw(b, K.cols, urows[:b])
-                self._free_lifts[n] = K @ Zt.transpose()
-        return self._free_lifts[n]
+        K = self.kernel(n)
+        b = self.betti(n)
+        if b == 0:
+            return IntMatrix.zeros(self.complex.dim(n), 0)
+        # D spans {y : X^T y = 0}; pairing with D embeds Z^k / sat(im X)
+        # into Z^b, and the first b rows of the row Hermite transform of D
+        # hand back preimages of the image-lattice basis.
+        if self._kernel_is_identity(n):
+            D = self.left_kernel(n + 1)
+        else:
+            D = kernel_lattice(self.relations(n).transpose())
+        pivots, _, urows = _row_hnf_clean(D.data, transform=True)
+        assert len(pivots) == b
+        return K @ IntMatrix._raw(b, K.cols, urows[:b]).transpose()
 
+    @functools.cached_property
     def lift(self) -> Optional["ChainAnalysis"]:
         """The analysis of the augmented complex of the characters' source,
-        which the harmonic lattices lift from, built on first call; None
+        which the harmonic lattices lift from, built on first access; None
         without characters."""
-        if self._lift is None and self.characters is not None:
-            self._lift = ChainAnalysis(
-                self.characters.source.augmented_complex())
-        return self._lift
+        if self.characters is None:
+            return None
+        return ChainAnalysis(self.characters.source.augmented_complex())
 
     def rationally_trivial(self, n: int) -> bool:
         """Whether the deck group G acts trivially on Q tensor H_n: b_n
@@ -339,56 +346,48 @@ class ChainAnalysis:
         augmented b_n is the dimension of the G-coinvariants of Q tensor
         H_n, which is b_n only for the trivial action.  True without
         characters, where there is no deck group."""
-        src = self.lift()
+        src = self.lift
         return src is None or src.betti(n) == self.betti(n)
 
+    @_per_degree
     def harmonic(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n) cap ker(c_{n+1}^T) = ker(Delta_n)."""
-        if n not in self._harmonic:
-            b = self.betti(n)
-            if b == 0:
-                # b_n is its rank; a wrongly empty lattice still fails the
-                # rank check of the Laplacian's Smith form
-                self._harmonic[n] = IntMatrix.zeros(self.complex.dim(n), 0)
-            elif self._kernel_is_identity(n):
-                # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
-                # already in column Hermite form
-                self._harmonic[n] = self.left_kernel(n + 1)
-            elif self.characters is not None and self.rationally_trivial(n):
-                # Every harmonic vector is invariant, so the lattice is the
-                # norm map of the lift's: each of its rows repeated once per
-                # group element, in the block layout of base change
-                W = self.lift().harmonic(n)
-                reps = self.complex.dim(n) // W.rows
-                self._harmonic[n] = IntMatrix._raw(
-                    W.rows * reps, W.cols,
-                    [r for r in W.data for _ in range(reps)])
-            else:
-                K = self.kernel(n)
-                M = self.complex.differential(n + 1).transpose() @ K
-                self._harmonic[n] = column_hnf(K @ kernel_lattice(M))
-        return self._harmonic[n]
+        if self.betti(n) == 0:
+            # b_n is its rank; a wrongly empty lattice still fails the rank
+            # check of the Laplacian's Smith form
+            return IntMatrix.zeros(self.complex.dim(n), 0)
+        if self._kernel_is_identity(n):
+            # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
+            # already in column Hermite form
+            return self.left_kernel(n + 1)
+        if self.characters is not None and self.rationally_trivial(n):
+            # Every harmonic vector is invariant, so the lattice is the norm
+            # map of the lift's: each of its rows repeated once per group
+            # element, in the block layout of base change
+            W = self.lift.harmonic(n)
+            reps = self.complex.dim(n) // W.rows
+            return IntMatrix._raw(W.rows * reps, W.cols,
+                                  [r for r in W.data for _ in range(reps)])
+        K = self.kernel(n)
+        M = self.complex.differential(n + 1).transpose() @ K
+        return column_hnf(K @ kernel_lattice(M))
 
     # -- determinants ---------------------------------------------------------
 
+    @_per_degree
     def fk_differential(self, n: int) -> FKDet:
-        if n not in self._fk:
-            cn = self.complex.differential(n)
-            if cn.is_zero():
-                square = 1
-            else:
-                cost = (None if self.characters is None
-                        else self.characters.cost(n))
-                route = _fk_route(cn, self.rank(n), cost)
-                if route == "characters":
-                    square = self._character_square(n)
-                elif route == "structure":
-                    square = _fk_square_structure(
-                        cn, self.kernel(n), self.left_kernel(n), self.smith(n))
-                else:
-                    square = _fk_square_image_lattice(cn)
-            self._fk[n] = _fk_det(square)
-        return self._fk[n]
+        """det_FK(c_n), by the route `_fk_route` names."""
+        cn = self.complex.differential(n)
+        if cn.is_zero():
+            return _fk_det(1)
+        cost = None if self.characters is None else self.characters.cost(n)
+        route = _fk_route(cn, self.rank(n), cost)
+        if route == "characters":
+            return _fk_det(self._character_square(n))
+        if route == "structure":
+            return _fk_det(_fk_square_structure(
+                cn, self.kernel(n), self.left_kernel(n), self.smith(n)))
+        return _fk_det(_fk_square_image_lattice(cn))
 
     def _character_square(self, n: int) -> int:
         """Product of the orbit norms of c_n, once the orbit ranks add up,
@@ -403,16 +402,16 @@ class ChainAnalysis:
             raise IdentityViolation(f"an orbit norm of c_{n} is below 1")
         return math.prod(norm for _, _, norm in factors)
 
+    @_per_degree
     def fk_laplacian(self, n: int) -> FKDet:
-        if n not in self._fk_delta:
-            delta = laplacian(self.complex, n)
-            W = self.harmonic(n)
-            if not (delta @ W).is_zero():
-                raise IdentityViolation(
-                    "harmonic lattice is not annihilated by the Laplacian")
-            self._fk_delta[n] = fk_determinant(delta, kernel=W, left_kernel=W,
-                                               blocks=self._smith_blocks)
-        return self._fk_delta[n]
+        """det_FK(Delta_n), its kernel the harmonic lattice."""
+        delta = laplacian(self.complex, n)
+        W = self.harmonic(n)
+        if not (delta @ W).is_zero():
+            raise IdentityViolation(
+                "harmonic lattice is not annihilated by the Laplacian")
+        return fk_determinant(delta, kernel=W, left_kernel=W,
+                              blocks=self._smith_blocks)
 
     # -- alpha ---------------------------------------------------------------
 

@@ -85,22 +85,6 @@ def builtin_complex(name: str) -> LaurentChainComplex:
 # More levels than any tower could compute; checked before a range expands.
 MAX_LEVELS = 10_000
 
-# Most rows, index x largest rank, a quotient complex may have; checked
-# before base change builds the row dicts.
-# 16x the largest tower level measured (circle at index 65536: 6.4 s and
-# 175 MiB RSS, CPython 3.11); time and memory grow about linearly in the
-# index.
-MAX_ROWS = 2 ** 20
-
-# Most nonzeros, index x Laurent terms over all differentials, base change
-# may store: every term of an entry puts one nonzero in each of its index
-# rows.  8x the row cap is the least power-of-two multiple that admits every
-# torus3 level the row cap admits (349525 x 24 terms).  Measured with one
-# 64-term entry (m = 1, CPython 3.11): `homology` at index 4096 (2^18
-# nonzeros) took 12.2 s and 141 MiB RSS, and base change alone at 2^20
-# nonzeros 0.27 s and 84 MiB.  Both grow about linearly, so a document at the
-# cap needs several minutes and about 4 GiB; the cap itself was not run.
-MAX_NONZEROS = 8 * MAX_ROWS
 
 def _parse_levels(text: str) -> List[int]:
     out: List[int] = []
@@ -115,7 +99,10 @@ def _parse_levels(text: str) -> List[int]:
                 lo = hi = int(tok)
         except ValueError as exc:
             raise ParseError(f"bad --levels token {tok!r}: {exc}") from exc
-        if len(out) + max(0, hi - lo + 1) > MAX_LEVELS:
+        if hi < lo:
+            raise ParseError(f"bad --levels token {tok!r}: the range ends "
+                             f"below its start")
+        if len(out) + hi - lo + 1 > MAX_LEVELS:
             raise ParseError(f"--levels gives more than {MAX_LEVELS} levels")
         out.extend(range(lo, hi + 1))
     if not out:
@@ -123,14 +110,9 @@ def _parse_levels(text: str) -> List[int]:
     return out
 
 
-def _laurent_terms(C: LaurentChainComplex) -> int:
-    """Laurent terms over all differentials of C."""
-    return sum(len(p.terms) for D in C.differentials for row in D for p in row)
-
-
 def _parse_moduli_pattern(pattern: Optional[str], C: LaurentChainComplex,
-                          level: int, terms: int) -> QuotientSpec:
-    """The quotient of one level; `terms` is `_laurent_terms(C)`."""
+                          level: int) -> QuotientSpec:
+    """The quotient of one level."""
     m = C.m
     if pattern is None:
         tokens = ["i"] * m
@@ -149,18 +131,9 @@ def _parse_moduli_pattern(pattern: Optional[str], C: LaurentChainComplex,
             except ValueError as exc:
                 raise ParseError(f"bad moduli token {t!r}") from exc
     try:
-        spec = QuotientSpec(tuple(moduli))
+        return QuotientSpec(tuple(moduli))
     except DimensionMismatch as exc:
         raise ParseError(f"bad quotient {tuple(moduli)}: {exc}") from exc
-    if spec.index * max(C.dims, default=0) > MAX_ROWS:
-        raise ParseError(
-            f"quotient {spec.moduli} of index {spec.index} gives more than "
-            f"{MAX_ROWS} rows")
-    if spec.index * terms > MAX_NONZEROS:
-        raise ParseError(
-            f"quotient {spec.moduli} of index {spec.index} gives more than "
-            f"{MAX_NONZEROS} nonzeros ({terms} Laurent terms)")
-    return spec
 
 
 def _check_levels_used(args, tower: bool = False) -> None:
@@ -247,8 +220,7 @@ def cmd_homology(args) -> int:
                      or args.moduli_pattern is not None):
         raise ParseError("--levels and --moduli-pattern need a "
                          "group-ring complex (m >= 1)")
-    spec = _parse_moduli_pattern(args.moduli_pattern, C, levels[0],
-                                 _laurent_terms(C))
+    spec = _parse_moduli_pattern(args.moduli_pattern, C, levels[0])
     _check_levels_used(args)
     primes = _primes(args.primes)
     # one tower level: raises unless the rho identity holds exactly and
@@ -284,9 +256,7 @@ def cmd_tower(args) -> int:
     if C.m == 0:
         raise ParseError("tower needs a group-ring complex (m >= 1)")
     levels = _parse_levels(args.levels) if args.levels else [1, 2, 4, 8]
-    terms = _laurent_terms(C)
-    specs = [_parse_moduli_pattern(args.moduli_pattern, C, i, terms)
-             for i in levels]
+    specs = [_parse_moduli_pattern(args.moduli_pattern, C, i) for i in levels]
     _check_levels_used(args, tower=True)
     primes = _primes(args.primes)
     report = growth.run_tower(C, specs, primes=primes,

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .chain_complex import d_of_abelian_group
+from .chain_complex import _per_degree, d_of_abelian_group
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -348,14 +348,11 @@ def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
     return IntMatrix.block_diag([ones] * qc.source.dim(n))
 
 
+@_per_degree
 def _homology_map_data(qc: QuotientComplex, n: int):
     """(X, N, X2) for nu / H_n(pr): the relations of H_n(C[i]) and of
     H_n(Z tensor C[i]) on their cycle bases, and the matrix N of the
-    augmentation between those bases; built once per degree and kept in
-    `qc.homology_maps`."""
-    data = qc.homology_maps.get(n)
-    if data is not None:
-        return data
+    augmentation between those bases; built once per degree."""
     an = qc.analysis
     K = an.kernel(n)
     X = an.relations(n)
@@ -370,8 +367,7 @@ def _homology_map_data(qc: QuotientComplex, n: int):
             raise IdentityViolation("augmented cycle escapes the cycle lattice")
     else:
         N = IntMatrix.zeros(K2.cols, 0)
-    data = qc.homology_maps[n] = X, N, X2
-    return data
+    return X, N, X2
 
 
 def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
-from .chain_complex import ChainAnalysis, IntChainComplex
+from .chain_complex import ChainAnalysis, IntChainComplex, _per_degree
 from .characters import CharacterSplit
 from .errors import (
     DimensionMismatch,
@@ -227,17 +227,15 @@ class QuotientSpec:
 class QuotientComplex:
     """Base-changed complex with the deck action of each group generator.
 
-    `analysis`, `augmented` and `actions` are built on first access,
-    `modules` by `quotient_homology_module` and `homology_maps` by the
-    comparison maps of `finite_homology`; all are shared by every caller that
-    reads the same quotient complex.
+    `analysis`, `augmented` and `actions` are built on first access, and
+    `quotient_homology_module` and the comparison maps of `finite_homology`
+    keep their results per degree in `_memo`; all are shared by every caller
+    that reads the same quotient complex, and die with it.
     """
     complex: IntChainComplex
     quotient: QuotientSpec
     source: LaurentChainComplex
-    modules: Dict[int, ModuleWithAction] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    homology_maps: Dict[int, tuple] = field(
+    _memo: Dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -257,7 +255,7 @@ class QuotientComplex:
         m = 0 the quotient is trivial, and it is `analysis` itself."""
         if not self.quotient.m:
             return self.analysis
-        return self.analysis.lift()
+        return self.analysis.lift
 
     @cached_property
     def actions(self) -> List[List[IntMatrix]]:
@@ -278,6 +276,7 @@ class ModuleWithAction:
     The group is coker(presentation); each action matrix acts on the
     generators and must descend to the quotient, commute pairwise, and have
     the order prescribed by `generator_orders`, all modulo the relations.
+    An order that is not an int (bools included) or is below 1 is refused.
     """
     presentation: IntMatrix            # generators x relations
     generators_action: List[IntMatrix]
@@ -290,6 +289,10 @@ class ModuleWithAction:
                 raise IncompatibleAction("action matrix has wrong shape")
         if len(self.generator_orders) != len(self.generators_action):
             raise IncompatibleAction("one order per acting generator required")
+        if any(isinstance(o, bool) or not isinstance(o, int) or o < 1
+               for o in self.generator_orders):
+            raise IncompatibleAction(f"generator orders must be positive "
+                                     f"ints, got {self.generator_orders}")
         lat = self._relation_lattice()
         for A in self.generators_action:
             if not _maps_into(A @ self.presentation, lat):
@@ -394,12 +397,10 @@ def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
     return QuotientComplex(complex_, q, C)
 
 
+@_per_degree
 def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:
     """Homology of a quotient complex at degree n as a module with action,
-    built once per degree and kept in `qc.modules`."""
-    M = qc.modules.get(n)
-    if M is not None:
-        return M
+    built once per degree."""
     an = qc.analysis
     K = an.kernel(n)
     X = an.relations(n)
@@ -410,8 +411,7 @@ def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:
         if Y is None:
             raise IncompatibleAction("deck action does not preserve cycles")
         acts.append(Y)
-    M = qc.modules[n] = ModuleWithAction(X, acts, list(qc.quotient.moduli))
-    return M
+    return ModuleWithAction(X, acts, list(qc.quotient.moduli))
 
 
 def operator_norm_bound(D: Sequence[Sequence[LaurentPoly]]) -> float:

@@ -53,6 +53,8 @@ __all__ = [
     "run_tower",
     "check_primes",
     "MAX_PRIME",
+    "MAX_ROWS",
+    "MAX_NONZEROS",
     "bound_lambda",
     "probe_alpha_vanishing",
     "probe_torsion_growth",
@@ -75,6 +77,24 @@ class TowerLevel:
     ln_det_alpha: List[float]
     rho_z: float
     rho_2: float
+
+
+# Most rows, index x largest rank, a quotient complex may have; checked
+# before base change builds the row dicts.
+# 16x the largest tower level measured (circle at index 65536: 6.4 s and
+# 175 MiB RSS, CPython 3.11); time and memory grow about linearly in the
+# index.
+MAX_ROWS = 2 ** 20
+
+# Most nonzeros, index x Laurent terms over all differentials, base change
+# may store: every term of an entry puts one nonzero in each of its index
+# rows.  8x the row cap is the least power-of-two multiple that admits every
+# torus3 level the row cap admits (349525 x 24 terms).  Measured with one
+# 64-term entry (m = 1, CPython 3.11): `homology` at index 4096 (2^18
+# nonzeros) took 12.2 s and 141 MiB RSS, and base change alone at 2^20
+# nonzeros 0.27 s and 84 MiB.  Both grow about linearly, so a document at the
+# cap needs several minutes and about 4 GiB; the cap itself was not run.
+MAX_NONZEROS = 8 * MAX_ROWS
 
 
 # TowerLevel fields holding one value per degree, read by TowerReport.series.
@@ -180,8 +200,9 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
               jobs: int = 1) -> TowerReport:
     """Compute the full invariant table along a tower of quotients.
 
-    Levels, at least one, must each have the arity m of C and together
-    strictly increasing index, primes must pass `check_primes`, max_degree
+    Levels, at least one, must each have the arity m of C, at most
+    `MAX_ROWS` rows and `MAX_NONZEROS` nonzeros, and together strictly
+    increasing index, primes must pass `check_primes`, max_degree
     must be a nonnegative int and jobs a positive int (bools refused); else
     `DegenerateLevel` is raised before any level runs.  Levels are
     independent and may be computed concurrently; the report is merged in
@@ -190,10 +211,19 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     levels = list(levels)
     if not levels:
         raise DegenerateLevel("a tower needs at least one level")
+    terms = sum(len(p.terms) for D in C.differentials for row in D for p in row)
     for spec in levels:
         if spec.m != C.m:
             raise DegenerateLevel(f"level {spec.moduli} has arity {spec.m}, "
                                   f"the complex has m = {C.m}")
+        if spec.index * max(C.dims, default=0) > MAX_ROWS:
+            raise DegenerateLevel(
+                f"quotient {spec.moduli} of index {spec.index} gives more "
+                f"than {MAX_ROWS} rows")
+        if spec.index * terms > MAX_NONZEROS:
+            raise DegenerateLevel(
+                f"quotient {spec.moduli} of index {spec.index} gives more "
+                f"than {MAX_NONZEROS} nonzeros ({terms} Laurent terms)")
     for a, b in zip(levels, levels[1:]):
         if b.index <= a.index:
             raise DegenerateLevel("tower levels must have increasing index")

@@ -1,10 +1,12 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from homgrow import chain_complex, exact_linalg
+from homgrow import chain_complex, exact_linalg, finite_homology, group_ring
 from homgrow.chain_complex import (
     ChainAnalysis,
     IntChainComplex,
@@ -464,6 +466,11 @@ def _analysed_level(C):
     return an
 
 
+def _memoized(obj, name):
+    """The values `obj._memo` keeps for one memoized method."""
+    return [v for (key, _), v in obj._memo.items() if key == name]
+
+
 def _assert_layers_agree(C):
     an = _analysed_level(C)
     for n in range(C.top_degree + 1):
@@ -585,9 +592,9 @@ class TestSharedLayers:
         for _ in range(2):
             del calls[:]
             an = _analysed_level(C)
-            relations = [id(X) for X in an._X.values()]
+            relations = [id(X) for X in _memoized(an, "relations")]
             blocks = [M for M in calls if id(M) not in relations]
-            assert len(calls) - len(blocks) == len(an._smith)
+            assert len(calls) - len(blocks) == len(_memoized(an, "smith"))
             assert len(blocks) == 1
             assert list(an._smith_blocks.values()) \
                 == [smith_normal_form(blocks[0]).invariant_factors]
@@ -601,7 +608,7 @@ class TestHarmonicLift:
     @staticmethod
     def _lifted(an, n):
         return (an.betti(n) and not an._kernel_is_identity(n)
-                and an.lift().betti(n) == an.betti(n))
+                and an.lift.betti(n) == an.betti(n))
 
     def test_lift_equals_kernel_route_on_tier1_levels(self):
         lifted = 0
@@ -632,9 +639,9 @@ class TestHarmonicLift:
         # structure route of Delta_n reads det(W^T W)
         qc = base_change(torus_complex(2), QuotientSpec((4, 4)))
         an = qc.analysis
-        aug = an.lift()
+        aug = an.lift
         assert self._lifted(an, 1)
-        aug._harmonic[1] = aug.harmonic(1).scale(2)
+        aug._memo["harmonic", 1] = aug.harmonic(1).scale(2)
         with pytest.raises(IdentityViolation, match="Laplacian"):
             rho_identity_from_analysis(an)
 
@@ -645,10 +652,122 @@ class TestHarmonicLift:
         calls = TestSharedLayers._count_calls(monkeypatch)
         for n in (1, 2):
             assert self._lifted(an, n)
-            an.lift().harmonic(n)
+            an.lift.harmonic(n)
             an.kernel(n)
             del calls["kernel_lattice"][:]
             W = an.harmonic(n)
             assert calls["kernel_lattice"] == []
             assert (laplacian(qc.complex, n) @ W).is_zero()
             assert W.cols == an.betti(n) == 3
+
+
+MEMOIZED = ("smith", "left_kernel", "kernel", "relations", "free_lifts",
+            "harmonic", "fk_differential", "fk_laplacian")
+
+
+class TestMemo:
+    """One memo per object: `_per_degree` keeps each method's value per
+    degree in the object's `_memo`, and the memo dies with the object."""
+
+    def test_decorator_runs_the_body_once_per_object_and_degree(self):
+        runs = []
+
+        class Probe:
+            def __init__(self):
+                self._memo = {}
+
+            @chain_complex._per_degree
+            def square(self, n):
+                runs.append((self, n))
+                return [n * n]
+
+        a, b = Probe(), Probe()
+        assert a.square(3) is a.square(3) and a.square(4) == [16]
+        assert b.square(3) == [9] and b.square(3) is not a.square(3)
+        assert runs == [(a, 3), (a, 4), (b, 3)]
+        assert a._memo == {("square", 3): [9], ("square", 4): [16]}
+
+    @pytest.mark.parametrize("characters", [False, True],
+                             ids=["kernel-route", "characters"])
+    def test_analysis_methods_run_once_per_degree(self, characters,
+                                                  monkeypatch):
+        # torus2 at (4, 4) lifts its harmonic lattices from `lift`; without
+        # characters every layer takes the kernel route
+        def level():
+            qc = base_change(torus_complex(2), QuotientSpec((4, 4)))
+            an = qc.analysis if characters else ChainAnalysis(qc.complex)
+            homology_from_analysis(an, (2, 3))
+            rho_identity_from_analysis(an)
+            for n in range(an.complex.top_degree + 1):
+                an.left_kernel(n)
+                an.relations(n)
+            return an
+
+        calls = TestSharedLayers._count_calls(monkeypatch)
+        an = level()
+        made = {name: len(log) for name, log in calls.items()}
+        assert made["smith_normal_form"] and made["kernel_lattice"]
+        assert {name for name, _ in an._memo} == set(MEMOIZED)
+        before = dict(an._memo)
+        for name, n in before:
+            assert getattr(an, name)(n) is before[name, n]
+        homology_from_analysis(an, (2, 3))
+        rho_identity_from_analysis(an)
+        assert {name: len(log) for name, log in calls.items()} == made
+        assert an._memo == before
+        # a fresh analysis of the same level computes everything again
+        fresh = level()
+        assert {name: len(log) for name, log in calls.items()} \
+            == {name: 2 * k for name, k in made.items()}
+        assert fresh._memo.keys() == before.keys()
+
+    def test_quotient_complex_functions_run_once_per_degree(
+            self, monkeypatch):
+        solved = []
+        real = group_ring.solve_in_lattice
+
+        def counted(*args):
+            solved.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(group_ring, "solve_in_lattice", counted)
+        monkeypatch.setattr(finite_homology, "solve_in_lattice", counted)
+        qc = base_change(torus_complex(2), QuotientSpec((2, 2)))
+        for n in (0, 1):
+            finite_homology.nu_kernel_cokernel(qc, n)
+        made = len(solved)
+        assert made
+        memo = dict(qc._memo)
+        assert sorted(memo) == [("_homology_map_data", 0),
+                                ("_homology_map_data", 1),
+                                ("quotient_homology_module", 0),
+                                ("quotient_homology_module", 1)]
+        assert group_ring.quotient_homology_module(qc, 1) \
+            is memo["quotient_homology_module", 1]
+        assert finite_homology._homology_map_data(qc, 0) \
+            is memo["_homology_map_data", 0]
+        assert len(solved) == made
+        other = base_change(torus_complex(2), QuotientSpec((2, 2)))
+        M = group_ring.quotient_homology_module(other, 1)
+        assert M is not memo["quotient_homology_module", 1]
+        assert len(solved) > made
+
+    def test_no_cache_outlives_its_object(self):
+        qc = base_change(torus_complex(2), QuotientSpec((2, 2)))
+        rho_identity_from_analysis(qc.analysis)
+        finite_homology.verify_estimate_bounds(qc, r=3, d=1)
+        assert qc._memo and qc.analysis._memo and qc.augmented._memo
+        refs = [weakref.ref(x) for x in (qc, qc.analysis, qc.augmented)]
+        del qc
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_memoized_names_keep_name_and_doc(self):
+        functions = [vars(ChainAnalysis)[name] for name in MEMOIZED] + [
+            group_ring.quotient_homology_module,
+            finite_homology._homology_map_data]
+        for fn in functions:
+            assert fn.__name__ == fn.__wrapped__.__name__
+            assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
+        assert [fn.__name__ for fn in functions[:len(MEMOIZED)]] \
+            == list(MEMOIZED)

@@ -1,17 +1,17 @@
 import json
+import re
 
 import pytest
 
 from homgrow import chain_complex, cli, corpus
 from homgrow.cli import (
     MAX_LEVELS,
-    MAX_NONZEROS,
-    MAX_ROWS,
     _parse_levels,
     builtin_complex,
     main,
 )
 from homgrow.errors import DegenerateLevel, IdentityViolation, ParseError
+from homgrow.growth import MAX_NONZEROS, MAX_ROWS
 from homgrow.serialize import (
     complex_from_document,
     complex_to_document,
@@ -185,6 +185,18 @@ class TestCommands:
         rc = main(["tower", "--example", "circle", "--moduli-pattern", "3"])
         err = capsys.readouterr().err
         assert rc == 2 and "--moduli-pattern" in err
+
+    @pytest.mark.parametrize("text, token", [("1,2,16..4", "16..4"),
+                                             ("8..2", "8..2")])
+    def test_reversed_range_refused(self, text, token, capsys):
+        # a reversed range used to expand to nothing: the first tower ran
+        # on levels 1 and 2, the second read as "--levels must be nonempty"
+        with pytest.raises(ParseError, match=re.escape(repr(token))):
+            _parse_levels(text)
+        rc = main(["tower", "--example", "circle", "--levels", text])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and repr(token) in err
+        assert _parse_levels("4..4") == [4]
 
     def test_level_range_limit(self):
         assert len(_parse_levels(f"1..{MAX_LEVELS}")) == MAX_LEVELS

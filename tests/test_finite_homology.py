@@ -404,6 +404,17 @@ class TestModuleModel:
             ModuleWithAction(P, [IntMatrix.from_rows(A) for A in actions],
                              orders)
 
+    @pytest.mark.parametrize("order", [0, -2, True, 2.0, "2"])
+    def test_order_not_a_positive_int_refused(self, order):
+        # Z with t acting by -1: an order of 0 or -2 passed the order check
+        # as A^0 = 1, and acting() then dropped the generator
+        sign = [IntMatrix.from_rows([[-1]])]
+        with pytest.raises(IncompatibleAction, match="positive ints"):
+            ModuleWithAction(IntMatrix.zeros(1, 0), sign, [order])
+        M = ModuleWithAction(IntMatrix.zeros(1, 0), sign, [2])
+        assert M.acting()[0] == (2,)
+        assert augmentation_filtration(M) == (False, None)
+
 
 class TestCoinvariants:
     def test_trivial_action(self):

@@ -158,6 +158,29 @@ class TestRunTower:
         with pytest.raises(DegenerateLevel, match="jobs must be a positive"):
             run_tower(circle_complex(), circle_levels(4), jobs=jobs)
 
+    def test_oversized_level_refused_before_base_change(self, monkeypatch):
+        # a library call used to go straight into base change, whatever
+        # the index; only the command line checked the caps
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match=f"more than "
+                           f"{growth.MAX_ROWS} rows"):
+            run_tower(circle_complex(), [QuotientSpec((growth.MAX_ROWS + 1,))])
+        # 140000 rows are under MAX_ROWS; 140000 x 64 nonzeros are not
+        many = LaurentPoly(1, {(k,): 1 for k in range(64)})
+        C = LaurentChainComplex(1, [1, 1], [[[many]]])
+        assert 140000 <= growth.MAX_ROWS and 140000 * 64 > growth.MAX_NONZEROS
+        with pytest.raises(DegenerateLevel, match=r"nonzeros \(64 Laurent"):
+            run_tower(C, [QuotientSpec((140000,))])
+
+    def test_tower_with_only_its_last_level_oversized_runs_no_level(
+            self, monkeypatch):
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        monkeypatch.setattr(growth, "_analyze_level", _never_called)
+        with pytest.raises(DegenerateLevel, match="rows"):
+            run_tower(circle_complex(), circle_levels(4)
+                      + [QuotientSpec((growth.MAX_ROWS + 1,))])
+
     def test_jobs_agree(self):
         levels = circle_levels(16)
         r1 = run_tower(circle_complex(), levels, primes=(2,), jobs=1)
@@ -257,7 +280,7 @@ class TestProbes:
                               tail_threshold=1.0)
         assert len(built) == 3
         for qc in built:
-            assert qc.modules == {} and "actions" not in vars(qc)
+            assert qc._memo == {} and "actions" not in vars(qc)
 
     def test_alpha_probe_rejects_nontrivial_action(self):
         # t has eigenvalue -1 on H_0, so the rational action is nontrivial
