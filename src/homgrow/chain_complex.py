@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import (
     DegenerateLevel,
@@ -197,8 +197,9 @@ class ChainAnalysis:
     Every per-degree method below (`smith`, `left_kernel`, `kernel`,
     `relations`, `free_lifts`, `harmonic`, `fk_differential` and
     `fk_laplacian`) keeps its result in the one dict `_memo`, keyed by
-    (method name, n), and `lift` is a cached property.  Both live on the
-    analysis and die with it; no cache outlives the analysis.
+    (method name, n), and the augmented analysis that `lift` returns for a
+    level with characters is a cached property.  Both live on the analysis
+    and die with it; no cache outlives the analysis.
 
     Per degree n this derives: a saturated kernel basis K_n of c_n, the
     matrix X_n with K_n X_n = c_{n+1} (so H_n = coker(X_n)), integer cycle
@@ -228,17 +229,19 @@ class ChainAnalysis:
     then the rule also weighs the FK square of c_n over Galois orbits of
     characters, and that route checks the orbit ranks against rank c_n.
 
-    Such a level also lifts its harmonic lattices from `lift`, the analysis
-    of the augmented complex Z tensor_{ZG} C of that source, built on first
-    use.  The norm map N_G, e_(i) -> the sum of e_(i, v) over the group
-    elements v, is a chain map that scales inner products by |G| and splits
-    over Z.  So when b_n equals the augmented b_n (`rationally_trivial`),
-    every harmonic vector is G-invariant, and the harmonic lattice is N_G
-    of the augmented one: each augmented row repeated |G| times in the
-    block layout of base change, saturated and exactly ker(Delta_n), with
-    no elimination.  Otherwise, and without characters, the kernel route
-    runs.  `alpha_square` cannot see a wrong lattice scale, but the
-    Laplacian identity can: the FK structure route of Delta_n reads
+    `lift` is the analysis of the augmented complex Z tensor_{ZG} C: for a
+    level with characters, that of their source, built on first use; with
+    no characters the deck group is trivial, and `lift` is this analysis
+    itself.  A level with characters lifts its harmonic lattices from it.
+    The norm map N_G, e_(i) -> the sum of e_(i, v) over the group elements
+    v, is a chain map that scales inner products by |G| and splits over Z.
+    So when b_n equals the augmented b_n (`rationally_trivial`), every
+    harmonic vector is G-invariant, and the harmonic lattice is N_G of the
+    augmented one: each augmented row repeated |G| times in the block
+    layout of base change, saturated and exactly ker(Delta_n), with no
+    elimination.  Otherwise, and when `lift` is the analysis itself, the
+    kernel route runs.  `alpha_square` cannot see a wrong lattice scale,
+    but the Laplacian identity can: the FK structure route of Delta_n reads
     det(W^T W).
 
     The Laplacians repeat diagonal blocks across degrees: a torus Delta_n
@@ -331,23 +334,24 @@ class ChainAnalysis:
         assert len(pivots) == b
         return K @ IntMatrix._raw(b, K.cols, urows[:b]).transpose()
 
+    @property
+    def lift(self) -> "ChainAnalysis":
+        """The analysis of the augmented complex Z tensor_{ZG} C: that of
+        the characters' source, or, without characters, this analysis
+        itself, returned uncached so that no analysis holds itself."""
+        return self if self.characters is None else self._augmented
+
     @functools.cached_property
-    def lift(self) -> Optional["ChainAnalysis"]:
-        """The analysis of the augmented complex of the characters' source,
-        which the harmonic lattices lift from, built on first access; None
-        without characters."""
-        if self.characters is None:
-            return None
+    def _augmented(self) -> "ChainAnalysis":
+        """The analysis of the characters' source, built on first access."""
         return ChainAnalysis(self.characters.source.augmented_complex())
 
     def rationally_trivial(self, n: int) -> bool:
         """Whether the deck group G acts trivially on Q tensor H_n: b_n
         equals the b_n of `lift`.  Coinvariants are exact over Q, so the
         augmented b_n is the dimension of the G-coinvariants of Q tensor
-        H_n, which is b_n only for the trivial action.  True without
-        characters, where there is no deck group."""
-        src = self.lift
-        return src is None or src.betti(n) == self.betti(n)
+        H_n, which is b_n only for the trivial action."""
+        return self.lift.betti(n) == self.betti(n)
 
     @_per_degree
     def harmonic(self, n: int) -> IntMatrix:
@@ -360,7 +364,7 @@ class ChainAnalysis:
             # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
             # already in column Hermite form
             return self.left_kernel(n + 1)
-        if self.characters is not None and self.rationally_trivial(n):
+        if self.lift is not self and self.rationally_trivial(n):
             # Every harmonic vector is invariant, so the lattice is the norm
             # map of the lift's: each of its rows repeated once per group
             # element, in the block layout of base change

@@ -213,7 +213,7 @@ def _write_out(payload: str, path: Optional[str]) -> None:
 def cmd_homology(args) -> int:
     _check_out(args.out)
     C = _load_input(args)
-    levels = _parse_levels(args.levels) if args.levels else [1]
+    levels = [1] if args.levels is None else _parse_levels(args.levels)
     if len(levels) != 1:
         raise ParseError("homology takes a single quotient level")
     if C.m == 0 and (args.levels is not None
@@ -255,7 +255,8 @@ def cmd_tower(args) -> int:
     C = _load_input(args)
     if C.m == 0:
         raise ParseError("tower needs a group-ring complex (m >= 1)")
-    levels = _parse_levels(args.levels) if args.levels else [1, 2, 4, 8]
+    levels = ([1, 2, 4, 8] if args.levels is None
+              else _parse_levels(args.levels))
     specs = [_parse_moduli_pattern(args.moduli_pattern, C, i) for i in levels]
     _check_levels_used(args, tower=True)
     primes = _primes(args.primes)

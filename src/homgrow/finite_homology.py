@@ -351,22 +351,18 @@ def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
 @_per_degree
 def _homology_map_data(qc: QuotientComplex, n: int):
     """(X, N, X2) for nu / H_n(pr): the relations of H_n(C[i]) and of
-    H_n(Z tensor C[i]) on their cycle bases, and the matrix N of the
-    augmentation between those bases; built once per degree."""
+    H_n(Z tensor C[i]), read from the `lift` of its analysis, on their
+    cycle bases, and the matrix N of the augmentation between those bases,
+    checked also when a lattice is empty; built once per degree."""
     an = qc.analysis
     K = an.kernel(n)
     X = an.relations(n)
-    an2 = qc.augmented
+    an2 = an.lift
     K2 = an2.kernel(n)
     X2 = an2.relations(n)
-    A = _augmentation_map(qc, n)
-    if K.cols:
-        imgs = A @ K
-        N = solve_in_lattice(K2, imgs) if K2.cols else IntMatrix.zeros(0, K.cols)
-        if N is None:
-            raise IdentityViolation("augmented cycle escapes the cycle lattice")
-    else:
-        N = IntMatrix.zeros(K2.cols, 0)
+    N = solve_in_lattice(K2, _augmentation_map(qc, n) @ K)
+    if N is None:
+        raise IdentityViolation("augmented cycle escapes the cycle lattice")
     return X, N, X2
 
 
@@ -462,7 +458,7 @@ def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
     group = FinAbGroup.from_orders(qc.quotient.moduli)
     dG = group.d
     lnG = math.log(group.order) if group.order > 1 else 0.0
-    aug_an = qc.augmented
+    aug_an = qc.analysis.lift
     d_aug = [d_of_abelian_group(aug_an.torsion_factors(p), aug_an.betti(p))
              for p in range(d + 1)]
     rows = []

@@ -227,7 +227,7 @@ class QuotientSpec:
 class QuotientComplex:
     """Base-changed complex with the deck action of each group generator.
 
-    `analysis`, `augmented` and `actions` are built on first access, and
+    `analysis` and `actions` are built on first access, and
     `quotient_homology_module` and the comparison maps of `finite_homology`
     keep their results per degree in `_memo`; all are shared by every caller
     that reads the same quotient complex, and die with it.
@@ -240,22 +240,15 @@ class QuotientComplex:
 
     @cached_property
     def analysis(self) -> ChainAnalysis:
-        """The `ChainAnalysis` of `complex`.  For m >= 1 it carries the
+        """The `ChainAnalysis` of `complex`.  For index > 1 it carries the
         character split of the Laurent source at this quotient, which the
         FK squares of the differentials may take and the harmonic lattices
-        lift through."""
+        lift through; its `lift` is the analysis of Z tensor_{Z[G/G_i]}
+        C[i].  At index 1 the group is trivial, and the analysis is its
+        own lift."""
         q = self.quotient
-        split = CharacterSplit(self.source, q.moduli) if q.m else None
+        split = CharacterSplit(self.source, q.moduli) if q.index > 1 else None
         return ChainAnalysis(self.complex, split)
-
-    @cached_property
-    def augmented(self) -> ChainAnalysis:
-        """The analysis of Z tensor_{Z[G/G_i]} C[i]: every Laurent entry
-        evaluated at 1.  For m >= 1 it is the lift of `analysis`; for
-        m = 0 the quotient is trivial, and it is `analysis` itself."""
-        if not self.quotient.m:
-            return self.analysis
-        return self.analysis.lift
 
     @cached_property
     def actions(self) -> List[List[IntMatrix]]:
@@ -293,7 +286,7 @@ class ModuleWithAction:
                for o in self.generator_orders):
             raise IncompatibleAction(f"generator orders must be positive "
                                      f"ints, got {self.generator_orders}")
-        lat = self._relation_lattice()
+        lat = column_hnf(self.presentation)
         for A in self.generators_action:
             if not _maps_into(A @ self.presentation, lat):
                 raise IncompatibleAction("action does not preserve relations")
@@ -307,11 +300,6 @@ class ModuleWithAction:
             if not _maps_into(P - IntMatrix.identity(g), lat):
                 raise IncompatibleAction(
                     f"action does not have order dividing {order}")
-
-    def _relation_lattice(self) -> Optional[IntMatrix]:
-        if self.presentation.cols == 0:
-            return None
-        return column_hnf(self.presentation)
 
     @property
     def num_generators(self) -> int:
@@ -337,12 +325,8 @@ class ModuleWithAction:
             [self.presentation] + [A - one for A in self.acting()[1]], g)
 
 
-def _maps_into(M: IntMatrix, lattice_hnf: Optional[IntMatrix]) -> bool:
+def _maps_into(M: IntMatrix, lattice_hnf: IntMatrix) -> bool:
     """Whether every column of M lies in the given column-Hermite lattice."""
-    if M.is_zero():
-        return True
-    if lattice_hnf is None or lattice_hnf.cols == 0:
-        return False
     return solve_in_lattice(lattice_hnf, M) is not None
 
 
@@ -407,7 +391,7 @@ def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:
     acts = []
     for A in qc.actions[n]:
         AK = A @ K
-        Y = solve_in_lattice(K, AK) if K.cols else IntMatrix.zeros(0, 0)
+        Y = solve_in_lattice(K, AK)
         if Y is None:
             raise IncompatibleAction("deck action does not preserve cycles")
         acts.append(Y)

@@ -29,6 +29,7 @@ from .chain_complex import (
 from .characters import char_poly
 from .errors import (
     DegenerateLevel,
+    DegreeOutOfRange,
     HypothesisViolated,
     IdentityViolation,
     InconsistentProfile,
@@ -274,8 +275,11 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
     Requires the deck action on Q tensor H_n(C[i]) to be trivial at every
     level (`ChainAnalysis.rationally_trivial`); asserts that the tail of
     the sequence does not increase and that the final value is below the
-    threshold.
+    threshold.  A degree outside 0..top raises `DegreeOutOfRange` before
+    any level runs.
     """
+    if not (0 <= n <= C.top_degree):
+        raise DegreeOutOfRange(f"degree {n} outside 0..{C.top_degree}")
     rows = []
     for spec in levels:
         an = base_change(C, spec).analysis
@@ -304,8 +308,13 @@ def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:
     Per level i: |tors H_0| of the base-changed mapping torus must equal
     |det(A^i - I)| exactly; the normalized logs are compared with the Mahler
     measure of the characteristic polynomial.  Levels with det(A^i - I) = 0
-    are skipped and flagged.
+    are skipped and flagged.  `_exact_int` refuses a float, string or bool
+    level, and a level below 1 raises `DegenerateLevel`, before any level
+    runs.
     """
+    levels = [_exact_int(i) for i in levels]
+    if any(i < 1 for i in levels):
+        raise DegenerateLevel(f"levels must be at least 1, got {levels}")
     C = mapping_torus_complex(A)
     mahler = _mahler_measure_log(A)
     rows = []
@@ -325,7 +334,7 @@ def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:
             "degenerate": False,
             "tors_order": t,
             "ln_tors_per_index": ln_t / i,
-            "oracle_per_index": ln_of_fraction(Fraction(abs(det))) / i if det else 0.0,
+            "oracle_per_index": ln_of_fraction(Fraction(abs(det))) / i,
             "mahler_gap": abs(ln_t / i - mahler),
         })
     return {"matrix": A.to_lists(), "mahler_log": mahler, "levels": rows}

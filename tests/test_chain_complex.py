@@ -44,6 +44,7 @@ from homgrow.group_ring import (
     tensor,
     torus_complex,
 )
+from homgrow.serialize import complex_from_document
 
 
 def circle_level(i):
@@ -627,7 +628,7 @@ class TestHarmonicLift:
         qc = base_change(mapping_torus_complex(swap), QuotientSpec((64,)))
         an = qc.analysis
         assert [an.betti(n) for n in range(3)] == [2, 2, 0]
-        assert [qc.augmented.betti(n) for n in range(3)] == [1, 1, 0]
+        assert [qc.analysis.lift.betti(n) for n in range(3)] == [1, 1, 0]
         # the lift would give one column
         W = an.harmonic(1)
         assert W.cols == 2
@@ -659,6 +660,73 @@ class TestHarmonicLift:
             assert calls["kernel_lattice"] == []
             assert (laplacian(qc.complex, n) @ W).is_zero()
             assert W.cols == an.betti(n) == 3
+
+
+class TestTrivialGroupIsItsOwnLift:
+    """Without a character split the lift is the analysis itself: an m = 0
+    level, an index-1 level and a plain complex are one case."""
+
+    @staticmethod
+    def _assert_own_lift(an):
+        assert an.characters is None
+        assert an.lift is an
+        top = an.complex.top_degree
+        assert all(an.rationally_trivial(n) for n in range(top + 1))
+
+    def test_m0_document(self):
+        two = [{"exp": [], "coef": "2"}]
+        C = complex_from_document({"m": 0, "top_degree": 1, "dims": [1, 1],
+                                   "differentials": [[[two]]]})
+        qc = base_change(C, QuotientSpec(()))
+        self._assert_own_lift(qc.analysis)
+        assert qc.analysis.tors_order(0) == 2
+
+    @pytest.mark.parametrize("C, moduli", [
+        (circle_complex(), (1,)),
+        (torus_complex(3), (1, 1, 1)),
+        (mapping_torus_complex(IntMatrix.from_rows([[2, 1], [1, 1]])), (1,)),
+    ], ids=["circle", "torus3", "mapping_torus"])
+    def test_index_one_level(self, C, moduli):
+        an = base_change(C, QuotientSpec(moduli)).analysis
+        self._assert_own_lift(an)
+        rho_identity_from_analysis(an)
+
+    def test_random_complex(self):
+        self._assert_own_lift(ChainAnalysis(random_complex(random.Random(3))))
+
+    def test_own_lift_holds_no_reference_cycle(self):
+        # an analysis that cached itself as its lift would stay alive, memo
+        # and all, until the cycle collector ran
+        an = ChainAnalysis(random_complex(random.Random(3)))
+        rho_identity_from_analysis(an)
+        assert an.lift is an
+        ref = weakref.ref(an)
+        gc.disable()
+        try:
+            del an
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_index_two_level_lifts_from_another_analysis(self):
+        qc = base_change(circle_complex(), QuotientSpec((2,)))
+        an = qc.analysis
+        assert an.characters is not None
+        assert an.lift is not an and an.lift.characters is None
+        assert an.lift.complex == qc.source.augmented_complex()
+
+    def test_planted_augmentation_map_is_checked(self, monkeypatch):
+        # at (2,), degree 1 of the mapping torus of [[-1]], K_1 has one
+        # column and the augmented K_1 none: the augmentation must send
+        # the cycle to zero, and [[1, 0]] does not
+        qc = base_change(mapping_torus_complex(IntMatrix.from_rows([[-1]])),
+                         QuotientSpec((2,)))
+        assert qc.analysis.kernel(1).cols == 1
+        assert qc.analysis.lift.kernel(1).cols == 0
+        monkeypatch.setattr(finite_homology, "_augmentation_map",
+                            lambda qc, n: IntMatrix.from_rows([[1, 0]]))
+        with pytest.raises(IdentityViolation, match="escapes"):
+            finite_homology._homology_map_data(qc, 1)
 
 
 MEMOIZED = ("smith", "left_kernel", "kernel", "relations", "free_lifts",
@@ -756,8 +824,8 @@ class TestMemo:
         qc = base_change(torus_complex(2), QuotientSpec((2, 2)))
         rho_identity_from_analysis(qc.analysis)
         finite_homology.verify_estimate_bounds(qc, r=3, d=1)
-        assert qc._memo and qc.analysis._memo and qc.augmented._memo
-        refs = [weakref.ref(x) for x in (qc, qc.analysis, qc.augmented)]
+        assert qc._memo and qc.analysis._memo and qc.analysis.lift._memo
+        refs = [weakref.ref(x) for x in (qc, qc.analysis, qc.analysis.lift)]
         del qc
         gc.collect()
         assert [r() for r in refs] == [None, None, None]

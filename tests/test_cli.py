@@ -198,6 +198,14 @@ class TestCommands:
         assert rc == 2 and out == "" and repr(token) in err
         assert _parse_levels("4..4") == [4]
 
+    @pytest.mark.parametrize("command", ["tower", "homology"])
+    def test_empty_levels_refused(self, command, capsys):
+        # an empty --levels used to run the defaults: the tower table of
+        # levels 1, 2, 4, 8 and the homology of index 1
+        rc = main([command, "--example", "circle", "--levels", ""])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "--levels must be nonempty" in err
+
     def test_level_range_limit(self):
         assert len(_parse_levels(f"1..{MAX_LEVELS}")) == MAX_LEVELS
         with pytest.raises(ParseError):

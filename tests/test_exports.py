@@ -89,3 +89,38 @@ def test_no_test_only_or_eager_numpy_imports(path):
     assert [m for m, _ in found if m in TEST_ONLY] == []
     assert [m for m, in_function in found
             if m == "numpy" and not in_function] == []
+
+
+def _unread_imports(tree):
+    """Names bound by module-level imports that the module never reads and
+    does not list in its __all__."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read | exported]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"],
+    ids=lambda p: p.name)
+def test_every_import_is_read_or_exported(path):
+    # a deletion that leaves its imports behind fails here; the package
+    # imports are its public names, held to the module exports above
+    assert _unread_imports(ast.parse(path.read_text())) == []
+
+
+def test_unread_import_detected():
+    tree = ast.parse("import os\nfrom math import pi, tau as t\n"
+                     "__all__ = ['pi']\nprint(os.sep)\n")
+    assert _unread_imports(tree) == ["t"]

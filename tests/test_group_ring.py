@@ -202,7 +202,7 @@ class TestBaseChange:
         S2 = LaurentChainComplex(0, [1, 0, 1], [[[]], []])
         qc = base_change(S2, QuotientSpec(()))
         assert qc.actions == [[], [], []]
-        assert qc.augmented is qc.analysis
+        assert qc.analysis.lift is qc.analysis
 
     def test_entries_cancelling_mod_n_store_nothing(self):
         # t^2 - 1 vanishes modulo t^2 = 1: both terms land on the same

@@ -6,6 +6,7 @@ from homgrow import growth
 from homgrow.cli import builtin_complex
 from homgrow.errors import (
     DegenerateLevel,
+    DegreeOutOfRange,
     DimensionMismatch,
     HypothesisViolated,
     InconsistentProfile,
@@ -219,6 +220,31 @@ class TestProbes:
                                    [1, 2])
         flags = {r["level"]: r.get("degenerate") for r in rep["levels"]}
         assert flags[2] is True
+
+    @pytest.mark.parametrize("levels", [[0], [1, -3]],
+                             ids=["zero", "negative"])
+    def test_torsion_levels_below_one_refused(self, levels, monkeypatch):
+        # det(A^0 - I) = 0 reported level 0 as degenerate
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        with pytest.raises(DegenerateLevel, match="at least 1"):
+            probe_torsion_growth(IntMatrix.from_rows([[2, 1], [1, 1]]),
+                                 levels)
+
+    @pytest.mark.parametrize("levels", [[2.5], [1, "3"], [True]],
+                             ids=["float", "string", "bool"])
+    def test_torsion_non_int_levels_refused(self, levels, monkeypatch):
+        # range() raised a bare TypeError for 2.5 and "3"
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        with pytest.raises(DimensionMismatch, match="expected an integer"):
+            probe_torsion_growth(IntMatrix.from_rows([[2, 1], [1, 1]]),
+                                 levels)
+
+    @pytest.mark.parametrize("n", [-1, 2, 7])
+    def test_alpha_degree_out_of_range_refused(self, n, monkeypatch):
+        # a degree the circle does not have passed with final 0.0
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        with pytest.raises(DegreeOutOfRange):
+            probe_alpha_vanishing(circle_complex(), circle_levels(4), n)
 
     @pytest.mark.parametrize("first, second, trivial", [
         ([[1, 0], [0, 1]], [[1, 0], [0, -1]], False),
