@@ -32,8 +32,10 @@ from .exact_linalg import (
     _fk_route,
     _fk_square_image_lattice,
     _fk_square_structure,
+    _gram_int,
     _row_hnf_clean,
     column_hnf,
+    det_bareiss_psd,
     det_fraction,
     fk_determinant,
     kernel_lattice,
@@ -244,14 +246,12 @@ class ChainAnalysis:
     but the Laplacian identity can: the FK structure route of Delta_n reads
     det(W^T W).
 
-    The Laplacians repeat diagonal blocks across degrees: a torus Delta_n
-    is C(m, n) copies of Delta_0, and the circle's Delta_0 equals Delta_1
-    because the circulant t - 1 is normal (so too for a mapping torus of a
-    symmetric matrix A, as tA - I commutes with its adjoint t^-1 A - I).
-    So the analysis keeps one dict of block Smith forms, made here and
-    dropped with it, which `fk_laplacian` passes to `fk_determinant`: each
-    distinct block is factored once per analysis, not once per degree.
-    What the dict returns still meets the Laplacian identity check.
+    With characters, `fk_laplacian` builds no Delta_n but factors the
+    components of the Laurent Laplacian of their source, base-changed
+    (`LaurentChainComplex.laplacian_factors`), each distinct one once per
+    analysis through the dict `_smith_blocks`: a torus L_n is a multiple of
+    the identity, and the circle's L_0 = L_1.  Without characters, Delta_n
+    is built and factored whole.
     """
 
     def __init__(self, complex_: IntChainComplex, characters=None):
@@ -408,14 +408,26 @@ class ChainAnalysis:
 
     @_per_degree
     def fk_laplacian(self, n: int) -> FKDet:
-        """det_FK(Delta_n), its kernel the harmonic lattice."""
-        delta = laplacian(self.complex, n)
+        """det_FK(Delta_n), its kernel the harmonic lattice W: with both
+        kernels W, the FK structure route reads det(W^T W)^2 times the
+        squared product of the Smith diagonal.  Delta_n W = 0 is checked as
+        c_n W = 0 = W^T c_{n+1}: W^T Delta_n W = |c_n W|^2 + |c_{n+1}^T W|^2.
+        """
         W = self.harmonic(n)
-        if not (delta @ W).is_zero():
+        C = self.complex
+        if not ((C.differential(n) @ W).is_zero()
+                and (W.transpose() @ C.differential(n + 1)).is_zero()):
             raise IdentityViolation(
                 "harmonic lattice is not annihilated by the Laplacian")
-        return fk_determinant(delta, kernel=W, left_kernel=W,
-                              blocks=self._smith_blocks)
+        if self.characters is None:
+            return fk_determinant(laplacian(C, n), kernel=W, left_kernel=W)
+        diag = self.characters.source.laplacian_factors(
+            n, self.characters.moduli, self._smith_blocks)
+        if len(diag) != C.dim(n) - W.cols:
+            raise IdentityViolation(
+                "rank mismatch between kernel and Smith form")
+        gram = det_bareiss_psd(_gram_int(W)) if W.cols else 1
+        return _fk_det((gram * math.prod(diag)) ** 2)
 
     # -- alpha ---------------------------------------------------------------
 

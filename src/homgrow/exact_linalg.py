@@ -715,77 +715,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     return SmithForm(tuple(factors), len(factors))
 
 
-def _smith_by_blocks(A: IntMatrix, blocks: Optional[dict] = None) -> SmithForm:
-    """`smith_normal_form` of A, one call per distinct diagonal block.
-
-    The blocks are the connected components of the row-column graph of A
-    (row i meets column j when A[i, j] != 0), found by union-find over the
-    columns of each row.  A block-diagonal matrix has the Smith form of its
-    blocks' factors together, re-chained, and the elimination costs it the
-    sum of its blocks.  So the only saving is a repeated block.  Each
-    block, a single component included, is keyed by its column count and
-    its rows in order with its columns relabelled by rank, and `blocks`
-    maps each key to its invariant factors: a block is factored only on a
-    miss, however often it repeats, in A or in any earlier matrix given
-    the same dict.  Without a dict a fresh one is used.
-
-    `ChainAnalysis` keeps one dict for the Laplacians of all degrees, where
-    blocks repeat: a torus Delta_n is C(m, n) copies of Delta_0, the
-    circle's Delta_0 = Delta_1 as the circulant t - 1 is normal, and so
-    are those of a mapping torus of a symmetric matrix.  The split is kept
-    to the FK structure route, since finding components costs every small
-    Smith form more than it saves.
-    """
-    if blocks is None:
-        blocks = {}
-    parent = list(range(A.cols))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        return j
-
-    for r in A.data:
-        if len(r) > 1:
-            it = iter(r)
-            root = find(next(it))
-            for j in it:
-                if parent[j] != root:
-                    k = find(j)
-                    if k != root:
-                        parent[k] = root
-    comp_rows = defaultdict(list)
-    for i, r in enumerate(A.data):
-        if r:
-            comp_rows[find(next(iter(r)))].append(i)
-    comp_cols = defaultdict(list)
-    for j in range(A.cols):
-        comp_cols[find(j)].append(j)
-    diag = []
-    for root, rows in comp_rows.items():
-        label = {j: t for t, j in enumerate(comp_cols[root])}
-        # one flat tuple, a fraction of the size of nested row tuples: the
-        # column count, then each row's length and its sorted pairs
-        key = [len(label)]
-        for i in rows:
-            r = A.data[i]
-            key.append(len(r))
-            key.extend(itertools.chain.from_iterable(
-                sorted(zip(map(label.__getitem__, r), r.values()))))
-        key = tuple(key)
-        if key not in blocks:
-            # a single component is A up to zero rows and columns, which
-            # leave the factors alone, so A is factored without a copy
-            blocks[key] = smith_normal_form(
-                A if len(comp_rows) == 1 else IntMatrix._raw(
-                    len(rows), len(label),
-                    [{label[j]: v for j, v in A.data[i].items()}
-                     for i in rows])).invariant_factors
-        diag.extend(blocks[key])
-    factors = _chain_divisibility(diag)
-    return SmithForm(tuple(factors), len(factors))
-
-
 def rank(A: IntMatrix) -> int:
     pivots, _, _ = _row_hnf_clean(A.transpose().data,
                                   reduce_off_pivots=False)
@@ -1022,9 +951,9 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
         sf = smith_normal_form(A)
     if sf.rank != r:
         raise IdentityViolation("rank mismatch between kernel and Smith form")
-    tors = 1
-    for d in sf.invariant_factors:
-        tors *= d
+    tors = math.prod(sf.invariant_factors)
+    if D is K:
+        return jk_sq, tors, jk_sq
     if D is None:
         D = kernel_lattice(A.transpose())
     prc_sq = det_bareiss_psd(_gram_int(D)) if D.cols else 1
@@ -1055,26 +984,21 @@ def _fk_route(A: IntMatrix, r: int, orbit_cost: Optional[int] = None) -> str:
 
 
 def fk_determinant(A: IntMatrix, kernel: Optional[IntMatrix] = None,
-                   left_kernel: Optional[IntMatrix] = None,
-                   blocks: Optional[dict] = None) -> FKDet:
+                   left_kernel: Optional[IntMatrix] = None) -> FKDet:
     """Fuglede-Kadison determinant of A over the trivial group, exactly.
 
     square_exact equals the Cauchy-Binet sum of squared maximal-rank minors;
     rank 0 gives the empty product 1.  `_fk_route` picks the Gram route.
     Saturated kernel bases of A and A^T may be supplied: the kernel gives r
-    without a rank computation, and the structure route reuses both.  The
-    structure route takes the Smith form by diagonal blocks,
-    `_smith_by_blocks`, which looks each block up in `blocks`, the block
-    Smith forms of earlier calls; without a dict a fresh one is used.
-    `ChainAnalysis.fk_laplacian` passes one dict for all degrees of an
-    analysis, since its Laplacians repeat blocks.
+    without a rank computation, and the structure route reuses both (one
+    Gram when they are one lattice, as for a Laplacian and its harmonic
+    lattice).
     """
     if A.rows == 0 or A.cols == 0 or A.is_zero():
         return _fk_det(1)
     r = A.cols - kernel.cols if kernel is not None else rank(A)
     if _fk_route(A, r) == "structure":
-        return _fk_det(_fk_square_structure(A, kernel, left_kernel,
-                                            _smith_by_blocks(A, blocks)))
+        return _fk_det(_fk_square_structure(A, kernel, left_kernel))
     return _fk_det(_fk_square_image_lattice(A))
 
 

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain_complex import ChainAnalysis, IntChainComplex, _per_degree
 from .characters import CharacterSplit
@@ -35,6 +35,7 @@ from .exact_linalg import (
     cokernel_structure,
     column_hnf,
     det_bareiss,
+    smith_normal_form,
     solve_in_lattice,
 )
 
@@ -100,6 +101,11 @@ class LaurentPoly:
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.m, {e: -c for e, c in self.terms.items()})
+
+    def conjugate(self) -> "LaurentPoly":
+        """The involution x^e -> x^-e."""
+        return LaurentPoly(self.m, {tuple(-a for a in e): c
+                                    for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -170,6 +176,53 @@ class LaurentChainComplex:
     def augmented_complex(self) -> IntChainComplex:
         """Z tensor_{ZG} C: every Laurent entry evaluated at 1."""
         return base_change(self, QuotientSpec((1,) * self.m)).complex
+
+    def laplacian_components(self, n: int) -> List[Tuple[List[int], tuple]]:
+        """The components of the Laurent Laplacian L_n = D_n* D_n +
+        D_(n+1) D_(n+1)*, * the transpose with x -> x^-1, joining i and j
+        when L_n[i, j] != 0: each as its sorted indices and its principal
+        submatrix in row tuples.  L_n sums v* v over the rows v of D_n and
+        the conjugated columns of D_(n+1)."""
+        d = self.dim(n)
+        vectors = list(self.differential(n)) if n >= 1 else []
+        if n < self.top_degree:
+            D = self.differential(n + 1)
+            vectors += [[row[k].conjugate() for row in D]
+                        for k in range(self.dims[n + 1])]
+        L = [[LaurentPoly.zero(self.m)] * d for _ in range(d)]
+        for v in vectors:
+            nonzero = [(i, p) for i, p in enumerate(v) if p.terms]
+            for i, p in nonzero:
+                for j, q in nonzero:
+                    L[i][j] = L[i][j] + p.conjugate() * q
+        components, rest = [], list(range(d))
+        while rest:
+            comp = [rest.pop(0)]
+            for i in comp:                 # comp grows as it is walked
+                comp += [j for j in rest if L[i][j].terms]
+                rest = [j for j in rest if j not in comp]
+            comp.sort()
+            components.append(
+                (comp, tuple(tuple(L[i][j] for j in comp) for i in comp)))
+        return components
+
+    def laplacian_factors(self, n: int, moduli: Sequence[int],
+                          factored: Dict[tuple, tuple]) -> List[int]:
+        """The unchained Smith diagonal of Delta_n of the base change to
+        `moduli`.  Base change is a ring homomorphism sending p* to the
+        transpose, so each component of L_n goes to a diagonal block of
+        Delta_n, up to a permutation.  `factored` maps a component's
+        Laurent entries to the invariant factors of its base change, made
+        only on a miss."""
+        q = QuotientSpec(moduli)
+        diag: List[int] = []
+        for _, block in self.laplacian_components(n):
+            if block not in factored:
+                size = len(block) * q.index
+                factored[block] = smith_normal_form(IntMatrix._raw(
+                    size, size, _regular_rows(block, q))).invariant_factors
+            diag.extend(factored[block])
+        return diag
 
     def __repr__(self):
         return f"LaurentChainComplex(m={self.m}, dims={self.dims})"

@@ -196,19 +196,10 @@ def _aitken_tail(values: List[float]) -> float:
     return a2 - (a2 - a1) ** 2 / denom
 
 
-def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
-              primes: Sequence[int] = (2,), max_degree: Optional[int] = None,
-              jobs: int = 1) -> TowerReport:
-    """Compute the full invariant table along a tower of quotients.
-
-    Levels, at least one, must each have the arity m of C, at most
-    `MAX_ROWS` rows and `MAX_NONZEROS` nonzeros, and together strictly
-    increasing index, primes must pass `check_primes`, max_degree
-    must be a nonnegative int and jobs a positive int (bools refused); else
-    `DegenerateLevel` is raised before any level runs.  Levels are
-    independent and may be computed concurrently; the report is merged in
-    level order, so the output does not depend on scheduling.
-    """
+def _check_levels(C: LaurentChainComplex,
+                  levels: Sequence[QuotientSpec]) -> List[QuotientSpec]:
+    """The levels as a list, after the per-level request checks of
+    `run_tower` and `probe_alpha_vanishing`; else `DegenerateLevel`."""
     levels = list(levels)
     if not levels:
         raise DegenerateLevel("a tower needs at least one level")
@@ -228,6 +219,23 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     for a, b in zip(levels, levels[1:]):
         if b.index <= a.index:
             raise DegenerateLevel("tower levels must have increasing index")
+    return levels
+
+
+def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
+              primes: Sequence[int] = (2,), max_degree: Optional[int] = None,
+              jobs: int = 1) -> TowerReport:
+    """Compute the full invariant table along a tower of quotients.
+
+    Levels, at least one, must each have the arity m of C, at most
+    `MAX_ROWS` rows and `MAX_NONZEROS` nonzeros, and together strictly
+    increasing index, primes must pass `check_primes`, max_degree
+    must be a nonnegative int and jobs a positive int (bools refused); else
+    `DegenerateLevel` is raised before any level runs.  Levels are
+    independent and may be computed concurrently; the report is merged in
+    level order, so the output does not depend on scheduling.
+    """
+    levels = _check_levels(C, levels)
     check_primes(primes)
     if max_degree is None:
         max_degree = C.top_degree
@@ -275,11 +283,12 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
     Requires the deck action on Q tensor H_n(C[i]) to be trivial at every
     level (`ChainAnalysis.rationally_trivial`); asserts that the tail of
     the sequence does not increase and that the final value is below the
-    threshold.  A degree outside 0..top raises `DegreeOutOfRange` before
-    any level runs.
+    threshold.  A degree outside 0..top raises `DegreeOutOfRange`, and
+    levels `run_tower` refuses raise `DegenerateLevel`, before any runs.
     """
     if not (0 <= n <= C.top_degree):
         raise DegreeOutOfRange(f"degree {n} outside 0..{C.top_degree}")
+    levels = _check_levels(C, levels)
     rows = []
     for spec in levels:
         an = base_change(C, spec).analysis
@@ -296,10 +305,10 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
         if b > a + 1e-12:
             raise IdentityViolation(
                 f"alpha sequence tail increases: {a} -> {b}")
-    if vals and vals[-1] > tail_threshold:
+    if vals[-1] > tail_threshold:
         raise IdentityViolation(
             f"final normalized alpha log {vals[-1]} above {tail_threshold}")
-    return {"degree": n, "levels": rows, "final": vals[-1] if vals else 0.0}
+    return {"degree": n, "levels": rows, "final": vals[-1]}
 
 
 def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:
@@ -309,12 +318,13 @@ def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:
     |det(A^i - I)| exactly; the normalized logs are compared with the Mahler
     measure of the characteristic polynomial.  Levels with det(A^i - I) = 0
     are skipped and flagged.  `_exact_int` refuses a float, string or bool
-    level, and a level below 1 raises `DegenerateLevel`, before any level
-    runs.
+    level, and no level or a level below 1 raises `DegenerateLevel`, before
+    any level runs.
     """
     levels = [_exact_int(i) for i in levels]
-    if any(i < 1 for i in levels):
-        raise DegenerateLevel(f"levels must be at least 1, got {levels}")
+    if not levels or min(levels) < 1:
+        raise DegenerateLevel(f"a tower needs at least one level, each at "
+                              f"least 1, got {levels}")
     C = mapping_torus_complex(A)
     mahler = _mahler_measure_log(A)
     rows = []

@@ -5,6 +5,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homgrow import chain_complex, exact_linalg, finite_homology, group_ring
 from homgrow.chain_complex import (
@@ -19,6 +21,7 @@ from homgrow.chain_complex import (
     rho_identity_from_analysis,
     verify_rho_identity,
 )
+from homgrow.cli import builtin_complex
 from homgrow.corpus import random_complex, random_unimodular
 from homgrow.errors import (
     DegenerateLevel,
@@ -29,6 +32,7 @@ from homgrow.errors import (
 )
 from homgrow.exact_linalg import (
     IntMatrix,
+    _chain_divisibility,
     _row_hnf_clean,
     column_hnf,
     fk_determinant,
@@ -37,6 +41,8 @@ from homgrow.exact_linalg import (
     solve_in_lattice,
 )
 from homgrow.group_ring import (
+    LaurentChainComplex,
+    LaurentPoly,
     QuotientSpec,
     base_change,
     circle_complex,
@@ -381,19 +387,48 @@ class TestRhoIdentity:
             rho_identity_from_analysis(SkewedAlpha(circle_level(5)))
 
     def test_planted_block_factor_fails_the_laplacian_identity(self):
-        # the memo's output still goes through the Laplacian identity
-        # circle level 5: Delta_0 = Delta_1, one block with factors
+        # the block dict's output still goes through the Laplacian identity
+        # circle level 5: L_0 = L_1 = 2 - t - t^-1, one block with factors
         # (1, 1, 1, 5); a planted last factor of 10 has the right rank
-        C = circle_level(5)
-        ref = ChainAnalysis(C)
+        level = QuotientSpec((5,))
+        ref = base_change(circle_complex(), level).analysis
         rho_identity_from_analysis(ref)
         (key, factors), = ref._smith_blocks.items()
         assert factors == (1, 1, 1, 5)
-        an = ChainAnalysis(C)
-        an._smith_blocks[key] = factors[:-1] + (2 * factors[-1],)
+        for planted, message in [
+                (factors[:-1] + (2 * factors[-1],),
+                 "Laplacian determinant identity fails"),
+                (factors + (5,), "rank mismatch")]:
+            an = base_change(circle_complex(), level).analysis
+            an._smith_blocks[key] = planted
+            with pytest.raises(IdentityViolation, match=message):
+                rho_identity_from_analysis(an)
+
+    def test_wrong_base_change_of_a_differential_fails(self):
+        # c_1 of circle level 4 doubled: a Delta_n built from that c_1
+        # agrees with it, the Laurent Laplacian of the source does not
+        qc = base_change(circle_complex(), QuotientSpec((4,)))
+        wrong = IntChainComplex(qc.complex.dims,
+                                [qc.complex.differential(1).scale(2)])
+        rho_identity_from_analysis(ChainAnalysis(wrong))
+        an = ChainAnalysis(wrong, qc.analysis.characters)
         with pytest.raises(IdentityViolation,
                            match="Laplacian determinant identity fails"):
             rho_identity_from_analysis(an)
+
+    @pytest.mark.parametrize("characters", [False, True],
+                             ids=["whole", "blocks"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_planted_harmonic_lattice_off_a_differential_fails(
+            self, n, characters):
+        # circle level 4: c_0 = 0, so in degree 0 only W^T c_1 sees the
+        # plant, and c_2 = 0, so in degree 1 only c_1 W does
+        qc = base_change(circle_complex(), QuotientSpec((4,)))
+        an = qc.analysis if characters else ChainAnalysis(qc.complex)
+        assert an.harmonic(n).shape == (4, 1)
+        an._memo["harmonic", n] = IntMatrix.from_rows([[1], [0], [0], [0]])
+        with pytest.raises(IdentityViolation, match="not annihilated"):
+            an.fk_laplacian(n)
 
 
 class TestConstructions:
@@ -467,6 +502,15 @@ def _analysed_level(C):
     return an
 
 
+def _analysed_quotient(L, moduli):
+    """`_analysed_level` of the analysis of a fresh base change, which
+    carries the character split above index 1."""
+    an = base_change(L, QuotientSpec(moduli)).analysis
+    homology_from_analysis(an, (2, 3, 5))
+    rho_identity_from_analysis(an)
+    return an
+
+
 def _memoized(obj, name):
     """The values `obj._memo` keeps for one memoized method."""
     return [v for (key, _), v in obj._memo.items() if key == name]
@@ -513,18 +557,22 @@ class TestSharedLayers:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """Record the argument of every kernel_lattice and smith_normal_form
-        call made through chain_complex or exact_linalg."""
-        calls = {"kernel_lattice": [], "smith_normal_form": []}
+        """Record the first argument of every kernel_lattice,
+        smith_normal_form and laplacian call made through exact_linalg,
+        chain_complex or group_ring."""
+        calls = {"kernel_lattice": [], "smith_normal_form": [],
+                 "laplacian": []}
         for name, log in calls.items():
-            real = getattr(exact_linalg, name)
+            modules = [m for m in (exact_linalg, chain_complex, group_ring)
+                       if hasattr(m, name)]
+            real = getattr(modules[0], name)
 
-            def counted(A, _real=real, _log=log):
-                _log.append(A)
-                return _real(A)
+            def counted(*args, _real=real, _log=log):
+                _log.append(args[0])
+                return _real(*args)
 
-            monkeypatch.setattr(chain_complex, name, counted)
-            monkeypatch.setattr(exact_linalg, name, counted)
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_known_empty_harmonic_lattice_is_not_computed(self, monkeypatch):
@@ -567,16 +615,38 @@ class TestSharedLayers:
     def test_torus3_level_factors_four_matrices(self, monkeypatch):
         # X_0 = c_1, X_1 and X_2 (X_3 has no columns), which H_0..H_2 and
         # the FK structure routes of c_1..c_3 share, and one Laplacian
-        # block: Delta_0..Delta_3 are 1, 3, 3 and 1 copies of one block,
-        # factored once per analysis; c_2 gets no Smith form of its own
-        C = base_change(torus_complex(3), QuotientSpec((4, 4, 4))).complex
+        # block: every L_n is 6 - sum_j (x_j + x_j^-1) times the identity,
+        # so Delta_0..Delta_3 are 1, 3, 3 and 1 copies of one block,
+        # factored once per analysis; c_2 gets no Smith form of its own,
+        # and no Delta_n is built
         calls = self._count_calls(monkeypatch)
-        an = _analysed_level(C)
-        for n in range(1, C.top_degree + 1):
+        an = _analysed_quotient(torus_complex(3), (4, 4, 4))
+        for n in range(1, an.complex.top_degree + 1):
             an.fk_differential(n)
         nonzero = [M for M in calls["smith_normal_form"] if not M.is_zero()]
         assert len(nonzero) == 4
-        assert not any(M == C.differential(2) for M in nonzero)
+        assert not any(M == an.complex.differential(2) for M in nonzero)
+        assert calls["laplacian"] == []
+
+    def _assert_factors_blocks(self, complex_, moduli, count, monkeypatch):
+        """A tower level factors `count` Laplacian blocks besides the
+        relations of its analysis and of its lift, and builds no Delta_n;
+        a second, fresh analysis of the same level factors them again."""
+        calls = self._count_calls(monkeypatch)
+        smith = calls["smith_normal_form"]
+        for _ in range(2):
+            del smith[:]
+            an = _analysed_quotient(complex_, moduli)
+            ours = (an, an.lift)
+            relations = [id(X) for a in ours
+                         for X in _memoized(a, "relations")]
+            blocks = [M for M in smith if id(M) not in relations]
+            assert len(smith) - len(blocks) \
+                == sum(len(_memoized(a, "smith")) for a in ours)
+            assert len(blocks) == count
+            assert sorted(an._smith_blocks.values()) == sorted(
+                smith_normal_form(M).invariant_factors for M in blocks)
+        assert calls["laplacian"] == []
 
     @pytest.mark.parametrize("complex_, moduli", [
         (circle_complex(), (64,)),
@@ -585,20 +655,90 @@ class TestSharedLayers:
         ids=["circle", "mapping-torus", "torus3"])
     def test_level_factors_one_laplacian_block(self, complex_, moduli,
                                                monkeypatch):
-        # circle and mapping torus: Delta_0 = Delta_1, one component each;
-        # torus3: every Delta_n is copies of Delta_0.  A second, fresh
-        # analysis of the same level factors the block again.
-        C = base_change(complex_, QuotientSpec(moduli)).complex
-        calls = self._count_calls(monkeypatch)["smith_normal_form"]
-        for _ in range(2):
-            del calls[:]
-            an = _analysed_level(C)
-            relations = [id(X) for X in _memoized(an, "relations")]
-            blocks = [M for M in calls if id(M) not in relations]
-            assert len(calls) - len(blocks) == len(_memoized(an, "smith"))
-            assert len(blocks) == 1
-            assert list(an._smith_blocks.values()) \
-                == [smith_normal_form(blocks[0]).invariant_factors]
+        # circle and mapping torus of a symmetric matrix: L_0 = L_1, one
+        # component each; torus3: every L_n is a multiple of the identity
+        self._assert_factors_blocks(complex_, moduli, 1, monkeypatch)
+
+    def test_nonsymmetric_mapping_torus_factors_two_blocks(self, monkeypatch):
+        # A A^T != A^T A, so L_0 = A A^T - tA - t^-1 A^T + 1 and
+        # L_1 = A^T A - tA - t^-1 A^T + 1 differ
+        A = IntMatrix.from_rows([[1, 1], [0, 1]])
+        self._assert_factors_blocks(mapping_torus_complex(A), (50,), 2,
+                                    monkeypatch)
+
+
+@st.composite
+def _laurent_levels(draw):
+    """A Laurent complex and moduli: a mapping torus of a random
+    nonsingular 2 x 2 or 3 x 3 matrix, the circle of t^2 - 1, whose base
+    change splits further at even index, or a torus level with a modulus
+    of 1."""
+    kind = draw(st.sampled_from(["mapping", "t2-1", "torus"]))
+    if kind == "mapping":
+        k = draw(st.integers(2, 3))
+        A = draw(st.lists(st.integers(-2, 2), min_size=k * k, max_size=k * k)
+                 .map(lambda e: IntMatrix(k, k, e))
+                 .filter(lambda A: exact_linalg.det_bareiss(A.to_lists())))
+        return mapping_torus_complex(A), (draw(st.integers(1, 10)),)
+    if kind == "t2-1":
+        t2 = LaurentPoly(1, {(2,): 1, (0,): -1})
+        return (LaurentChainComplex(1, [1, 1], [[[t2]]]),
+                (draw(st.integers(1, 16)),))
+    m = draw(st.integers(2, 3))
+    moduli = draw(st.permutations([1] + [draw(st.integers(1, 4))
+                                         for _ in range(m - 1)]))
+    return torus_complex(m), tuple(moduli)
+
+
+class TestLaurentLaplacian:
+    """A tower level's Delta_n is the base change of the Laurent Laplacian
+    L_n, one diagonal block per connected component of L_n."""
+
+    @staticmethod
+    def _levels():
+        yield from _tier1_quotients()
+        unipotent = IntMatrix.from_rows([[1, 1], [0, 1]])
+        for L, top in ((mapping_torus_complex(unipotent), 8),
+                       (builtin_complex("s1_cross"), 6)):
+            for i in range(1, top + 1):
+                yield base_change(L, QuotientSpec((i,)))
+
+    def test_blocks_are_principal_submatrices_on_tier1_levels(self):
+        for qc in self._levels():
+            N = qc.quotient.index
+            for n in range(qc.complex.top_degree + 1):
+                delta = laplacian(qc.complex, n)
+                components = qc.source.laplacian_components(n)
+                assert sorted(i for comp, _ in components for i in comp) \
+                    == list(range(qc.source.dim(n)))
+                nnz = 0
+                for comp, block in components:
+                    rows = [i * N + v for i in comp for v in range(N)]
+                    size = len(rows)
+                    sub = IntMatrix(size, size, [delta[r, c] for r in rows
+                                                 for c in rows])
+                    assert IntMatrix._raw(size, size, group_ring._regular_rows(
+                        block, qc.quotient)) == sub, (qc.quotient, n, comp)
+                    nnz += sub.nnz()
+                # Delta_n is zero outside the blocks
+                assert nnz == delta.nnz(), (qc.quotient, n)
+
+    def test_nonsymmetric_mapping_torus_laplacians_differ(self):
+        L = mapping_torus_complex(IntMatrix.from_rows([[1, 1], [0, 1]]))
+        (_, b0), = L.laplacian_components(0)
+        (_, b1), = L.laplacian_components(1)
+        assert b0 != b1
+
+    @settings(max_examples=60, deadline=None)
+    @given(_laurent_levels())
+    def test_chained_block_factors_equal_the_whole_smith_form(self, level):
+        L, moduli = level
+        qc = base_change(L, QuotientSpec(moduli))
+        factored = {}
+        for n in range(L.top_degree + 1):
+            diag = L.laplacian_factors(n, moduli, factored)
+            assert tuple(_chain_divisibility(diag)) == smith_normal_form(
+                laplacian(qc.complex, n)).invariant_factors, n
 
 
 class TestHarmonicLift:

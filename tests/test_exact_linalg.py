@@ -36,7 +36,6 @@ from homgrow.exact_linalg import (
     _fk_square_structure,
     _gram_int,
     _row_hnf_clean,
-    _smith_by_blocks,
 )
 from homgrow.group_ring import (
     QuotientSpec,
@@ -175,69 +174,6 @@ def _matrices_with_zero_lines(draw, max_dim=7, bound=5):
     return IntMatrix(n, m, [
         0 if i in zero_rows or j in zero_cols else entries[i * m + j]
         for i in range(n) for j in range(m)])
-
-
-@st.composite
-def _permuted_block_diagonals(draw, max_blocks=4, max_dim=4, bound=3):
-    """Block-diagonal matrices under random row and column permutations.
-    A few distinct blocks, some of them zero, each repeated up to three
-    times."""
-    distinct = draw(st.lists(_small_matrices(max_dim, bound), min_size=1,
-                             max_size=max_blocks))
-    blocks = [B for B in distinct
-              for _ in range(draw(st.integers(1, 3)))]
-    n = sum(B.rows for B in blocks)
-    m = sum(B.cols for B in blocks)
-    cells = {}
-    r0 = c0 = 0
-    for B in blocks:
-        for i, row in enumerate(B.data):
-            for j, v in row.items():
-                cells[r0 + i, c0 + j] = v
-        r0, c0 = r0 + B.rows, c0 + B.cols
-    rows = draw(st.permutations(range(n)))
-    cols = draw(st.permutations(range(m)))
-    return IntMatrix(n, m, [cells.get((rows[i], cols[j]), 0)
-                            for i in range(n) for j in range(m)])
-
-
-@st.composite
-def _shared_pool_block_diagonals(draw, max_blocks=3, max_dim=3, bound=3):
-    """Two or three block-diagonal matrices drawn from one pool of
-    distinct blocks, and the number of pool blocks they use.
-
-    Every pool entry is nonzero, so each block is one component.  The
-    rows of the blocks are interleaved at random but keep their order
-    within a block, and so do the columns, so a block keeps its key
-    wherever it lands and the distinct keys are the distinct blocks."""
-    entries = st.integers(-bound, bound).filter(bool)
-    pool = draw(st.lists(st.integers(1, max_dim).flatmap(
-        lambda n: st.integers(1, max_dim).flatmap(
-            lambda m: st.lists(entries, min_size=n * m, max_size=n * m).map(
-                lambda e: IntMatrix(n, m, e)))),
-        min_size=1, max_size=max_blocks, unique=True))
-    matrices, used = [], set()
-    for _ in range(draw(st.integers(2, 3))):
-        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
-                              max_size=4))
-        used.update(picks)
-        blocks = [pool[k] for k in picks]
-        row_of = draw(st.permutations(
-            [b for b, B in enumerate(blocks) for _ in range(B.rows)]))
-        col_of = draw(st.permutations(
-            [b for b, B in enumerate(blocks) for _ in range(B.cols)]))
-        cols = [[] for _ in blocks]
-        for j, b in enumerate(col_of):
-            cols[b].append(j)
-        nxt = [0] * len(blocks)
-        data = []
-        for b in row_of:
-            data.append({cols[b][j]: v
-                         for j, v in blocks[b].data[nxt[b]].items()})
-            nxt[b] += 1
-        matrices.append(IntMatrix(len(data), len(col_of), [
-            r.get(j, 0) for r in data for j in range(len(col_of))]))
-    return matrices, len(used)
 
 
 def _sympy(A):
@@ -518,53 +454,6 @@ class TestSmithNormalForm:
         assert kernel_lattice(X.differential(1)).shape == (512, 1)
         assert calls == []
 
-    @settings(max_examples=100, deadline=None)
-    @given(_permuted_block_diagonals())
-    def test_by_blocks_agrees_with_whole_and_sympy(self, A):
-        reference = tuple(abs(int(d)) for d in sympy_factors(
-            _sympy(A), domain=ZZ) if d)
-        sf = _smith_by_blocks(A)
-        assert sf == smith_normal_form(A)
-        assert sf.invariant_factors == reference
-
-    @settings(max_examples=60, deadline=None)
-    @given(_shared_pool_block_diagonals())
-    def test_one_dict_factors_each_distinct_block_once(self, drawn):
-        matrices, distinct = drawn
-        real = exact_linalg.smith_normal_form
-        calls = []
-        blocks = {}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact_linalg, "smith_normal_form",
-                       lambda A: calls.append(A) or real(A))
-            results = [_smith_by_blocks(A, blocks) for A in matrices]
-        assert len(calls) == len(blocks) == distinct
-        for A, sf in zip(matrices, results):
-            reference = tuple(abs(int(d)) for d in sympy_factors(
-                _sympy(A), domain=ZZ) if d)
-            assert sf == smith_normal_form(A)
-            assert sf.invariant_factors == reference
-
-    def test_keys_keep_row_boundaries(self):
-        # both blocks read 0,2,1,2,0,2,1,2 row after row, but the first
-        # has rank 2 and the second rank 1
-        blocks = {}
-        for rows in ([[2, 0], [0, 2], [2, 2]], [[2, 2], [2, 2]]):
-            A = IntMatrix.from_rows(rows)
-            assert _smith_by_blocks(A, blocks) == smith_normal_form(A)
-        assert len(blocks) == 2
-
-    def test_torus_laplacian_factors_one_block(self, monkeypatch):
-        # Delta_1 of a torus3 level is three copies of one block
-        X = base_change(torus_complex(3), QuotientSpec((4, 4, 2))).complex
-        delta = laplacian(X, 1)
-        calls = []
-        real = exact_linalg.smith_normal_form
-        monkeypatch.setattr(exact_linalg, "smith_normal_form",
-                            lambda A: calls.append(A.shape) or real(A))
-        assert _smith_by_blocks(delta) == real(delta)
-        assert calls == [(32, 32)]
-
     def test_chain_sets_units_aside(self):
         assert _chain_divisibility([6, 1, -4, 0, 1, 9]) == [1, 1, 1, 6, 36]
 
@@ -788,6 +677,22 @@ class TestFKDeterminant:
         d = fk_determinant(A, kernel=kernel_lattice(A),
                            left_kernel=kernel_lattice(A.transpose()))
         assert d.square_exact == sq
+
+    def test_one_gram_when_both_kernels_are_one_lattice(self, monkeypatch):
+        # a Laplacian with the harmonic lattice as both kernels, as the
+        # whole-Laplacian route passes it: det(W^T W) is computed once
+        X = base_change(torus_complex(2), QuotientSpec((3, 3))).complex
+        delta = laplacian(X, 1)
+        W = kernel_lattice(delta)
+        assert W.cols == 2
+        grams = []
+        real = exact_linalg.det_bareiss_psd
+        monkeypatch.setattr(exact_linalg, "det_bareiss_psd",
+                            lambda G: grams.append(G) or real(G))
+        sq = _fk_square_structure(delta, W, W)
+        assert len(grams) == 1
+        assert fk_determinant(delta, kernel=W, left_kernel=W).square_exact \
+            == sq == _fk_square_image_lattice(delta)
 
     def test_float_eigenvalue_crosscheck(self):
         # square_exact equals the product of nonzero eigenvalues of A^T A

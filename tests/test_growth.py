@@ -239,6 +239,35 @@ class TestProbes:
             probe_torsion_growth(IntMatrix.from_rows([[2, 1], [1, 1]]),
                                  levels)
 
+    def test_probes_refuse_an_empty_tower(self, monkeypatch):
+        # the alpha probe returned final 0.0 and the torsion probe no rows
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        with pytest.raises(DegenerateLevel, match="at least one level"):
+            probe_alpha_vanishing(circle_complex(), [], 1)
+        with pytest.raises(DegenerateLevel, match="at least one level"):
+            probe_torsion_growth(IntMatrix.from_rows([[2, 1], [1, 1]]), [])
+
+    @pytest.mark.parametrize("levels, message", [
+        ([(2,), (2, 2)], "arity"),
+        ([(4,), (2,)], "increasing index"),
+        ([(2,), (growth.MAX_ROWS + 1,)], f"more than {growth.MAX_ROWS} rows"),
+    ], ids=["arity", "index", "rows"])
+    def test_alpha_probe_checks_levels_before_any_runs(self, levels, message,
+                                                       monkeypatch):
+        # a wrong-arity second level raised DimensionMismatch only after
+        # the first level had run, and no level was capped
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        with pytest.raises(DegenerateLevel, match=message):
+            probe_alpha_vanishing(circle_complex(),
+                                  [QuotientSpec(m) for m in levels], 1)
+
+    def test_alpha_probe_caps_nonzeros(self, monkeypatch):
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        many = LaurentPoly(1, {(k,): 1 for k in range(64)})
+        C = LaurentChainComplex(1, [1, 1], [[[many]]])
+        with pytest.raises(DegenerateLevel, match=r"nonzeros \(64 Laurent"):
+            probe_alpha_vanishing(C, [QuotientSpec((140000,))], 0)
+
     @pytest.mark.parametrize("n", [-1, 2, 7])
     def test_alpha_degree_out_of_range_refused(self, n, monkeypatch):
         # a degree the circle does not have passed with final 0.0
