@@ -250,8 +250,12 @@ class ChainAnalysis:
     components of the Laurent Laplacian of their source, base-changed
     (`LaurentChainComplex.laplacian_factors`), each distinct one once per
     analysis through the dict `_smith_blocks`: a torus L_n is a multiple of
-    the identity, and the circle's L_0 = L_1.  Without characters, Delta_n
-    is built and factored whole.
+    the identity, and the circle's L_0 = L_1.  An m = 1 component whose end
+    coefficient has determinant +-1 (the circle, mapping tori of unimodular
+    matrices) is factored as T^N - I, kd x kd for T its companion matrix
+    (`group_ring._cyclic_smith`); other components, those of tori and of
+    mapping tori like [[3]] among them, as the base-changed block.  Without
+    characters, Delta_n is built and factored whole.
     """
 
     def __init__(self, complex_: IntChainComplex, characters=None):

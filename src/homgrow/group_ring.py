@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    SmithForm,
     _exact_int,
     cokernel_structure,
     column_hnf,
@@ -166,7 +167,12 @@ class LaurentChainComplex:
                                      degree=n)
 
     def differential(self, n: int) -> List[List[LaurentPoly]]:
-        return self.differentials[n - 1]
+        """c_n : C_n -> C_{n-1}; the zero map outside 1..top_degree, as
+        in `IntChainComplex.differential`: no rows at n = 0, dim(top)
+        empty rows at top + 1."""
+        if 1 <= n <= self.top_degree:
+            return self.differentials[n - 1]
+        return [[] for _ in range(self.dim(n - 1))]
 
     def dim(self, n: int) -> int:
         if 0 <= n <= self.top_degree:
@@ -184,11 +190,9 @@ class LaurentChainComplex:
         submatrix in row tuples.  L_n sums v* v over the rows v of D_n and
         the conjugated columns of D_(n+1)."""
         d = self.dim(n)
-        vectors = list(self.differential(n)) if n >= 1 else []
-        if n < self.top_degree:
-            D = self.differential(n + 1)
-            vectors += [[row[k].conjugate() for row in D]
-                        for k in range(self.dims[n + 1])]
+        D = self.differential(n + 1)
+        vectors = list(self.differential(n)) + [
+            [row[k].conjugate() for row in D] for k in range(self.dim(n + 1))]
         L = [[LaurentPoly.zero(self.m)] * d for _ in range(d)]
         for v in vectors:
             nonzero = [(i, p) for i, p in enumerate(v) if p.terms]
@@ -213,14 +217,19 @@ class LaurentChainComplex:
         transpose, so each component of L_n goes to a diagonal block of
         Delta_n, up to a permutation.  `factored` maps a component's
         Laurent entries to the invariant factors of its base change, made
-        only on a miss."""
+        only on a miss: for m = 1 and an end coefficient of unit
+        determinant through the companion matrix (`_cyclic_smith`), else
+        by the Smith form of the base-changed block."""
         q = QuotientSpec(moduli)
         diag: List[int] = []
         for _, block in self.laplacian_components(n):
             if block not in factored:
-                size = len(block) * q.index
-                factored[block] = smith_normal_form(IntMatrix._raw(
-                    size, size, _regular_rows(block, q))).invariant_factors
+                sf = _cyclic_smith(block, q)
+                if sf is None:
+                    size = len(block) * q.index
+                    sf = smith_normal_form(IntMatrix._raw(
+                        size, size, _regular_rows(block, q)))
+                factored[block] = sf.invariant_factors
             diag.extend(factored[block])
         return diag
 
@@ -415,6 +424,61 @@ def _regular_rows(mat: Sequence[Sequence[LaurentPoly]],
                     else:
                         del row[col]
     return rows
+
+
+def _cyclic_smith(block: Sequence[Sequence[LaurentPoly]],
+                  q: QuotientSpec) -> Optional[SmithForm]:
+    """The Smith form of the base change to Z[Z/N] of a square block
+    M = sum_{lo <= s <= hi} M_s t^s over Z[t^+-1], read off a kd x kd
+    matrix, d = hi - lo; None unless m = 1, M != 0 and M_hi or M_lo has
+    determinant +-1.
+
+    With |det M_hi| = 1, Z[t]^k / t^-lo M is Z^(kd), t acting by the block
+    companion matrix T of M_hi^-1 t^-lo M (Gohberg, Lancaster and Rodman,
+    Matrix Polynomials), and t is a unit of Z[Z/N].  So the base change
+    has cokernel Z^(kd) / (T^N - I), and rank kN - (kd - rank(T^N - I)).
+    With only |det M_lo| = 1 the coefficients are reversed: t -> t^-1 is
+    an automorphism of Z[Z/N] and keeps the Smith form."""
+    if q.m != 1:
+        return None
+    k, N = len(block), q.index
+    coeffs: Dict[int, List[List[int]]] = {}
+    for i, row in enumerate(block):
+        for j, p in enumerate(row):
+            for (s,), c in p.terms.items():
+                coeffs.setdefault(s, [[0] * k for _ in range(k)])[i][j] = c
+    if not coeffs:
+        return None
+    P = [coeffs.get(s, [[0] * k] * k)
+         for s in range(min(coeffs), max(coeffs) + 1)]
+    if abs(det_bareiss(P[-1])) != 1:
+        P.reverse()
+    lead, d = P[-1], len(P) - 1
+    det = det_bareiss(lead)
+    if abs(det) != 1:
+        return None
+    # lead^-1 = det * adj(lead), from the cofactors
+    inv = [[det * (-1) ** (i + j) * det_bareiss(
+        [r[:i] + r[i + 1:] for a, r in enumerate(lead) if a != j])
+        for j in range(k)] for i in range(k)]
+    kd = k * d
+    # block s of T's last block column is -lead^-1 P_s; the other block
+    # columns shift t^s to t^(s+1)
+    T = IntMatrix.from_rows([
+        [int(a == b + k) for b in range(kd - k)]
+        + [-sum(inv[a % k][x] * P[a // k][x][c] for x in range(k))
+           for c in range(k)] for a in range(kd)])
+    power, square, e = IntMatrix.identity(kd), T, N
+    while e:
+        if e & 1:
+            power = power @ square
+        e >>= 1
+        if e:
+            square = square @ square
+    sf = smith_normal_form(power - IntMatrix.identity(kd))
+    tors = tuple(f for f in sf.invariant_factors if f != 1)
+    r = k * N - kd + sf.rank
+    return SmithForm((1,) * (r - len(tors)) + tors, r)
 
 
 def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:

@@ -130,11 +130,8 @@ def bound_lambda(C: LaurentChainComplex) -> float:
     """
     total = 0.0
     for n in range(C.top_degree + 1):
-        if n >= 1:
-            k_n = operator_norm_bound(C.differential(n))
-            weight = max(math.log(k_n), 1.0) if k_n > 0 else 1.0
-        else:
-            weight = 1.0
+        k_n = operator_norm_bound(C.differential(n))
+        weight = max(math.log(k_n), 1.0) if k_n > 0 else 1.0
         total += weight * C.dim(n)
     return 4.0 * total
 
@@ -196,13 +193,10 @@ def _aitken_tail(values: List[float]) -> float:
     return a2 - (a2 - a1) ** 2 / denom
 
 
-def _check_levels(C: LaurentChainComplex,
-                  levels: Sequence[QuotientSpec]) -> List[QuotientSpec]:
-    """The levels as a list, after the per-level request checks of
-    `run_tower` and `probe_alpha_vanishing`; else `DegenerateLevel`."""
-    levels = list(levels)
-    if not levels:
-        raise DegenerateLevel("a tower needs at least one level")
+def _check_caps(C: LaurentChainComplex,
+                levels: Sequence[QuotientSpec]) -> None:
+    """`DegenerateLevel` for a level whose arity is not C's, or whose base
+    change of C has more than `MAX_ROWS` rows or `MAX_NONZEROS` nonzeros."""
     terms = sum(len(p.terms) for D in C.differentials for row in D for p in row)
     for spec in levels:
         if spec.m != C.m:
@@ -216,6 +210,16 @@ def _check_levels(C: LaurentChainComplex,
             raise DegenerateLevel(
                 f"quotient {spec.moduli} of index {spec.index} gives more "
                 f"than {MAX_NONZEROS} nonzeros ({terms} Laurent terms)")
+
+
+def _check_levels(C: LaurentChainComplex,
+                  levels: Sequence[QuotientSpec]) -> List[QuotientSpec]:
+    """The levels as a list, after the per-level request checks of
+    `run_tower` and `probe_alpha_vanishing`; else `DegenerateLevel`."""
+    levels = list(levels)
+    if not levels:
+        raise DegenerateLevel("a tower needs at least one level")
+    _check_caps(C, levels)
     for a, b in zip(levels, levels[1:]):
         if b.index <= a.index:
             raise DegenerateLevel("tower levels must have increasing index")
@@ -318,14 +322,15 @@ def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:
     |det(A^i - I)| exactly; the normalized logs are compared with the Mahler
     measure of the characteristic polynomial.  Levels with det(A^i - I) = 0
     are skipped and flagged.  `_exact_int` refuses a float, string or bool
-    level, and no level or a level below 1 raises `DegenerateLevel`, before
-    any level runs.
+    level, and no level, a level below 1 or one above the caps of
+    `run_tower` raises `DegenerateLevel`, before any level runs.
     """
     levels = [_exact_int(i) for i in levels]
     if not levels or min(levels) < 1:
         raise DegenerateLevel(f"a tower needs at least one level, each at "
                               f"least 1, got {levels}")
     C = mapping_torus_complex(A)
+    _check_caps(C, [QuotientSpec((i,)) for i in levels])
     mahler = _mahler_measure_log(A)
     rows = []
     for i in levels:

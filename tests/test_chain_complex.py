@@ -522,6 +522,14 @@ def _assert_layers_agree(C):
         assert _shared_layers(an, n) == _direct_layers(C, n), n
 
 
+def _sparse_smith(block, q):
+    """The sparse Smith form of a Laurent block's base change to q: the
+    route `group_ring._cyclic_smith` replaces, kept as its oracle."""
+    size = len(block) * q.index
+    return smith_normal_form(IntMatrix._raw(
+        size, size, group_ring._regular_rows(block, q)))
+
+
 def _tier1_quotients():
     A = IntMatrix.from_rows([[2, 1], [1, 1]])
     towers = [
@@ -558,10 +566,10 @@ class TestSharedLayers:
     @staticmethod
     def _count_calls(monkeypatch):
         """Record the first argument of every kernel_lattice,
-        smith_normal_form and laplacian call made through exact_linalg,
-        chain_complex or group_ring."""
+        smith_normal_form, laplacian and _cyclic_smith call made through
+        exact_linalg, chain_complex or group_ring."""
         calls = {"kernel_lattice": [], "smith_normal_form": [],
-                 "laplacian": []}
+                 "laplacian": [], "_cyclic_smith": []}
         for name, log in calls.items():
             modules = [m for m in (exact_linalg, chain_complex, group_ring)
                        if hasattr(m, name)]
@@ -629,13 +637,17 @@ class TestSharedLayers:
         assert calls["laplacian"] == []
 
     def _assert_factors_blocks(self, complex_, moduli, count, monkeypatch):
-        """A tower level factors `count` Laplacian blocks besides the
-        relations of its analysis and of its lift, and builds no Delta_n;
-        a second, fresh analysis of the same level factors them again."""
+        """A tower level factors `count` Laplacian blocks, one Smith form
+        each (of T^N - I on the companion route, else of the base-changed
+        block) besides the relations of its analysis and of its lift, and
+        builds no Delta_n; a second, fresh analysis of the same level
+        factors them again.  The stored factors are those of the
+        base-changed blocks."""
         calls = self._count_calls(monkeypatch)
-        smith = calls["smith_normal_form"]
+        smith, factored = calls["smith_normal_form"], calls["_cyclic_smith"]
+        q = QuotientSpec(moduli)
         for _ in range(2):
-            del smith[:]
+            del smith[:], factored[:]
             an = _analysed_quotient(complex_, moduli)
             ours = (an, an.lift)
             relations = [id(X) for a in ours
@@ -644,8 +656,10 @@ class TestSharedLayers:
             assert len(smith) - len(blocks) \
                 == sum(len(_memoized(a, "smith")) for a in ours)
             assert len(blocks) == count
-            assert sorted(an._smith_blocks.values()) == sorted(
-                smith_normal_form(M).invariant_factors for M in blocks)
+            assert len(factored) == count
+            assert an._smith_blocks == {
+                block: _sparse_smith(block, q).invariant_factors
+                for block in factored}
         assert calls["laplacian"] == []
 
     @pytest.mark.parametrize("complex_, moduli", [

@@ -5,15 +5,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homgrow.chain_complex import ChainAnalysis, IntChainComplex, homology
 from homgrow.corpus import random_complex
 from homgrow.errors import DimensionMismatch, NonSquareMatrix
-from homgrow.exact_linalg import IntMatrix, cokernel_structure, det_bareiss
+from homgrow.exact_linalg import (
+    IntMatrix,
+    cokernel_structure,
+    det_bareiss,
+    smith_normal_form,
+)
 from homgrow.group_ring import (
     LaurentChainComplex,
     LaurentPoly,
     QuotientSpec,
+    _cyclic_smith,
     _regular_rows,
     base_change,
     circle_complex,
@@ -109,6 +117,19 @@ class TestLaurentPoly:
     def test_non_integer_dims_refused(self):
         with pytest.raises(DimensionMismatch):
             LaurentChainComplex(1, [1.9], [])
+
+
+class TestLaurentDifferential:
+    def test_zero_map_outside_the_degrees(self):
+        # differential(0) read differentials[-1], the top differential
+        C = circle_complex()
+        assert C.differential(0) == []
+        assert C.differential(2) == [[]]
+        assert C.differential(-1) == [] and C.differential(3) == []
+        T = torus_complex(2)
+        assert T.differential(0) == []
+        assert T.differential(3) == [[]]
+        assert [len(T.differential(n)) for n in (1, 2)] == [1, 2]
 
 
 class TestBaseChange:
@@ -266,6 +287,102 @@ def _collapse(C, big, small):
     diffs = [maps[n - 1] @ qc.complex.differential(n) @ secs[n]
              for n in range(1, C.top_degree + 1)]
     return IntChainComplex(dims, diffs)
+
+
+def _sparse_smith(block, q):
+    """The Smith form of a Laurent block's base change to q, by the sparse
+    elimination: the oracle of `_cyclic_smith`."""
+    size = len(block) * q.index
+    return smith_normal_form(IntMatrix._raw(size, size,
+                                            _regular_rows(block, q)))
+
+
+@st.composite
+def _unimodular_end_blocks(draw):
+    """(block, N, reversed): a k x k block over Z[t^+-1], k <= 3, with
+    coefficients at lo..lo + d, lo in -2..0 and d in 0..4, whose top
+    coefficient has determinant +-1; or, when reversed, whose bottom one
+    has, and whose top one is even and nonzero; and N, in 1..12 or in
+    1..d, so that it often falls below d."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    lo = draw(st.integers(-2, 0))
+    small = st.integers(-2, 2)
+    square = st.lists(st.lists(small, min_size=k, max_size=k),
+                      min_size=k, max_size=k)
+    coeffs = [draw(square) for _ in range(d + 1)]
+    # lower times upper triangular, +-1 on both diagonals
+    lower, upper = [IntMatrix.from_rows(
+        [[draw(st.sampled_from([-1, 1])) if i == j else
+          draw(small) if (i > j) == first else 0 for j in range(k)]
+         for i in range(k)]) for first in (True, False)]
+    unit = (lower @ upper).to_lists()
+    reverse = d > 0 and draw(st.booleans())
+    if reverse:
+        coeffs[0] = unit
+        coeffs[-1] = [[2 * x for x in row] for row in coeffs[-1]]
+        coeffs[-1][0][0] = 2
+    else:
+        coeffs[-1] = unit
+    block = tuple(tuple(LaurentPoly(1, {(lo + s,): c[i][j]
+                                        for s, c in enumerate(coeffs)})
+                        for j in range(k)) for i in range(k))
+    return block, draw(st.integers(1, 12) | st.integers(1, max(d, 1))), \
+        reverse
+
+
+class TestCyclicSmith:
+    """`_cyclic_smith` reads the Smith form of an m = 1 block's base change
+    off T^N - I, T the companion matrix; the sparse Smith form of the
+    base-changed block is its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_unimodular_end_blocks())
+    def test_equals_the_sparse_smith_form(self, drawn):
+        block, N, reverse = drawn
+        q = QuotientSpec((N,))
+        assert _cyclic_smith(block, q) == _sparse_smith(block, q), reverse
+
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_laurent_ends_below_the_degree(self, N):
+        # t^-2 - 2 + 3t^2 - 2t^3, d = 5 > N, takes the reversed branch
+        # (the unit at t^-2) and its conjugate the lead one
+        p = LaurentPoly(1, {(-2,): 1, (0,): -2, (2,): 3, (3,): -2})
+        for block in (((p,),), ((p.conjugate(),),)):
+            q = QuotientSpec((N,))
+            assert _cyclic_smith(block, q) == _sparse_smith(block, q)
+
+    def test_none_off_its_route(self):
+        three = mapping_torus_complex(IntMatrix.from_rows([[3]]))
+        (_, no_unit_end), = three.laplacian_components(0)
+        (_, torus2), = torus_complex(2).laplacian_components(0)
+        assert no_unit_end == ((LaurentPoly(1, {(-1,): -3, (0,): 10,
+                                                (1,): -3}),),)
+        assert _cyclic_smith(no_unit_end, QuotientSpec((4,))) is None
+        assert _cyclic_smith(torus2, QuotientSpec((2, 2))) is None
+        assert _cyclic_smith(((LaurentPoly.zero(1),),),
+                             QuotientSpec((4,))) is None
+        assert _cyclic_smith(((LaurentPoly.zero(1),) * 2,) * 2,
+                             QuotientSpec((4,))) is None
+
+    def test_stored_factors_on_tier1_levels(self):
+        # every m = 1 tier-1 level above index 1 stores, per component,
+        # the sparse Smith form of its base change; all take the route
+        taken = 0
+        for C, levels in TIER1_TOWERS:
+            if C.m != 1:
+                continue
+            for moduli in levels[1:]:
+                q = QuotientSpec(moduli)
+                an = base_change(C, q).analysis
+                blocks = set()
+                for n in range(C.top_degree + 1):
+                    an.fk_laplacian(n)
+                    blocks.update(b for _, b in C.laplacian_components(n))
+                assert an._smith_blocks == {
+                    b: _sparse_smith(b, q).invariant_factors for b in blocks}
+                taken += sum(_cyclic_smith(b, q) is not None for b in blocks)
+        assert taken == 8 + 49
 
 
 class TestHomologyWithAction:

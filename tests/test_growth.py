@@ -247,6 +247,23 @@ class TestProbes:
         with pytest.raises(DegenerateLevel, match="at least one level"):
             probe_torsion_growth(IntMatrix.from_rows([[2, 1], [1, 1]]), [])
 
+    @pytest.mark.parametrize("A, level, message", [
+        ([[2]], growth.MAX_ROWS + 1, f"more than {growth.MAX_ROWS} rows"),
+        # 8 x 8 of nonzero entries: 120000 x 8 rows are under MAX_ROWS,
+        # 120000 x 72 Laurent terms are not under MAX_NONZEROS
+        ([[1 + (i == j) for j in range(8)] for i in range(8)], 120000,
+         r"nonzeros \(72 Laurent"),
+    ], ids=["rows", "nonzeros"])
+    def test_torsion_probe_caps_levels_before_any_runs(self, A, level,
+                                                       message, monkeypatch):
+        # the torsion probe took plain indices and reached base change of
+        # any level
+        monkeypatch.setattr(growth, "base_change", _never_called)
+        monkeypatch.setattr(growth, "_det_power_minus_identity",
+                            _never_called)
+        with pytest.raises(DegenerateLevel, match=message):
+            probe_torsion_growth(IntMatrix.from_rows(A), [2, level])
+
     @pytest.mark.parametrize("levels, message", [
         ([(2,), (2, 2)], "arity"),
         ([(4,), (2,)], "increasing index"),
