@@ -8,12 +8,13 @@ the lemma-level identities that control their growth.
 
 from .chain_complex import (
     AlphaData,
+    ChainAnalysis,
     HomologySummary,
     IntChainComplex,
     d_of_abelian_group,
     d_primewise,
     direct_sum,
-    homology,
+    homology_from_analysis,
     laplacian,
     verify_rho_identity,
 )
@@ -55,7 +56,6 @@ from .group_ring import (
     LaurentChainComplex,
     LaurentPoly,
     ModuleWithAction,
-    QuotientComplex,
     QuotientSpec,
     base_change,
     circle_complex,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
+from . import characters
 from .errors import (
     DegenerateLevel,
     DegreeOutOfRange,
@@ -32,10 +33,9 @@ from .exact_linalg import (
     _fk_route,
     _fk_square_image_lattice,
     _fk_square_structure,
-    _gram_int,
+    _gram_det,
     _row_hnf_clean,
     column_hnf,
-    det_bareiss_psd,
     det_fraction,
     fk_determinant,
     kernel_lattice,
@@ -48,7 +48,7 @@ __all__ = [
     "IntChainComplex",
     "HomologySummary",
     "AlphaData",
-    "homology",
+    "homology_from_analysis",
     "check_primes",
     "MAX_PRIME",
     "d_of_abelian_group",
@@ -81,11 +81,10 @@ class IntChainComplex:
             if c.shape != (dims[n - 1], dims[n]):
                 raise InvalidComplex(
                     f"differential {n} has shape {c.shape}, "
-                    f"expected {(dims[n - 1], dims[n])}", degree=n)
+                    f"expected {(dims[n - 1], dims[n])}")
         for n in range(1, len(dims) - 1):
             if not (differentials[n - 1] @ differentials[n]).is_zero():
-                raise InvalidComplex(
-                    f"c_{n} c_{n + 1} != 0", degree=n)
+                raise InvalidComplex(f"c_{n} c_{n + 1} != 0")
         self.top_degree = len(dims) - 1
         self.dims = dims
         self.differentials = list(differentials)
@@ -194,14 +193,16 @@ def _per_degree(method):
 
 
 class ChainAnalysis:
-    """Exact invariants of a single complex, each computed once.
+    """Exact invariants of a single complex, each computed once.  A tower
+    level is one object: `group_ring.base_change` returns its analysis.
 
     Every per-degree method below (`smith`, `left_kernel`, `kernel`,
     `relations`, `free_lifts`, `harmonic`, `fk_differential` and
     `fk_laplacian`) keeps its result in the one dict `_memo`, keyed by
-    (method name, n), and the augmented analysis that `lift` returns for a
-    level with characters is a cached property.  Both live on the analysis
-    and die with it; no cache outlives the analysis.
+    (method name, n), as do `group_ring.quotient_homology_module` and
+    `finite_homology._homology_map_data` for a tower level; `lift`,
+    `orbits` and `actions` are built on first access.  All live on the
+    analysis and die with it; no cache outlives the analysis.
 
     Per degree n this derives: a saturated kernel basis K_n of c_n, the
     matrix X_n with K_n X_n = c_{n+1} (so H_n = coker(X_n)), integer cycle
@@ -226,41 +227,44 @@ class ChainAnalysis:
     computation.
 
     `fk_differential` asks `_fk_route` once per degree and calls the route
-    it names.  A complex base-changed from Z[Z^m] may carry `characters`,
-    the `characters.CharacterSplit` of its Laurent source and quotient;
-    then the rule also weighs the FK square of c_n over Galois orbits of
-    characters, and that route checks the orbit ranks against rank c_n.
+    it names.  A tower level carries its Laurent `source` over Z[Z^m] and
+    its `quotient`; above index 1 (`split`) the deck group is nontrivial,
+    and the rule also weighs the FK square of c_n over the Galois `orbits`
+    of characters of the quotient (`characters.orbit_factors`).  That route
+    checks the orbit ranks against rank c_n.
 
     `lift` is the analysis of the augmented complex Z tensor_{ZG} C: for a
-    level with characters, that of their source, built on first use; with
-    no characters the deck group is trivial, and `lift` is this analysis
-    itself.  A level with characters lifts its harmonic lattices from it.
-    The norm map N_G, e_(i) -> the sum of e_(i, v) over the group elements
-    v, is a chain map that scales inner products by |G| and splits over Z.
-    So when b_n equals the augmented b_n (`rationally_trivial`), every
-    harmonic vector is G-invariant, and the harmonic lattice is N_G of the
-    augmented one: each augmented row repeated |G| times in the block
-    layout of base change, saturated and exactly ker(Delta_n), with no
-    elimination.  Otherwise, and when `lift` is the analysis itself, the
-    kernel route runs.  `alpha_square` cannot see a wrong lattice scale,
-    but the Laplacian identity can: the FK structure route of Delta_n reads
-    det(W^T W).
+    split level, that of its source, built on first use; otherwise the deck
+    group is trivial, and `lift` is this analysis itself.  A split level
+    lifts its harmonic lattices from it.  The norm map N_G, e_(i) -> the
+    sum of e_(i, v) over the group elements v, is a chain map that scales
+    inner products by |G| and splits over Z.  So when b_n equals the
+    augmented b_n (`rationally_trivial`), every harmonic vector is
+    G-invariant, and the harmonic lattice is N_G of the augmented one: each
+    augmented row repeated |G| times in the block layout of base change,
+    saturated and exactly ker(Delta_n), with no elimination.  Otherwise,
+    and when `lift` is the analysis itself, the kernel route runs.
+    `alpha_square` cannot see a wrong lattice scale, but the Laplacian
+    identity can: the FK structure route of Delta_n reads det(W^T W).
 
-    With characters, `fk_laplacian` builds no Delta_n but factors the
-    components of the Laurent Laplacian of their source, base-changed
+    A split level's `fk_laplacian` builds no Delta_n but factors the
+    components of the Laurent Laplacian of its source, base-changed
     (`LaurentChainComplex.laplacian_factors`), each distinct one once per
     analysis through the dict `_smith_blocks`: a torus L_n is a multiple of
-    the identity, and the circle's L_0 = L_1.  An m = 1 component whose end
-    coefficient has determinant +-1 (the circle, mapping tori of unimodular
-    matrices) is factored as T^N - I, kd x kd for T its companion matrix
-    (`group_ring._cyclic_smith`); other components, those of tori and of
-    mapping tori like [[3]] among them, as the base-changed block.  Without
-    characters, Delta_n is built and factored whole.
+    the identity, and the circle's L_0 = L_1.  An m = 1 component whose
+    top coefficient has determinant +-1 (the circle, mapping tori of
+    unimodular matrices) is factored as T^N - I, kd x kd for T its
+    companion matrix (`group_ring._cyclic_smith`); other components, those
+    of tori and of mapping tori like [[3]] among them, as the base-changed
+    block.  Otherwise Delta_n is built and factored whole.
     """
 
-    def __init__(self, complex_: IntChainComplex, characters=None):
+    def __init__(self, complex_: IntChainComplex, source=None, quotient=None):
         self.complex = complex_
-        self.characters = characters
+        self.source = source
+        self.quotient = quotient
+        # a deck group above index 1: a character split and a separate lift
+        self.split = quotient is not None and quotient.index > 1
         self._memo: Dict[tuple, object] = {}
         self._smith_blocks: Dict[tuple, tuple] = {}
 
@@ -341,14 +345,31 @@ class ChainAnalysis:
     @property
     def lift(self) -> "ChainAnalysis":
         """The analysis of the augmented complex Z tensor_{ZG} C: that of
-        the characters' source, or, without characters, this analysis
-        itself, returned uncached so that no analysis holds itself."""
-        return self if self.characters is None else self._augmented
+        a split level's source, or otherwise this analysis itself, returned
+        uncached so that no analysis holds itself."""
+        return self._augmented if self.split else self
 
     @functools.cached_property
     def _augmented(self) -> "ChainAnalysis":
-        """The analysis of the characters' source, built on first access."""
-        return ChainAnalysis(self.characters.source.augmented_complex())
+        """The analysis of the source's augmented complex."""
+        return ChainAnalysis(self.source.augmented_complex())
+
+    @functools.cached_property
+    def orbits(self) -> List[tuple]:
+        """The Galois orbits of characters of the quotient, shared by every
+        degree of the character route."""
+        return characters.orbits(self.quotient.moduli)
+
+    @functools.cached_property
+    def actions(self) -> List[List[IntMatrix]]:
+        """Per degree, the permutation matrix of each generator x_j of the
+        quotient: on a degree of rank r, r copies of
+        `QuotientSpec.regular_generator` down the diagonal.  Only homology
+        with action reads them."""
+        q = self.quotient
+        perms = [q.regular_generator(j) for j in range(q.m)]
+        return [[IntMatrix.block_diag([P] * r) for P in perms]
+                for r in self.source.dims]
 
     def rationally_trivial(self, n: int) -> bool:
         """Whether the deck group G acts trivially on Q tensor H_n: b_n
@@ -388,7 +409,10 @@ class ChainAnalysis:
         cn = self.complex.differential(n)
         if cn.is_zero():
             return _fk_det(1)
-        cost = None if self.characters is None else self.characters.cost(n)
+        cost = None
+        if self.split:
+            cost = characters.orbit_cost(self.quotient.moduli, min(
+                self.source.dim(n - 1), self.source.dim(n)))
         route = _fk_route(cn, self.rank(n), cost)
         if route == "characters":
             return _fk_det(self._character_square(n))
@@ -400,7 +424,8 @@ class ChainAnalysis:
     def _character_square(self, n: int) -> int:
         """Product of the orbit norms of c_n, once the orbit ranks add up,
         phi(d) times each, to the rank of the shared Smith form."""
-        factors = self.characters.factors(n)
+        factors = characters.orbit_factors(self.source.differential(n),
+                                           self.orbits)
         r = sum(f * r_chi for f, r_chi, _ in factors)
         if r != self.rank(n):
             raise IdentityViolation(
@@ -423,15 +448,14 @@ class ChainAnalysis:
                 and (W.transpose() @ C.differential(n + 1)).is_zero()):
             raise IdentityViolation(
                 "harmonic lattice is not annihilated by the Laplacian")
-        if self.characters is None:
+        if not self.split:
             return fk_determinant(laplacian(C, n), kernel=W, left_kernel=W)
-        diag = self.characters.source.laplacian_factors(
-            n, self.characters.moduli, self._smith_blocks)
+        diag = self.source.laplacian_factors(n, self.quotient,
+                                             self._smith_blocks)
         if len(diag) != C.dim(n) - W.cols:
             raise IdentityViolation(
                 "rank mismatch between kernel and Smith form")
-        gram = det_bareiss_psd(_gram_int(W)) if W.cols else 1
-        return _fk_det((gram * math.prod(diag)) ** 2)
+        return _fk_det((_gram_det(W) * math.prod(diag)) ** 2)
 
     # -- alpha ---------------------------------------------------------------
 
@@ -511,20 +535,14 @@ def check_primes(primes: Sequence[int]) -> None:
             raise DegenerateLevel(f"primes repeat {p}")
 
 
-def homology(C: IntChainComplex, primes: Sequence[int] = ()) -> HomologySummary:
-    """Exact homology H_n = ker(c_n)/im(c_{n+1}) for all degrees.
+def homology_from_analysis(an: ChainAnalysis,
+                           primes: Sequence[int] = ()) -> HomologySummary:
+    """Exact homology H_n = ker(c_n)/im(c_{n+1}) for all degrees of the
+    analysed complex; the primes must pass `check_primes`.
 
     Betti numbers over F_p follow universal coefficients:
     dim H_n(C; F_p) = b_n + s_p(H_n) + s_p(H_{n-1}).
     """
-    an = ChainAnalysis(C)
-    return homology_from_analysis(an, primes)
-
-
-def homology_from_analysis(an: ChainAnalysis,
-                           primes: Sequence[int] = ()) -> HomologySummary:
-    """`homology` on a shared analysis; the primes must pass
-    `check_primes`."""
     check_primes(primes)
     C = an.complex
     top = C.top_degree

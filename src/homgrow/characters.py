@@ -26,17 +26,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .exact_linalg import det_bareiss
 
 __all__ = [
-    "CharacterSplit",
     "char_poly",
     "cyclotomic",
     "orbits",
     "orbit_cost",
+    "orbit_factors",
 ]
 
 
@@ -244,30 +244,9 @@ def _orbit_factor(matrix, d: int, s: tuple) -> Tuple[int, int]:
     return r, R.norm(e_r)
 
 
-class CharacterSplit:
-    """The character route's input for one quotient: a complex over Z[Z^m]
-    (dims and Laurent differentials) and the moduli N_j of its quotient.
-
-    `ChainAnalysis.fk_differential` asks `cost(n)` for the rule and
-    `factors(n)` for the orbit factors of c_n; the orbits are enumerated
-    once and shared by every degree.
-    """
-
-    def __init__(self, source, moduli: Sequence[int]):
-        self.source = source
-        self.moduli = tuple(moduli)
-
-    @cached_property
-    def orbits(self) -> List[Tuple[int, tuple]]:
-        return orbits(self.moduli)
-
-    def cost(self, n: int) -> int:
-        k = min(self.source.dim(n - 1), self.source.dim(n))
-        return orbit_cost(self.moduli, k)
-
-    def factors(self, n: int) -> List[Tuple[int, int, int]]:
-        """(phi(d), r, N(e_r)) per orbit for c_n: the product of the norms
-        is det_FK(c_n[G])^2 and sum phi(d) r is rank c_n[G]."""
-        matrix = self.source.differential(n)
-        return [(_totient(d), *_orbit_factor(matrix, d, s))
-                for d, s in self.orbits]
+def orbit_factors(matrix, orbits: Sequence[Tuple[int, tuple]]
+                  ) -> List[Tuple[int, int, int]]:
+    """(phi(d), r, N(e_r)) per orbit (d, s) of `orbits` for a Laurent
+    matrix c: the product of the norms is det_FK(c[G])^2 and sum phi(d) r
+    is rank c[G]."""
+    return [(_totient(d), *_orbit_factor(matrix, d, s)) for d, s in orbits]

@@ -476,10 +476,10 @@ def _check_mu(M):
 
 
 def _check_nu_estimate(C, moduli, r, d):
-    qc = base_change(C, QuotientSpec(moduli))
+    level = base_change(C, QuotientSpec(moduli))
     for n in range(d + 1):
-        nu_kernel_cokernel(qc, n)   # raises unless the nu bounds hold
-    verify_estimate_bounds(qc, r=r, d=d)
+        nu_kernel_cokernel(level, n)   # raises unless the nu bounds hold
+    verify_estimate_bounds(level, r=r, d=d)
 
 
 def _suite_mu_nu_estimate(rng, count):

@@ -26,10 +26,6 @@ class NonSquareMatrix(HomgrowError):
 class InvalidComplex(HomgrowError):
     """Differentials have wrong shapes or do not compose to zero."""
 
-    def __init__(self, message, degree=None):
-        super().__init__(message)
-        self.degree = degree
-
 
 class IdentityViolation(HomgrowError):
     """An identity that must hold exactly failed; signals an implementation bug."""

@@ -830,27 +830,13 @@ def det_fraction(M: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def _gram_int(B: IntMatrix) -> list:
-    """B^T B as list-of-lists, using column sparsity."""
-    cols = B.transpose().data
-    n = B.cols
-    G = [[0] * n for _ in range(n)]
-    for a in range(n):
-        ca = cols[a]
-        for b in range(a, n):
-            cb = cols[b]
-            if len(cb) < len(ca):
-                ca2, cb2 = cb, ca
-            else:
-                ca2, cb2 = ca, cb
-            s = 0
-            for i, v in ca2.items():
-                w = cb2.get(i)
-                if w is not None:
-                    s += v * w
-            G[a][b] = s
-            G[b][a] = s
-    return G
+def _gram_det(B: IntMatrix) -> int:
+    """det(B^T B); 1 when B has no columns, returned before the transpose,
+    which walks every row: the empty kernels of full-rank tower
+    differentials have index x rank of them."""
+    if not B.cols:
+        return 1
+    return det_bareiss_psd((B.transpose() @ B).to_lists())
 
 
 def ln_of_fraction(x) -> float:
@@ -926,9 +912,7 @@ def _fk_square_image_lattice(A: IntMatrix) -> int:
         return 1
     S = solve_in_lattice(J, A)
     assert S is not None, "columns of A must lie in their own column lattice"
-    dj = det_bareiss_psd(_gram_int(J))
-    ds = det_bareiss_psd(_gram_int(S.transpose()))
-    return dj * ds
+    return _gram_det(J) * _gram_det(S.transpose())
 
 
 def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
@@ -946,7 +930,7 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
     if K is None:
         K = kernel_lattice(A)
     r = A.cols - K.cols
-    jk_sq = det_bareiss_psd(_gram_int(K)) if K.cols else 1
+    jk_sq = _gram_det(K)
     if sf is None:
         sf = smith_normal_form(A)
     if sf.rank != r:
@@ -956,7 +940,7 @@ def _fk_structure_parts(A: IntMatrix, K: Optional[IntMatrix] = None,
         return jk_sq, tors, jk_sq
     if D is None:
         D = kernel_lattice(A.transpose())
-    prc_sq = det_bareiss_psd(_gram_int(D)) if D.cols else 1
+    prc_sq = _gram_det(D)
     return jk_sq, tors, prc_sq
 
 

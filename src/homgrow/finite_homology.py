@@ -21,7 +21,7 @@ cokernel inequalities for the comparison maps
     mu : M -> Z tensor_{ZG} M        (coinvariants)
     nu_n : Z tensor_{ZG} H_n(C) -> H_n(Z tensor_{ZG} C)
 
-on quotient complexes with their deck actions.
+on tower levels with their deck actions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .chain_complex import _per_degree, d_of_abelian_group
+from .chain_complex import ChainAnalysis, _per_degree, d_of_abelian_group
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -47,7 +47,6 @@ from .exact_linalg import (
 )
 from .group_ring import (
     ModuleWithAction,
-    QuotientComplex,
     QuotientSpec,
     quotient_homology_module,
 )
@@ -340,41 +339,40 @@ def coinvariants(M: ModuleWithAction) -> dict:
     return report
 
 
-def _augmentation_map(qc: QuotientComplex, n: int) -> IntMatrix:
+def _augmentation_map(level: ChainAnalysis, n: int) -> IntMatrix:
     """Sum over group coordinates on each free block of C[i]_n: one
     1 x index row of ones per free generator."""
-    ng = qc.quotient.index
+    ng = level.quotient.index
     ones = IntMatrix._raw(1, ng, [dict.fromkeys(range(ng), 1)])
-    return IntMatrix.block_diag([ones] * qc.source.dim(n))
+    return IntMatrix.block_diag([ones] * level.source.dim(n))
 
 
 @_per_degree
-def _homology_map_data(qc: QuotientComplex, n: int):
+def _homology_map_data(level: ChainAnalysis, n: int):
     """(X, N, X2) for nu / H_n(pr): the relations of H_n(C[i]) and of
-    H_n(Z tensor C[i]), read from the `lift` of its analysis, on their
-    cycle bases, and the matrix N of the augmentation between those bases,
+    H_n(Z tensor C[i]), read from the level's `lift`, on their cycle
+    bases, and the matrix N of the augmentation between those bases,
     checked also when a lattice is empty; built once per degree."""
-    an = qc.analysis
-    K = an.kernel(n)
-    X = an.relations(n)
-    an2 = an.lift
-    K2 = an2.kernel(n)
-    X2 = an2.relations(n)
-    N = solve_in_lattice(K2, _augmentation_map(qc, n) @ K)
+    K = level.kernel(n)
+    X = level.relations(n)
+    lift = level.lift
+    K2 = lift.kernel(n)
+    X2 = lift.relations(n)
+    N = solve_in_lattice(K2, _augmentation_map(level, n) @ K)
     if N is None:
         raise IdentityViolation("augmented cycle escapes the cycle lattice")
     return X, N, X2
 
 
-def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
+def nu_kernel_cokernel(level: ChainAnalysis, n: int) -> dict:
     """Kernel and cokernel of nu_n : Z tensor H_n(C) -> H_n(Z tensor C).
 
     Orders are checked against the universal-coefficient bounds
     |ker| <= prod_p |H_{p+1}(G; H_{n-p}(C))| and
     |coker| <= prod_p |H_p(G; H_{n-p}(C))| whenever those are finite.
     """
-    M = quotient_homology_module(qc, n)
-    _, N, X2 = _homology_map_data(qc, n)
+    M = quotient_homology_module(level, n)
+    _, N, X2 = _homology_map_data(level, n)
     ker_struct, coker_struct = _map_kernel_cokernel(
         N, M.coinvariant_relations(), X2)
     report = {
@@ -385,9 +383,9 @@ def nu_kernel_cokernel(qc: QuotientComplex, n: int) -> dict:
     }
     # bounds, checked only when every group homology order is finite
     ker_bound = coker_bound = 1
-    group = FinAbGroup.from_orders(qc.quotient.moduli)
+    group = FinAbGroup.from_orders(level.quotient.moduli)
     for p in range(1, n + 1):
-        Mq = quotient_homology_module(qc, n - p)
+        Mq = quotient_homology_module(level, n - p)
         op, op1 = (_order_of(group_homology(group, Mq, k)) for k in (p, p + 1))
         if op is None or op1 is None:
             return report
@@ -449,21 +447,21 @@ def estimate_constants(r: int, n: int, p: int) -> tuple:
     return c0, c1, d0, d1
 
 
-def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
+def verify_estimate_bounds(level: ChainAnalysis, r: int, d: int) -> dict:
     """Check the d(H_n) and ln|ker/coker H_n(pr)| estimates for n <= d.
 
     Requires every H_n(C[i]) for n <= d to be nilpotent of filtration length
     at most r over the deck action; raises HypothesisViolated otherwise.
     """
-    group = FinAbGroup.from_orders(qc.quotient.moduli)
+    group = FinAbGroup.from_orders(level.quotient.moduli)
     dG = group.d
     lnG = math.log(group.order) if group.order > 1 else 0.0
-    aug_an = qc.analysis.lift
+    aug_an = level.lift
     d_aug = [d_of_abelian_group(aug_an.torsion_factors(p), aug_an.betti(p))
              for p in range(d + 1)]
     rows = []
     for n in range(d + 1):
-        M = quotient_homology_module(qc, n)
+        M = quotient_homology_module(level, n)
         nil, length = augmentation_filtration(M)
         if not nil or (length or 0) > r:
             raise HypothesisViolated(
@@ -477,7 +475,7 @@ def verify_estimate_bounds(qc: QuotientComplex, r: int, d: int) -> dict:
             raise IdentityViolation(
                 f"d(H_{n}) = {d_hn} exceeds estimate {bound_d}")
         # kernel / cokernel of H_n(pr)
-        X, N, X2 = _homology_map_data(qc, n)
+        X, N, X2 = _homology_map_data(level, n)
         ker_s, coker_s = _map_kernel_cokernel(N, X, X2)
         ker_o, coker_o = _order_of(ker_s), _order_of(coker_s)
         if ker_o is None or coker_o is None:

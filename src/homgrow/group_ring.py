@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain_complex import ChainAnalysis, IntChainComplex, _per_degree
-from .characters import CharacterSplit
 from .errors import (
     DimensionMismatch,
     IncompatibleAction,
@@ -44,7 +42,6 @@ __all__ = [
     "LaurentPoly",
     "LaurentChainComplex",
     "QuotientSpec",
-    "QuotientComplex",
     "ModuleWithAction",
     "base_change",
     "operator_norm_bound",
@@ -155,16 +152,14 @@ class LaurentChainComplex:
             rows, cols = self.dims[n - 1], self.dims[n]
             mat = [list(r) for r in mat]
             if len(mat) != rows or any(len(r) != cols for r in mat):
-                raise InvalidComplex(f"differential {n} has wrong shape",
-                                     degree=n)
+                raise InvalidComplex(f"differential {n} has wrong shape")
             mats.append(mat)
         self.top_degree = len(self.dims) - 1
         self.differentials = mats
         for n in range(1, self.top_degree):
             prod = _poly_matmul(self.differentials[n - 1], self.differentials[n], m)
             if any(not p.is_zero() for row in prod for p in row):
-                raise InvalidComplex(f"c_{n} c_{n+1} != 0 over the group ring",
-                                     degree=n)
+                raise InvalidComplex(f"c_{n} c_{n+1} != 0 over the group ring")
 
     def differential(self, n: int) -> List[List[LaurentPoly]]:
         """c_n : C_n -> C_{n-1}; the zero map outside 1..top_degree, as
@@ -210,17 +205,16 @@ class LaurentChainComplex:
                 (comp, tuple(tuple(L[i][j] for j in comp) for i in comp)))
         return components
 
-    def laplacian_factors(self, n: int, moduli: Sequence[int],
+    def laplacian_factors(self, n: int, q: "QuotientSpec",
                           factored: Dict[tuple, tuple]) -> List[int]:
         """The unchained Smith diagonal of Delta_n of the base change to
-        `moduli`.  Base change is a ring homomorphism sending p* to the
+        q.  Base change is a ring homomorphism sending p* to the
         transpose, so each component of L_n goes to a diagonal block of
         Delta_n, up to a permutation.  `factored` maps a component's
         Laurent entries to the invariant factors of its base change, made
-        only on a miss: for m = 1 and an end coefficient of unit
+        only on a miss: for m = 1 and a top coefficient of unit
         determinant through the companion matrix (`_cyclic_smith`), else
         by the Smith form of the base-changed block."""
-        q = QuotientSpec(moduli)
         diag: List[int] = []
         for _, block in self.laplacian_components(n):
             if block not in factored:
@@ -283,45 +277,6 @@ class QuotientSpec:
         group elements in the lexicographic order of base change."""
         return IntMatrix._raw(self.index, self.index, _regular_rows(
             [[LaurentPoly.variable(self.m, j)]], self))
-
-
-@dataclass
-class QuotientComplex:
-    """Base-changed complex with the deck action of each group generator.
-
-    `analysis` and `actions` are built on first access, and
-    `quotient_homology_module` and the comparison maps of `finite_homology`
-    keep their results per degree in `_memo`; all are shared by every caller
-    that reads the same quotient complex, and die with it.
-    """
-    complex: IntChainComplex
-    quotient: QuotientSpec
-    source: LaurentChainComplex
-    _memo: Dict[tuple, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def analysis(self) -> ChainAnalysis:
-        """The `ChainAnalysis` of `complex`.  For index > 1 it carries the
-        character split of the Laurent source at this quotient, which the
-        FK squares of the differentials may take and the harmonic lattices
-        lift through; its `lift` is the analysis of Z tensor_{Z[G/G_i]}
-        C[i].  At index 1 the group is trivial, and the analysis is its
-        own lift."""
-        q = self.quotient
-        split = CharacterSplit(self.source, q.moduli) if q.index > 1 else None
-        return ChainAnalysis(self.complex, split)
-
-    @cached_property
-    def actions(self) -> List[List[IntMatrix]]:
-        """Per degree, the permutation matrix of each generator x_j of G/G_i:
-        on a degree of rank r, r copies of `QuotientSpec.regular_generator`
-        down the diagonal.  Built on first access: only homology with
-        action reads them."""
-        q = self.quotient
-        perms = [q.regular_generator(j) for j in range(q.m)]
-        return [[IntMatrix.block_diag([P] * r) for P in perms]
-                for r in self.source.dims]
 
 
 @dataclass
@@ -430,15 +385,15 @@ def _cyclic_smith(block: Sequence[Sequence[LaurentPoly]],
                   q: QuotientSpec) -> Optional[SmithForm]:
     """The Smith form of the base change to Z[Z/N] of a square block
     M = sum_{lo <= s <= hi} M_s t^s over Z[t^+-1], read off a kd x kd
-    matrix, d = hi - lo; None unless m = 1, M != 0 and M_hi or M_lo has
-    determinant +-1.
+    matrix, d = hi - lo; None unless m = 1, M != 0 and M_hi has determinant
+    +-1.
 
     With |det M_hi| = 1, Z[t]^k / t^-lo M is Z^(kd), t acting by the block
     companion matrix T of M_hi^-1 t^-lo M (Gohberg, Lancaster and Rodman,
     Matrix Polynomials), and t is a unit of Z[Z/N].  So the base change
     has cokernel Z^(kd) / (T^N - I), and rank kN - (kd - rank(T^N - I)).
-    With only |det M_lo| = 1 the coefficients are reversed: t -> t^-1 is
-    an automorphism of Z[Z/N] and keeps the Smith form."""
+    Only M_hi is tested: a Laplacian block is self-adjoint, M_(-s) = M_s^T,
+    so its M_lo is a unit exactly when its M_hi is."""
     if q.m != 1:
         return None
     k, N = len(block), q.index
@@ -451,8 +406,6 @@ def _cyclic_smith(block: Sequence[Sequence[LaurentPoly]],
         return None
     P = [coeffs.get(s, [[0] * k] * k)
          for s in range(min(coeffs), max(coeffs) + 1)]
-    if abs(det_bareiss(P[-1])) != 1:
-        P.reverse()
     lead, d = P[-1], len(P) - 1
     det = det_bareiss(lead)
     if abs(det) != 1:
@@ -481,8 +434,10 @@ def _cyclic_smith(block: Sequence[Sequence[LaurentPoly]],
     return SmithForm((1,) * (r - len(tors)) + tors, r)
 
 
-def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
-    """C[i] = Z[G/G_i] tensor_{ZG} C via the regular representation.
+def base_change(C: LaurentChainComplex, q: QuotientSpec) -> ChainAnalysis:
+    """The tower level C[i] = Z[G/G_i] tensor_{ZG} C via the regular
+    representation: the `ChainAnalysis` of the base-changed complex, with
+    C as its `source` and q as its `quotient`.
 
     Output dims are index * input dims; the composite of consecutive
     differentials is re-verified; the action matrices of the group generators
@@ -495,24 +450,23 @@ def base_change(C: LaurentChainComplex, q: QuotientSpec) -> QuotientComplex:
                             _regular_rows(C.differential(n), q))
              for n in range(1, C.top_degree + 1)]
     complex_ = IntChainComplex(dims, diffs)   # re-checks boundary composition
-    return QuotientComplex(complex_, q, C)
+    return ChainAnalysis(complex_, source=C, quotient=q)
 
 
 @_per_degree
-def quotient_homology_module(qc: QuotientComplex, n: int) -> ModuleWithAction:
-    """Homology of a quotient complex at degree n as a module with action,
+def quotient_homology_module(level: ChainAnalysis, n: int) -> ModuleWithAction:
+    """Homology of a tower level at degree n as a module with action,
     built once per degree."""
-    an = qc.analysis
-    K = an.kernel(n)
-    X = an.relations(n)
+    K = level.kernel(n)
+    X = level.relations(n)
     acts = []
-    for A in qc.actions[n]:
+    for A in level.actions[n]:
         AK = A @ K
         Y = solve_in_lattice(K, AK)
         if Y is None:
             raise IncompatibleAction("deck action does not preserve cycles")
         acts.append(Y)
-    return ModuleWithAction(X, acts, list(qc.quotient.moduli))
+    return ModuleWithAction(X, acts, list(level.quotient.moduli))
 
 
 def operator_norm_bound(D: Sequence[Sequence[LaurentPoly]]) -> float:

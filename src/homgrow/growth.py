@@ -155,10 +155,8 @@ def _check_level_bounds(level: TowerLevel, lam: float, max_degree: int) -> None:
 
 def _analyze_level(C: LaurentChainComplex, spec: QuotientSpec,
                    primes: Sequence[int], max_degree: int) -> TowerLevel:
-    qc = base_change(C, spec)
-    an = qc.analysis
-    top = qc.complex.top_degree
-    d = min(max_degree, top)
+    an = base_change(C, spec)
+    d = min(max_degree, an.complex.top_degree)
     summary = homology_from_analysis(an, primes)
     # exact levelwise identity rho_Z - rho_2 = alternating alpha sum
     ident = rho_identity_from_analysis(an)
@@ -295,7 +293,7 @@ def probe_alpha_vanishing(C: LaurentChainComplex,
     levels = _check_levels(C, levels)
     rows = []
     for spec in levels:
-        an = base_change(C, spec).analysis
+        an = base_change(C, spec)
         if not an.rationally_trivial(n):
             raise HypothesisViolated(
                 f"deck action nontrivial on Q tensor H_{n} at level {spec.moduli}")
@@ -338,8 +336,7 @@ def probe_torsion_growth(A: IntMatrix, levels: Sequence[int]) -> dict:
         if det == 0:
             rows.append({"level": i, "degenerate": True})
             continue
-        qc = base_change(C, QuotientSpec((i,)))
-        t = qc.analysis.tors_order(0)
+        t = base_change(C, QuotientSpec((i,))).tors_order(0)
         if t != abs(det):
             raise IdentityViolation(
                 f"|tors H_0| = {t} differs from |det(A^{i} - I)| = {abs(det)}")

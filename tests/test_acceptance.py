@@ -9,7 +9,7 @@ import random
 import time
 from math import comb
 
-from homgrow.chain_complex import homology
+from homgrow.chain_complex import homology_from_analysis
 from homgrow.cli import main
 from homgrow.corpus import run_suite
 from homgrow.exact_linalg import IntMatrix
@@ -120,7 +120,7 @@ def test_criterion_05_minimal_generator_laws():
     ]
     for C, levels in towers:
         for spec in levels:
-            h = homology(base_change(C, spec).complex, primes=(2, 3, 5))
+            h = homology_from_analysis(base_change(C, spec), primes=(2, 3, 5))
             for n in range(len(h.betti_q)):
                 t = h.tors_order[n]
                 for p in (2, 3, 5):

@@ -15,7 +15,6 @@ from homgrow.chain_complex import (
     d_of_abelian_group,
     d_primewise,
     direct_sum,
-    homology,
     homology_from_analysis,
     laplacian,
     rho_identity_from_analysis,
@@ -85,13 +84,14 @@ class TestConstruction:
 
 class TestHomology:
     def test_circle_quotient(self):
-        h = homology(circle_level(3), primes=(2, 3, 5))
+        h = homology_from_analysis(ChainAnalysis(circle_level(3)),
+                                   primes=(2, 3, 5))
         assert h.betti_q == [1, 1]
         assert h.invariant_factors == [(), ()]
         assert h.d_hn == [1, 1]
 
     def test_multiplication_by_three(self):
-        h = homology(mult_complex(3), primes=(3,))
+        h = homology_from_analysis(ChainAnalysis(mult_complex(3)), primes=(3,))
         assert h.invariant_factors[0] == (3,)
         assert h.betti_q == [0, 0]
         assert abs(h.log_tors[0] - math.log(3)) < 1e-12
@@ -99,7 +99,7 @@ class TestHomology:
         assert h.betti_mod_p[3] == [1, 1]
 
     def test_zero_complex(self):
-        h = homology(IntChainComplex([0], []))
+        h = homology_from_analysis(ChainAnalysis(IntChainComplex([0], [])))
         assert h.betti_q == [0]
 
     @pytest.mark.parametrize("primes, message", [
@@ -112,7 +112,8 @@ class TestHomology:
     def test_bad_primes_refused(self, primes, message):
         # s_p counts are F_p dimensions only for a prime p
         with pytest.raises(DegenerateLevel, match=message):
-            homology(mult_complex(4), primes=primes)
+            homology_from_analysis(ChainAnalysis(mult_complex(4)),
+                                   primes=primes)
 
     def test_primality_against_trial_division(self):
         def trial(n):
@@ -129,7 +130,7 @@ class TestHomology:
         rng = random.Random(201)
         for _ in range(40):
             C = random_complex(rng)
-            h = homology(C, primes=(2, 3, 5))
+            h = homology_from_analysis(ChainAnalysis(C), primes=(2, 3, 5))
             for p in (2, 3, 5):
                 for n in range(C.top_degree + 1):
                     expected = _fp_betti(C, n, p)
@@ -196,7 +197,7 @@ class TestMinimalGenerators:
         rng = random.Random(203)
         for _ in range(40):
             C = random_complex(rng)
-            h = homology(C, primes=(2, 3, 5))
+            h = homology_from_analysis(ChainAnalysis(C), primes=(2, 3, 5))
             for n in range(C.top_degree + 1):
                 t = h.tors_order[n]
                 for p in (2, 3, 5):
@@ -287,13 +288,13 @@ class TestAlpha:
     def test_invariance_under_homology_rebasing(self):
         # the alpha square does not depend on the Z-basis chosen for H_n(C)_f
         from homgrow.chain_complex import ChainAnalysis
-        from homgrow.exact_linalg import _gram_int, det_fraction
+        from homgrow.exact_linalg import det_fraction
 
         def alpha_square_with_lifts(an, n, Z):
             # the definition: Gram determinant of the projections of the
             # lifts onto the harmonic subspace, via (W^T W)^{-1}
             W = an.harmonic(n)
-            WtW = _gram_int(W)
+            WtW = (W.transpose() @ W).to_lists()
             WtZ = (W.transpose() @ Z).to_lists()
             inv = _fraction_inverse(WtW)
             k = len(WtW)
@@ -391,7 +392,7 @@ class TestRhoIdentity:
         # circle level 5: L_0 = L_1 = 2 - t - t^-1, one block with factors
         # (1, 1, 1, 5); a planted last factor of 10 has the right rank
         level = QuotientSpec((5,))
-        ref = base_change(circle_complex(), level).analysis
+        ref = base_change(circle_complex(), level)
         rho_identity_from_analysis(ref)
         (key, factors), = ref._smith_blocks.items()
         assert factors == (1, 1, 1, 5)
@@ -399,7 +400,7 @@ class TestRhoIdentity:
                 (factors[:-1] + (2 * factors[-1],),
                  "Laplacian determinant identity fails"),
                 (factors + (5,), "rank mismatch")]:
-            an = base_change(circle_complex(), level).analysis
+            an = base_change(circle_complex(), level)
             an._smith_blocks[key] = planted
             with pytest.raises(IdentityViolation, match=message):
                 rho_identity_from_analysis(an)
@@ -411,7 +412,7 @@ class TestRhoIdentity:
         wrong = IntChainComplex(qc.complex.dims,
                                 [qc.complex.differential(1).scale(2)])
         rho_identity_from_analysis(ChainAnalysis(wrong))
-        an = ChainAnalysis(wrong, qc.analysis.characters)
+        an = ChainAnalysis(wrong, qc.source, qc.quotient)
         with pytest.raises(IdentityViolation,
                            match="Laplacian determinant identity fails"):
             rho_identity_from_analysis(an)
@@ -424,7 +425,7 @@ class TestRhoIdentity:
         # circle level 4: c_0 = 0, so in degree 0 only W^T c_1 sees the
         # plant, and c_2 = 0, so in degree 1 only c_1 W does
         qc = base_change(circle_complex(), QuotientSpec((4,)))
-        an = qc.analysis if characters else ChainAnalysis(qc.complex)
+        an = qc if characters else ChainAnalysis(qc.complex)
         assert an.harmonic(n).shape == (4, 1)
         an._memo["harmonic", n] = IntMatrix.from_rows([[1], [0], [0], [0]])
         with pytest.raises(IdentityViolation, match="not annihilated"):
@@ -434,14 +435,14 @@ class TestRhoIdentity:
 class TestConstructions:
     def test_direct_sum_betti_additivity(self):
         ds = direct_sum(circle_level(2), circle_level(3))
-        assert homology(ds).betti_q == [2, 2]
+        assert homology_from_analysis(ChainAnalysis(ds)).betti_q == [2, 2]
 
     def test_tensor_kunneth_toruslike(self):
         # circle x circle has the betti numbers of the torus
         t = base_change(tensor(circle_complex(), circle_complex()),
-                        QuotientSpec((2, 2))).complex
-        assert t.dims == [4, 8, 4]
-        assert homology(t).betti_q == [1, 2, 1]
+                        QuotientSpec((2, 2)))
+        assert t.complex.dims == [4, 8, 4]
+        assert homology_from_analysis(t).betti_q == [1, 2, 1]
 
 
 def _direct_layers(C, n):
@@ -503,9 +504,9 @@ def _analysed_level(C):
 
 
 def _analysed_quotient(L, moduli):
-    """`_analysed_level` of the analysis of a fresh base change, which
-    carries the character split above index 1."""
-    an = base_change(L, QuotientSpec(moduli)).analysis
+    """`_analysed_level` of a fresh tower level, which is split above
+    index 1."""
+    an = base_change(L, QuotientSpec(moduli))
     homology_from_analysis(an, (2, 3, 5))
     rho_identity_from_analysis(an)
     return an
@@ -750,7 +751,7 @@ class TestLaurentLaplacian:
         qc = base_change(L, QuotientSpec(moduli))
         factored = {}
         for n in range(L.top_degree + 1):
-            diag = L.laplacian_factors(n, moduli, factored)
+            diag = L.laplacian_factors(n, qc.quotient, factored)
             assert tuple(_chain_divisibility(diag)) == smith_normal_form(
                 laplacian(qc.complex, n)).invariant_factors, n
 
@@ -768,7 +769,7 @@ class TestHarmonicLift:
     def test_lift_equals_kernel_route_on_tier1_levels(self):
         lifted = 0
         for qc in _tier1_quotients():
-            an, direct = qc.analysis, ChainAnalysis(qc.complex)
+            an, direct = qc, ChainAnalysis(qc.complex)
             for n in range(qc.complex.top_degree + 1):
                 lifted += bool(self._lifted(an, n))
                 assert column_hnf(an.harmonic(n)) == direct.harmonic(n), \
@@ -779,21 +780,19 @@ class TestHarmonicLift:
 
     def test_betti_numbers_above_the_augmented_take_the_kernel_route(self):
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-        qc = base_change(mapping_torus_complex(swap), QuotientSpec((64,)))
-        an = qc.analysis
+        an = base_change(mapping_torus_complex(swap), QuotientSpec((64,)))
         assert [an.betti(n) for n in range(3)] == [2, 2, 0]
-        assert [qc.analysis.lift.betti(n) for n in range(3)] == [1, 1, 0]
+        assert [an.lift.betti(n) for n in range(3)] == [1, 1, 0]
         # the lift would give one column
         W = an.harmonic(1)
         assert W.cols == 2
-        assert W == ChainAnalysis(qc.complex).harmonic(1)
+        assert W == ChainAnalysis(an.complex).harmonic(1)
         rho_identity_from_analysis(an)
 
     def test_planted_lift_scaled_by_two_fails_the_laplacian_identity(self):
         # alpha_n cannot see the scale of the harmonic lattice, but the FK
         # structure route of Delta_n reads det(W^T W)
-        qc = base_change(torus_complex(2), QuotientSpec((4, 4)))
-        an = qc.analysis
+        an = base_change(torus_complex(2), QuotientSpec((4, 4)))
         aug = an.lift
         assert self._lifted(an, 1)
         aug._memo["harmonic", 1] = aug.harmonic(1).scale(2)
@@ -802,8 +801,7 @@ class TestHarmonicLift:
 
     def test_lifted_torus3_degree_computes_no_harmonic_kernel(
             self, monkeypatch):
-        qc = base_change(torus_complex(3), QuotientSpec((4, 4, 4)))
-        an = qc.analysis
+        an = base_change(torus_complex(3), QuotientSpec((4, 4, 4)))
         calls = TestSharedLayers._count_calls(monkeypatch)
         for n in (1, 2):
             assert self._lifted(an, n)
@@ -812,7 +810,7 @@ class TestHarmonicLift:
             del calls["kernel_lattice"][:]
             W = an.harmonic(n)
             assert calls["kernel_lattice"] == []
-            assert (laplacian(qc.complex, n) @ W).is_zero()
+            assert (laplacian(an.complex, n) @ W).is_zero()
             assert W.cols == an.betti(n) == 3
 
 
@@ -822,7 +820,7 @@ class TestTrivialGroupIsItsOwnLift:
 
     @staticmethod
     def _assert_own_lift(an):
-        assert an.characters is None
+        assert not an.split
         assert an.lift is an
         top = an.complex.top_degree
         assert all(an.rationally_trivial(n) for n in range(top + 1))
@@ -832,8 +830,8 @@ class TestTrivialGroupIsItsOwnLift:
         C = complex_from_document({"m": 0, "top_degree": 1, "dims": [1, 1],
                                    "differentials": [[[two]]]})
         qc = base_change(C, QuotientSpec(()))
-        self._assert_own_lift(qc.analysis)
-        assert qc.analysis.tors_order(0) == 2
+        self._assert_own_lift(qc)
+        assert qc.tors_order(0) == 2
 
     @pytest.mark.parametrize("C, moduli", [
         (circle_complex(), (1,)),
@@ -841,7 +839,7 @@ class TestTrivialGroupIsItsOwnLift:
         (mapping_torus_complex(IntMatrix.from_rows([[2, 1], [1, 1]])), (1,)),
     ], ids=["circle", "torus3", "mapping_torus"])
     def test_index_one_level(self, C, moduli):
-        an = base_change(C, QuotientSpec(moduli)).analysis
+        an = base_change(C, QuotientSpec(moduli))
         self._assert_own_lift(an)
         rho_identity_from_analysis(an)
 
@@ -863,11 +861,10 @@ class TestTrivialGroupIsItsOwnLift:
             gc.enable()
 
     def test_index_two_level_lifts_from_another_analysis(self):
-        qc = base_change(circle_complex(), QuotientSpec((2,)))
-        an = qc.analysis
-        assert an.characters is not None
-        assert an.lift is not an and an.lift.characters is None
-        assert an.lift.complex == qc.source.augmented_complex()
+        an = base_change(circle_complex(), QuotientSpec((2,)))
+        assert an.split
+        assert an.lift is not an and not an.lift.split
+        assert an.lift.complex == an.source.augmented_complex()
 
     def test_planted_augmentation_map_is_checked(self, monkeypatch):
         # at (2,), degree 1 of the mapping torus of [[-1]], K_1 has one
@@ -875,8 +872,8 @@ class TestTrivialGroupIsItsOwnLift:
         # the cycle to zero, and [[1, 0]] does not
         qc = base_change(mapping_torus_complex(IntMatrix.from_rows([[-1]])),
                          QuotientSpec((2,)))
-        assert qc.analysis.kernel(1).cols == 1
-        assert qc.analysis.lift.kernel(1).cols == 0
+        assert qc.kernel(1).cols == 1
+        assert qc.lift.kernel(1).cols == 0
         monkeypatch.setattr(finite_homology, "_augmentation_map",
                             lambda qc, n: IntMatrix.from_rows([[1, 0]]))
         with pytest.raises(IdentityViolation, match="escapes"):
@@ -917,7 +914,7 @@ class TestMemo:
         # characters every layer takes the kernel route
         def level():
             qc = base_change(torus_complex(2), QuotientSpec((4, 4)))
-            an = qc.analysis if characters else ChainAnalysis(qc.complex)
+            an = qc if characters else ChainAnalysis(qc.complex)
             homology_from_analysis(an, (2, 3))
             rho_identity_from_analysis(an)
             for n in range(an.complex.top_degree + 1):
@@ -959,7 +956,10 @@ class TestMemo:
             finite_homology.nu_kernel_cokernel(qc, n)
         made = len(solved)
         assert made
-        memo = dict(qc._memo)
+        # the level's one memo also holds the analysis entries these read
+        memo = {key: value for key, value in qc._memo.items()
+                if key[0] in ("quotient_homology_module",
+                              "_homology_map_data")}
         assert sorted(memo) == [("_homology_map_data", 0),
                                 ("_homology_map_data", 1),
                                 ("quotient_homology_module", 0),
@@ -975,14 +975,20 @@ class TestMemo:
         assert len(solved) > made
 
     def test_no_cache_outlives_its_object(self):
-        qc = base_change(torus_complex(2), QuotientSpec((2, 2)))
-        rho_identity_from_analysis(qc.analysis)
-        finite_homology.verify_estimate_bounds(qc, r=3, d=1)
-        assert qc._memo and qc.analysis._memo and qc.analysis.lift._memo
-        refs = [weakref.ref(x) for x in (qc, qc.analysis, qc.analysis.lift)]
-        del qc
+        # a tower level is one object with one memo, holding the analysis
+        # entries and those of homology with action; it and its lift die
+        # with the level
+        level = base_change(torus_complex(2), QuotientSpec((2, 2)))
+        rho_identity_from_analysis(level)
+        finite_homology.verify_estimate_bounds(level, r=3, d=1)
+        names = {name for name, _ in level._memo}
+        assert {"kernel", "relations", "harmonic", "fk_laplacian",
+                "quotient_homology_module", "_homology_map_data"} <= names
+        assert level.lift._memo
+        refs = [weakref.ref(x) for x in (level, level.lift)]
+        del level
         gc.collect()
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None, None]
 
     def test_memoized_names_keep_name_and_doc(self):
         functions = [vars(ChainAnalysis)[name] for name in MEMOIZED] + [

@@ -14,10 +14,10 @@ from sympy import Matrix
 from homgrow import characters, chain_complex, exact_linalg, growth, serialize
 from homgrow.chain_complex import ChainAnalysis, rho_identity_from_analysis
 from homgrow.characters import (
-    CharacterSplit,
     char_poly,
     cyclotomic,
     orbit_cost,
+    orbit_factors,
     orbits,
 )
 from homgrow.cli import builtin_complex
@@ -49,14 +49,13 @@ TOWER_LEVELS = [
                          ids=[t[0] for t in TOWER_LEVELS])
 def test_orbit_factors_match_regular_route(name, C, levels):
     for moduli in levels:
-        qc = base_change(C, QuotientSpec(moduli))
-        regular = ChainAnalysis(qc.complex)
-        split = CharacterSplit(C, moduli)
+        level = base_change(C, QuotientSpec(moduli))
+        regular = ChainAnalysis(level.complex)
         top = C.top_degree
-        phis = [len(cyclotomic(d)) - 1 for d, _ in split.orbits]
+        phis = [len(cyclotomic(d)) - 1 for d, _ in level.orbits]
         ranks = {0: [0] * len(phis), top + 1: [0] * len(phis)}
         for n in range(1, top + 1):
-            factors = split.factors(n)
+            factors = orbit_factors(C.differential(n), level.orbits)
             assert [f for f, _, _ in factors] == phis
             square = math.prod(norm for _, _, norm in factors)
             assert square == regular.fk_differential(n).square_exact, \
@@ -103,9 +102,9 @@ def test_cyclotomic_values():
 
 def _rule(C, moduli):
     """The FK route of each nonzero differential of a level."""
-    qc = base_change(C, QuotientSpec(moduli))
-    an, split = qc.analysis, CharacterSplit(C, moduli)
-    return [_fk_route(qc.complex.differential(n), an.rank(n), split.cost(n))
+    an = base_change(C, QuotientSpec(moduli))
+    return [_fk_route(an.complex.differential(n), an.rank(n),
+                      orbit_cost(moduli, min(C.dim(n - 1), C.dim(n))))
             for n in range(1, C.top_degree + 1)]
 
 
@@ -168,13 +167,13 @@ def _plant(monkeypatch, change):
 
 def test_planted_square_fails_the_laplacian_check(monkeypatch):
     _plant(monkeypatch, lambda r, norm: (r, 2 * norm))
-    an = base_change(torus_complex(3), QuotientSpec((2, 2, 2))).analysis
+    an = base_change(torus_complex(3), QuotientSpec((2, 2, 2)))
     with pytest.raises(IdentityViolation, match="Laplacian determinant"):
         rho_identity_from_analysis(an)
 
 
 def test_planted_rank_fails_the_rank_check(monkeypatch):
     _plant(monkeypatch, lambda r, norm: (r + 1, norm))
-    an = base_change(torus_complex(3), QuotientSpec((2, 2, 2))).analysis
+    an = base_change(torus_complex(3), QuotientSpec((2, 2, 2)))
     with pytest.raises(IdentityViolation, match="character ranks"):
         an.fk_differential(2)

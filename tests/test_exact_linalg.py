@@ -34,7 +34,7 @@ from homgrow.exact_linalg import (
     _fk_square_image_lattice,
     _fk_square_minor_sum,
     _fk_square_structure,
-    _gram_int,
+    _gram_det,
     _row_hnf_clean,
 )
 from homgrow.group_ring import (
@@ -703,7 +703,7 @@ class TestFKDeterminant:
             r = rank(A)
             if r == 0:
                 continue
-            G = np.array(_gram_int(A), dtype=float)
+            G = np.array((A.transpose() @ A).to_lists(), dtype=float)
             eig = sorted(np.linalg.eigvalsh(G))[::-1][:r]
             prod = float(np.prod(eig))
             sq = float(fk_determinant(A).square_exact)
@@ -778,8 +778,12 @@ class TestBareiss:
         rng = random.Random(110)
         for _ in range(100):
             B = _random_matrix(rng, max_dim=5, bound=4)
-            G = _gram_int(B)
-            assert det_bareiss(G) == det_bareiss_psd(G)
+            G = (B.transpose() @ B).to_lists()
+            assert det_bareiss(G) == det_bareiss_psd(G) == _gram_det(B)
+
+    def test_gram_of_no_columns_is_one(self):
+        assert _gram_det(IntMatrix.zeros(3, 0)) == 1
+        assert _gram_det(IntMatrix.zeros(0, 0)) == 1
 
     def test_known_determinant(self):
         assert det_bareiss([[1, 2], [3, 4]]) == -2

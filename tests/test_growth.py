@@ -313,7 +313,7 @@ class TestProbes:
             for moduli in levels:
                 qc = base_change(C, QuotientSpec(moduli))
                 for n in range(C.top_degree + 1):
-                    got = qc.analysis.rationally_trivial(n)
+                    got = qc.rationally_trivial(n)
                     assert got is _module_rationally_trivial(
                         quotient_homology_module(qc, n)), (moduli, n)
                     nontrivial += not got
@@ -333,7 +333,7 @@ class TestProbes:
             M = quotient_homology_module(qc, n)
             assert M.structure() == (1, ())
             assert _module_rationally_trivial(M) is False
-            assert qc.analysis.rationally_trivial(n) is False
+            assert qc.rationally_trivial(n) is False
         with pytest.raises(HypothesisViolated, match="nontrivial"):
             probe_alpha_vanishing(C, [spec], 0)
 
@@ -352,7 +352,11 @@ class TestProbes:
                               tail_threshold=1.0)
         assert len(built) == 3
         for qc in built:
-            assert qc._memo == {} and "actions" not in vars(qc)
+            # the level's one memo holds the analysis entries of alpha too
+            assert not [key for key in qc._memo
+                        if key[0] in ("quotient_homology_module",
+                                      "_homology_map_data")]
+            assert "actions" not in vars(qc)
 
     def test_alpha_probe_rejects_nontrivial_action(self):
         # t has eigenvalue -1 on H_0, so the rational action is nontrivial
