@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import characters
 from .errors import (
@@ -214,9 +214,11 @@ class ChainAnalysis:
     U K_{n-1} = [I; 0], hence U c_n = [X_{n-1}; 0]: c_n and X_{n-1} have the
     same invariant factors and rank.  `smith(n)` therefore serves both:
 
-      * the torsion and Betti number of H_{n-1};
+      * the torsion of H_{n-1};
       * rank c_n, which skips K_n when c_n has full column rank and the
-        left kernel ker(c_n^T) when it has full row rank;
+        left kernel ker(c_n^T) when it has full row rank, and gives the
+        Betti numbers b_n = dim C_n - rank c_n - rank c_{n+1}, which read
+        no lattice;
       * the FK structure route of c_n, which reuses it.
 
     When c_{n-1} = 0, K_{n-1} is the identity and X_{n-1} is c_n itself.
@@ -242,8 +244,16 @@ class ChainAnalysis:
     augmented b_n (`rationally_trivial`), every harmonic vector is
     G-invariant, and the harmonic lattice is N_G of the augmented one: each
     augmented row repeated |G| times in the block layout of base change,
-    saturated and exactly ker(Delta_n), with no elimination.  Otherwise,
-    and when `lift` is the analysis itself, the kernel route runs.
+    saturated and exactly ker(Delta_n), with no elimination
+    (`lifted_harmonic`, built once per degree).  Otherwise, and when `lift`
+    is the analysis itself, the kernel route runs.  The same lattice also
+    serves two kernels: K_n = W_n when c_{n+1} = 0, and
+    ker(c_{n+1}^T) = W_n when c_n = 0.  So a split level also takes its
+    top-degree `kernel` and, when c_n = 0, its `left_kernel(n + 1)` from
+    the lift; both routes give the column Hermite basis of one saturated
+    lattice, entry for entry, and a circle level runs no kernel
+    elimination.  The lift reads b_n through `rationally_trivial`, which is
+    why b_n comes from the ranks.
     `alpha_square` cannot see a wrong lattice scale, but the Laplacian
     identity can: the FK structure route of Delta_n reads det(W^T W).
 
@@ -282,16 +292,23 @@ class ChainAnalysis:
         return smith_normal_form(self.relations(n - 1))
 
     def rank(self, n: int) -> int:
-        """rank c_n."""
+        """rank c_n; 0 outside 1..top, where c_n is a zero map."""
+        if not 1 <= n <= self.complex.top_degree:
+            return 0
         return self.smith(n).rank
 
     @_per_degree
     def left_kernel(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n^T); no columns when c_n has full row
-        rank."""
+        rank.  When c_{n-1} = 0 this is the harmonic lattice of degree
+        n - 1, lifted when `lifted_harmonic` gives it."""
         c = self.complex.differential(n)
         if self.rank(n) == c.rows:
             return IntMatrix.zeros(c.rows, 0)
+        if self._kernel_is_identity(n - 1):
+            W = self.lifted_harmonic(n - 1)
+            if W is not None:
+                return W
         return kernel_lattice(c.transpose())
 
     # -- lattice layers -----------------------------------------------------
@@ -299,10 +316,16 @@ class ChainAnalysis:
     @_per_degree
     def kernel(self, n: int) -> IntMatrix:
         """Saturated basis K_n of ker(c_n); no columns when c_n has full
-        column rank."""
+        column rank.  At the top degree c_{n+1} = 0 makes it the harmonic
+        lattice, lifted when `lifted_harmonic` gives it."""
         c = self.complex.differential(n)
-        if n >= 1 and self.rank(n) == c.cols:
+        if self.rank(n) == c.cols:
             return IntMatrix.zeros(c.cols, 0)
+        if n == self.complex.top_degree:
+            # c_{n+1} = 0: the cycles are the harmonic lattice
+            W = self.lifted_harmonic(n)
+            if W is not None:
+                return W
         return kernel_lattice(c)
 
     @_per_degree
@@ -317,9 +340,12 @@ class ChainAnalysis:
         return tuple(d for d in self.smith(n + 1).invariant_factors if d != 1)
 
     def betti(self, n: int) -> int:
+        """b_n = dim C_n - rank c_n - rank c_{n+1}, from the shared Smith
+        forms; the width of K_n would read the lifted lattice, which reads
+        b_n."""
         if not (0 <= n <= self.complex.top_degree):
             return 0
-        return self.kernel(n).cols - self.smith(n + 1).rank
+        return self.complex.dim(n) - self.rank(n) - self.rank(n + 1)
 
     def tors_order(self, n: int) -> int:
         return math.prod(self.torsion_factors(n))
@@ -379,24 +405,33 @@ class ChainAnalysis:
         return self.lift.betti(n) == self.betti(n)
 
     @_per_degree
+    def lifted_harmonic(self, n: int) -> Optional[IntMatrix]:
+        """The harmonic lattice of a split level lifted from `lift`, or None
+        where it does not lift: without a split, or when G acts nontrivially
+        on Q tensor H_n.  Every harmonic vector is then invariant, so the
+        lattice is the norm map of the lift's: each of its rows repeated
+        once per group element, in the block layout of base change."""
+        if not self.split or not self.rationally_trivial(n):
+            return None
+        W = self.lift.harmonic(n)
+        reps = self.quotient.index
+        return IntMatrix._raw(W.rows * reps, W.cols,
+                              [r for r in W.data for _ in range(reps)])
+
+    @_per_degree
     def harmonic(self, n: int) -> IntMatrix:
         """Saturated basis of ker(c_n) cap ker(c_{n+1}^T) = ker(Delta_n)."""
         if self.betti(n) == 0:
             # b_n is its rank; a wrongly empty lattice still fails the rank
             # check of the Laplacian's Smith form
             return IntMatrix.zeros(self.complex.dim(n), 0)
+        W = self.lifted_harmonic(n)
+        if W is not None:
+            return W
         if self._kernel_is_identity(n):
             # K_n is the identity: the harmonic lattice is ker(c_{n+1}^T),
             # already in column Hermite form
             return self.left_kernel(n + 1)
-        if self.lift is not self and self.rationally_trivial(n):
-            # Every harmonic vector is invariant, so the lattice is the norm
-            # map of the lift's: each of its rows repeated once per group
-            # element, in the block layout of base change
-            W = self.lift.harmonic(n)
-            reps = self.complex.dim(n) // W.rows
-            return IntMatrix._raw(W.rows * reps, W.cols,
-                                  [r for r in W.data for _ in range(reps)])
         K = self.kernel(n)
         M = self.complex.differential(n + 1).transpose() @ K
         return column_hnf(K @ kernel_lattice(M))

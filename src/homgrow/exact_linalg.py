@@ -85,6 +85,11 @@ def _exact_int(x) -> int:
     raise DimensionMismatch(f"expected an integer, got {x!r}")
 
 
+# The row dict of every `IntMatrix.zeros` row; it stays empty because rows
+# are never mutated.
+_EMPTY_ROW: dict = {}
+
+
 class IntMatrix:
     """Sparse arbitrary-precision integer matrix, immutable.
 
@@ -140,9 +145,10 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        """The zero matrix; its rows are all the one `_EMPTY_ROW`."""
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        return cls._raw(rows, cols, [{} for _ in range(rows)])
+        return cls._raw(rows, cols, [_EMPTY_ROW] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -529,21 +535,42 @@ def solve_in_lattice(B: IntMatrix, C: IntMatrix) -> Optional[IntMatrix]:
     if _is_identity(B):
         return C
     bcols = B.transpose().data
-    piv = [min(col) for col in bcols]      # pivot row of each Hermite column
+    # A Hermite column holds nothing above its pivot row, so the top row of
+    # the residual can only be cleared by the column pivoting there: the
+    # rows are taken from a heap, top first, each through that column, and
+    # a row without one, or whose pivot entry does not divide, has no
+    # solution.  Rows that cancel stay in the heap and are skipped.
+    column_at = {min(col): t for t, col in enumerate(bcols)}
     out = []                               # rows of X^T
     for ccol in C.transpose().data:
         resid = dict(ccol)
+        heap = list(resid)
+        heapify(heap)
         y = {}
-        for t, (p, bcol) in enumerate(zip(piv, bcols)):
-            v = resid.get(p, 0)
-            if v:
-                q, r = divmod(v, bcol[p])
-                if r:
-                    return None
-                y[t] = q
-                _row_axpy(resid, bcol, -q)
-        if resid:
-            return None
+        while heap:
+            p = heappop(heap)
+            v = resid.get(p)
+            if v is None:
+                continue
+            t = column_at.get(p)
+            if t is None:
+                return None
+            bcol = bcols[t]
+            q, r = divmod(v, bcol[p])
+            if r:
+                return None
+            y[t] = q
+            for i, w in bcol.items():
+                x = resid.get(i)
+                if x is None:
+                    resid[i] = -q * w
+                    heappush(heap, i)
+                else:
+                    x -= q * w
+                    if x:
+                        resid[i] = x
+                    else:
+                        del resid[i]
         out.append(y)
     return IntMatrix._raw(C.cols, B.cols, out).transpose()
 

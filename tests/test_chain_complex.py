@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homgrow import chain_complex, exact_linalg, finite_homology, group_ring
+from homgrow import (
+    chain_complex,
+    corpus,
+    exact_linalg,
+    finite_homology,
+    group_ring,
+)
 from homgrow.chain_complex import (
     ChainAnalysis,
     IntChainComplex,
@@ -20,7 +26,7 @@ from homgrow.chain_complex import (
     rho_identity_from_analysis,
     verify_rho_identity,
 )
-from homgrow.cli import builtin_complex
+from homgrow.cli import builtin_complex, suite_rng
 from homgrow.corpus import random_complex, random_unimodular
 from homgrow.errors import (
     DegenerateLevel,
@@ -814,6 +820,77 @@ class TestHarmonicLift:
             assert W.cols == an.betti(n) == 3
 
 
+class TestLiftedKernels:
+    """K_n = W_n when c_(n+1) = 0, and ker(c_(n+1)^T) = W_n when c_n = 0:
+    a split level takes its top-degree cycles and its bottom-degree left
+    kernel from the lifted harmonic lattices, with no elimination."""
+
+    def test_lifted_lattices_equal_the_eliminations_on_tier1_levels(self):
+        # both routes give the column Hermite basis of one saturated
+        # lattice, so the matrices are equal entry for entry
+        applied = 0
+        for an in _tier1_quotients():
+            if not an.split:
+                continue
+            C = an.complex
+            top = C.top_degree
+            for n, lattice, matrix in (
+                    (top, an.kernel(top), C.differential(top)),
+                    (0, an.left_kernel(1), C.differential(1).transpose())):
+                lifted = an.lifted_harmonic(n)
+                if lifted is None or not lattice.cols:
+                    continue
+                assert lattice is lifted
+                direct = kernel_lattice(matrix)
+                assert lattice.shape == direct.shape, (an.quotient, n)
+                assert lattice.data == direct.data, (an.quotient, n)
+                applied += 1
+        # circle 2..256, torus2 (2,2)..(8,8) and torus3 (2,2,2), (4,4,2),
+        # both degrees each; the mapping torus has b_n = 0
+        assert applied == 2 * (8 + 3 + 2)
+
+    @pytest.mark.parametrize("degree", ["top", "bottom"])
+    @pytest.mark.parametrize("L, moduli", [
+        (circle_complex(), (2,)), (circle_complex(), (4,)),
+        (circle_complex(), (8,)), (circle_complex(), (64,)),
+        (torus_complex(2), (4, 4)), (torus_complex(3), (2, 2, 2)),
+        (torus_complex(3), (4, 4, 2))],
+        ids=["circle-2", "circle-4", "circle-8", "circle-64", "torus2-4-4",
+             "torus3-2-2-2", "torus3-4-4-2"])
+    def test_planted_lift_scaled_by_two_fails(self, L, moduli, degree):
+        an = base_change(L, QuotientSpec(moduli))
+        n = an.complex.top_degree if degree == "top" else 0
+        aug = an.lift
+        W = aug.harmonic(n)
+        aug._memo["harmonic", n] = W.scale(2)
+        assert an.rationally_trivial(n)
+        with pytest.raises(IdentityViolation, match="Laplacian"):
+            homology_from_analysis(an, (2, 3, 5))
+            rho_identity_from_analysis(an)
+        assert an.lifted_harmonic(n).data[0] == W.scale(2).data[0] != {}
+
+    def test_betti_from_ranks_equals_the_kernel_width(self):
+        suite, count = corpus.SUITES["rho-identity"]
+        checked = 0
+        for check in suite(suite_rng(0, "rho-identity"), count):
+            an = ChainAnalysis(*check.args)
+            for n in range(an.complex.top_degree + 1):
+                assert an.betti(n) == an.kernel(n).cols - an.rank(n + 1)
+                checked += 1
+        assert checked > count
+
+    @pytest.mark.parametrize("index", [2, 3, 8, 64])
+    def test_circle_level_eliminates_nothing_of_index_size(
+            self, index, monkeypatch):
+        # K_0 is the kernel of the zero map c_0, the identity with no
+        # elimination; every other lattice of the level is lifted
+        calls = TestSharedLayers._count_calls(monkeypatch)["kernel_lattice"]
+        an = _analysed_quotient(circle_complex(), (index,))
+        assert an.split and [an.betti(n) for n in (0, 1)] == [1, 1]
+        assert [M.shape for M in calls
+                if index in M.shape and not M.is_zero()] == []
+
+
 class TestTrivialGroupIsItsOwnLift:
     """Without a character split the lift is the analysis itself: an m = 0
     level, an index-1 level and a plain complex are one case."""
@@ -881,7 +958,7 @@ class TestTrivialGroupIsItsOwnLift:
 
 
 MEMOIZED = ("smith", "left_kernel", "kernel", "relations", "free_lifts",
-            "harmonic", "fk_differential", "fk_laplacian")
+            "harmonic", "lifted_harmonic", "fk_differential", "fk_laplacian")
 
 
 class TestMemo:

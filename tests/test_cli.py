@@ -11,6 +11,7 @@ from homgrow.cli import (
     main,
 )
 from homgrow.errors import DegenerateLevel, IdentityViolation, ParseError
+from homgrow.exact_linalg import IntMatrix
 from homgrow.growth import MAX_NONZEROS, MAX_ROWS
 from homgrow.serialize import (
     complex_from_document,
@@ -490,3 +491,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "  mg-laws FAILED: check 1: planted failure" in out
         assert "mg-laws: 0/3 passed [FAILED]" in out
+
+
+def test_runs_leave_the_shared_empty_row_empty(capsys):
+    # every IntMatrix.zeros row is one dict; no kernel may write into it
+    empty = IntMatrix.zeros(1, 0).data[0]
+    assert IntMatrix.zeros(3, 2).data[2] is empty
+    assert main(["tower", "--example", "torus3", "--levels", "1,2,4",
+                 "--moduli-pattern", "i,i,2"]) == 0
+    assert main(["tower", "--example", "circle",
+                 "--levels", "1,2,4,8,16,32,64"]) == 0
+    assert main(["verify", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert empty == {}
+    assert IntMatrix.zeros(1, 1).data[0] is empty

@@ -514,6 +514,90 @@ class TestKernelLattice:
         assert rng.random() == 0.8050278270130223
 
 
+def _column_walk_solve(B, C):
+    """The column walk `solve_in_lattice` replaced, kept as its oracle:
+    every basis column, in order, against every right-hand column."""
+    if exact_linalg._is_identity(B):
+        return C
+    bcols = B.transpose().data
+    piv = [min(col) for col in bcols]
+    out = []
+    for ccol in C.transpose().data:
+        resid = dict(ccol)
+        y = {}
+        for t, (p, bcol) in enumerate(zip(piv, bcols)):
+            v = resid.get(p, 0)
+            if v:
+                q, r = divmod(v, bcol[p])
+                if r:
+                    return None
+                y[t] = q
+                for i, w in bcol.items():
+                    x = resid.get(i, 0) - q * w
+                    if x:
+                        resid[i] = x
+                    else:
+                        resid.pop(i, None)
+        if resid:
+            return None
+        out.append(y)
+    return IntMatrix._raw(C.cols, B.cols, out).transpose()
+
+
+@st.composite
+def _lattice_systems(draw, max_dim=7, bound=4):
+    """(H, C): H the column Hermite basis of a random lattice, C some
+    right-hand columns, each in the lattice or moved off it by a random
+    vector."""
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(0, max_dim))
+    A = IntMatrix(n, m, draw(st.lists(st.integers(-bound, bound),
+                                      min_size=n * m, max_size=n * m)))
+    H = column_hnf(A)
+    k = draw(st.integers(0, 4))
+    Y = IntMatrix(H.cols, k, draw(st.lists(
+        st.integers(-bound, bound), min_size=H.cols * k,
+        max_size=H.cols * k)))
+    E = IntMatrix(n, k, draw(st.lists(
+        st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=n * k,
+        max_size=n * k)))
+    return H, H @ Y + E
+
+
+class TestSolveInLattice:
+    """`solve_in_lattice` walks the residual's rows from the top, each
+    through the basis column pivoting there; it must return the X of the
+    column walk, and None exactly where the walk does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lattice_systems())
+    def test_equals_the_column_walk(self, system):
+        H, C = system
+        X = solve_in_lattice(H, C)
+        assert X == _column_walk_solve(H, C)
+        if X is not None:
+            assert H @ X == C
+
+    # pivots in rows 0 and 2, entries 2 and 3
+    H = IntMatrix.from_rows([[2, 0], [1, 0], [5, 3], [0, 1]])
+
+    def test_in_the_lattice(self):
+        C = IntMatrix.from_rows([[4], [2], [13], [1]])
+        assert solve_in_lattice(self.H, C) == IntMatrix.from_rows([[2], [1]])
+
+    @pytest.mark.parametrize("column", [
+        [0, 1, 0, 0],      # row 1 holds no pivot
+        [2, 2, 5, 0],      # row 1 is left after the first column
+        [0, 0, 0, 1],      # row 3 holds no pivot
+        [1, 0, 0, 0],      # 2 does not divide 1
+        [2, 1, 7, 0],      # 3 does not divide 2 in row 2
+    ])
+    def test_outside_the_lattice(self, column):
+        C = IntMatrix.from_columns([column], 4)
+        assert solve_in_lattice(self.H, C) is None
+        assert _column_walk_solve(self.H, C) is None
+
+
 def _assert_column_hermite_basis(A, H, r):
     """H is in column Hermite form with r columns and every column of A lies
     in its lattice; returns the coordinates X with H @ X = A."""
