@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import characters
 from .errors import (
@@ -116,10 +116,9 @@ class IntChainComplex:
     def two_term(cls, matrix: IntMatrix, bottom_degree: int = 0) -> "IntChainComplex":
         """Complex 0 -> Z^cols -> Z^rows -> 0 concentrated in two degrees."""
         dims = [0] * bottom_degree + [matrix.rows, matrix.cols]
-        diffs = [IntMatrix.zeros(0, 0)] * bottom_degree + [matrix]
-        if bottom_degree:
-            diffs[bottom_degree - 1] = IntMatrix.zeros(0, matrix.rows)
-        return cls(dims, diffs)
+        diffs = [IntMatrix.zeros(dims[k - 1], dims[k])
+                 for k in range(1, bottom_degree + 1)]
+        return cls(dims, diffs + [matrix])
 
 
 @dataclass
@@ -179,7 +178,8 @@ _MISSING = object()
 
 def _per_degree(method):
     """Memoize ``method(obj, n)`` in ``obj._memo`` under the key (method
-    name, n): one value per object and degree, dropped with the object."""
+    name, n): one value per object and degree, or per Laplacian block,
+    dropped with the object."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -197,9 +197,10 @@ class ChainAnalysis:
     level is one object: `group_ring.base_change` returns its analysis.
 
     Every per-degree method below (`smith`, `left_kernel`, `kernel`,
-    `relations`, `free_lifts`, `harmonic`, `fk_differential` and
-    `fk_laplacian`) keeps its result in the one dict `_memo`, keyed by
-    (method name, n), as do `group_ring.quotient_homology_module` and
+    `relations`, `free_lifts`, `lifted_harmonic`, `harmonic`,
+    `fk_differential`, `fk_laplacian`, and `_block_factors` per Laplacian
+    block) keeps its result in the one dict `_memo`, keyed by (method
+    name, n or block), as do `group_ring.quotient_homology_module` and
     `finite_homology._homology_map_data` for a tower level; `lift`,
     `orbits` and `actions` are built on first access.  All live on the
     analysis and die with it; no cache outlives the analysis.
@@ -242,12 +243,11 @@ class ChainAnalysis:
     sum of e_(i, v) over the group elements v, is a chain map that scales
     inner products by |G| and splits over Z.  So when b_n equals the
     augmented b_n (`rationally_trivial`), every harmonic vector is
-    G-invariant, and the harmonic lattice is N_G of the augmented one: each
-    augmented row repeated |G| times in the block layout of base change,
-    saturated and exactly ker(Delta_n), with no elimination
-    (`lifted_harmonic`, built once per degree).  Otherwise, and when `lift`
-    is the analysis itself, the kernel route runs.  The same lattice also
-    serves two kernels: K_n = W_n when c_{n+1} = 0, and
+    G-invariant, and the harmonic lattice is N_G of the augmented one
+    (`QuotientSpec.norm_map`), saturated and exactly ker(Delta_n), with no
+    elimination (`lifted_harmonic`, built once per degree).  Otherwise,
+    and when `lift` is the analysis itself, the kernel route runs.  The
+    same lattice also serves two kernels: K_n = W_n when c_{n+1} = 0, and
     ker(c_{n+1}^T) = W_n when c_n = 0.  So a split level also takes its
     top-degree `kernel` and, when c_n = 0, its `left_kernel(n + 1)` from
     the lift; both routes give the column Hermite basis of one saturated
@@ -257,16 +257,15 @@ class ChainAnalysis:
     `alpha_square` cannot see a wrong lattice scale, but the Laplacian
     identity can: the FK structure route of Delta_n reads det(W^T W).
 
-    A split level's `fk_laplacian` builds no Delta_n but factors the
-    components of the Laurent Laplacian of its source, base-changed
-    (`LaurentChainComplex.laplacian_factors`), each distinct one once per
-    analysis through the dict `_smith_blocks`: a torus L_n is a multiple of
-    the identity, and the circle's L_0 = L_1.  An m = 1 component whose
-    top coefficient has determinant +-1 (the circle, mapping tori of
-    unimodular matrices) is factored as T^N - I, kd x kd for T its
-    companion matrix (`group_ring._cyclic_smith`); other components, those
-    of tori and of mapping tori like [[3]] among them, as the base-changed
-    block.  Otherwise Delta_n is built and factored whole.
+    A split level's `fk_laplacian` builds no Delta_n but joins the factors
+    of the components of its source's Laurent Laplacian, base-changed by
+    `QuotientSpec.block_factors`, each distinct one once per analysis
+    (`_block_factors`): a torus L_n is a multiple of the identity, and the
+    circle's L_0 = L_1.  An m = 1 component whose top coefficient has
+    determinant +-1 (the circle, mapping tori of unimodular matrices) is
+    factored through its companion matrix (`group_ring._cyclic_smith`),
+    others, tori and mapping tori like [[3]] among them, as the
+    base-changed block.  Otherwise Delta_n is built and factored whole.
     """
 
     def __init__(self, complex_: IntChainComplex, source=None, quotient=None):
@@ -276,7 +275,6 @@ class ChainAnalysis:
         # a deck group above index 1: a character split and a separate lift
         self.split = quotient is not None and quotient.index > 1
         self._memo: Dict[tuple, object] = {}
-        self._smith_blocks: Dict[tuple, tuple] = {}
 
     # -- per-degree facts -----------------------------------------------------
 
@@ -389,13 +387,9 @@ class ChainAnalysis:
     @functools.cached_property
     def actions(self) -> List[List[IntMatrix]]:
         """Per degree, the permutation matrix of each generator x_j of the
-        quotient: on a degree of rank r, r copies of
-        `QuotientSpec.regular_generator` down the diagonal.  Only homology
-        with action reads them."""
-        q = self.quotient
-        perms = [q.regular_generator(j) for j in range(q.m)]
-        return [[IntMatrix.block_diag([P] * r) for P in perms]
-                for r in self.source.dims]
+        quotient (`QuotientSpec.deck_actions`).  Only homology with action
+        reads them."""
+        return self.quotient.deck_actions(self.source.dims)
 
     def rationally_trivial(self, n: int) -> bool:
         """Whether the deck group G acts trivially on Q tensor H_n: b_n
@@ -409,14 +403,10 @@ class ChainAnalysis:
         """The harmonic lattice of a split level lifted from `lift`, or None
         where it does not lift: without a split, or when G acts nontrivially
         on Q tensor H_n.  Every harmonic vector is then invariant, so the
-        lattice is the norm map of the lift's: each of its rows repeated
-        once per group element, in the block layout of base change."""
+        lattice is the norm map of the lift's."""
         if not self.split or not self.rationally_trivial(n):
             return None
-        W = self.lift.harmonic(n)
-        reps = self.quotient.index
-        return IntMatrix._raw(W.rows * reps, W.cols,
-                              [r for r in W.data for _ in range(reps)])
+        return self.quotient.norm_map(self.lift.harmonic(n))
 
     @_per_degree
     def harmonic(self, n: int) -> IntMatrix:
@@ -485,12 +475,19 @@ class ChainAnalysis:
                 "harmonic lattice is not annihilated by the Laplacian")
         if not self.split:
             return fk_determinant(laplacian(C, n), kernel=W, left_kernel=W)
-        diag = self.source.laplacian_factors(n, self.quotient,
-                                             self._smith_blocks)
+        diag = [f for _, block in self.source.laplacian_components(n)
+                for f in self._block_factors(block)]
         if len(diag) != C.dim(n) - W.cols:
             raise IdentityViolation(
                 "rank mismatch between kernel and Smith form")
         return _fk_det((_gram_det(W) * math.prod(diag)) ** 2)
+
+    @_per_degree
+    def _block_factors(self, block: tuple) -> tuple:
+        """The factors of one base-changed component of the Laurent
+        Laplacian, a diagonal block of Delta_n up to a permutation (base
+        change sends p* to the transpose); shared by every degree."""
+        return self.quotient.block_factors(block)
 
     # -- alpha ---------------------------------------------------------------
 
@@ -571,13 +568,14 @@ def check_primes(primes: Sequence[int]) -> None:
 
 
 def homology_from_analysis(an: ChainAnalysis,
-                           primes: Sequence[int] = ()) -> HomologySummary:
+                           primes: Iterable[int] = ()) -> HomologySummary:
     """Exact homology H_n = ker(c_n)/im(c_{n+1}) for all degrees of the
-    analysed complex; the primes must pass `check_primes`.
+    analysed complex; the primes, any iterable, must pass `check_primes`.
 
     Betti numbers over F_p follow universal coefficients:
     dim H_n(C; F_p) = b_n + s_p(H_n) + s_p(H_{n-1}).
     """
+    primes = tuple(primes)
     check_primes(primes)
     C = an.complex
     top = C.top_degree

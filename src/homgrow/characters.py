@@ -238,8 +238,6 @@ def _orbit_factor(matrix, d: int, s: tuple) -> Tuple[int, int]:
         H = [[R.dot(M[a], Mc[b]) for b in range(rows)] for a in range(rows)]
     coeffs = _charpoly(H, R)
     r = max(j for j, c in enumerate(coeffs) if any(c))
-    if r == 0:
-        return 0, 1
     e_r = coeffs[r] if r % 2 == 0 else _neg(coeffs[r])
     return r, R.norm(e_r)
 

@@ -45,9 +45,9 @@ class InconsistentProfile(HomgrowError):
 
 class DegenerateLevel(HomgrowError):
     """A tower request is refused before any level is computed: no levels,
-    a level whose arity differs from the complex's m, levels out of order or
-    below index 1, a bad max_degree or jobs, or primes that fail
-    `check_primes`."""
+    a level whose arity differs from the complex's m or whose base change
+    passes `growth.MAX_ROWS` or `growth.MAX_NONZEROS`, levels out of order,
+    a bad max_degree or jobs, or primes that fail `check_primes`."""
 
 
 class ParseError(HomgrowError):

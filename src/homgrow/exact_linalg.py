@@ -935,8 +935,6 @@ def _fk_square_minor_sum(A: IntMatrix):
 def _fk_square_image_lattice(A: IntMatrix) -> int:
     """det(J^T J) * det(S S^T) where A = J @ S, J a column-lattice basis."""
     J = column_hnf(A)
-    if J.cols == 0:
-        return 1
     S = solve_in_lattice(J, A)
     assert S is not None, "columns of A must lie in their own column lattice"
     return _gram_det(J) * _gram_det(S.transpose())

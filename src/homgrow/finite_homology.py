@@ -39,6 +39,7 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    _chain_divisibility,
     _exact_int,
     cokernel_structure,
     column_hnf,
@@ -91,8 +92,7 @@ class FinAbGroup:
         orders = list(map(_exact_int, orders))
         if any(o < 1 for o in orders):
             raise DimensionMismatch(f"orders must be at least 1, got {orders}")
-        orders = [o for o in orders if o > 1]
-        return cls(cokernel_structure(IntMatrix.diagonal(orders))[1])
+        return cls(tuple(d for d in _chain_divisibility(orders) if d > 1))
 
     @property
     def order(self) -> int:
@@ -195,8 +195,7 @@ def standard_resolution(G: FinAbGroup, up_to: int) -> Resolution:
     """
     if up_to < 0:
         raise DimensionMismatch("up_to must be >= 0")
-    q = QuotientSpec(G.factors)
-    perms = [q.regular_generator(j) for j in range(G.d)]
+    perms, = QuotientSpec(G.factors).deck_actions([1])   # on ZG itself
     blocks = _generator_blocks(perms, G.factors)
     res = Resolution(
         G, up_to, [len(_weak_compositions(n, G.d)) for n in range(up_to + 1)],
@@ -216,8 +215,6 @@ def _quotient_structure(S: IntMatrix, R: IntMatrix) -> tuple:
     S is a column-Hermite basis and R a generator matrix in the same ambient
     Z^g; a column of R outside the lattice of S raises IdentityViolation.
     """
-    if R.cols == 0:
-        return S.cols, ()
     W = solve_in_lattice(S, R)
     if W is None:
         raise IdentityViolation("relations escape the subgroup lattice")
@@ -340,11 +337,10 @@ def coinvariants(M: ModuleWithAction) -> dict:
 
 
 def _augmentation_map(level: ChainAnalysis, n: int) -> IntMatrix:
-    """Sum over group coordinates on each free block of C[i]_n: one
-    1 x index row of ones per free generator."""
-    ng = level.quotient.index
-    ones = IntMatrix._raw(1, ng, [dict.fromkeys(range(ng), 1)])
-    return IntMatrix.block_diag([ones] * level.source.dim(n))
+    """The augmentation C[i]_n -> (Z tensor C)_n, the sum over group
+    coordinates on each free block: epsilon = N_G^T."""
+    r = level.source.dim(n)
+    return level.quotient.norm_map(IntMatrix.identity(r)).transpose()
 
 
 @_per_degree

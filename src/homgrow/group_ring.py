@@ -4,8 +4,10 @@ Laurent-polynomial matrices represent differentials over the group ring of
 G = Z^m.  Base change to the finite quotient G / (N_1 Z x ... x N_m Z)
 reduces every entry modulo (x_j^{N_j} - 1) and expands it through the regular
 representation of the quotient group, producing an integer chain complex of
-rank index * rank together with the permutation action of each generator on
-every chain level.
+rank index * rank.  `QuotientSpec` owns that block layout (free generator i
+at rows i * index .. i * index + index - 1): the regular representation, the
+norm map N_G, the factors of Laplacian blocks and the deck actions, which
+the level builds on first use, through the quotient.
 
 The example library lives here as well: the circle, the Koszul-signed tensor
 product of complexes, tori as tensor powers of the circle, and algebraic
@@ -153,6 +155,8 @@ class LaurentChainComplex:
             mat = [list(r) for r in mat]
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise InvalidComplex(f"differential {n} has wrong shape")
+            if any(p.m != m for r in mat for p in r):
+                raise InvalidComplex(f"differential {n}: entry arity is not {m}")
             mats.append(mat)
         self.top_degree = len(self.dims) - 1
         self.differentials = mats
@@ -205,28 +209,6 @@ class LaurentChainComplex:
                 (comp, tuple(tuple(L[i][j] for j in comp) for i in comp)))
         return components
 
-    def laplacian_factors(self, n: int, q: "QuotientSpec",
-                          factored: Dict[tuple, tuple]) -> List[int]:
-        """The unchained Smith diagonal of Delta_n of the base change to
-        q.  Base change is a ring homomorphism sending p* to the
-        transpose, so each component of L_n goes to a diagonal block of
-        Delta_n, up to a permutation.  `factored` maps a component's
-        Laurent entries to the invariant factors of its base change, made
-        only on a miss: for m = 1 and a top coefficient of unit
-        determinant through the companion matrix (`_cyclic_smith`), else
-        by the Smith form of the base-changed block."""
-        diag: List[int] = []
-        for _, block in self.laplacian_components(n):
-            if block not in factored:
-                sf = _cyclic_smith(block, q)
-                if sf is None:
-                    size = len(block) * q.index
-                    sf = smith_normal_form(IntMatrix._raw(
-                        size, size, _regular_rows(block, q)))
-                factored[block] = sf.invariant_factors
-            diag.extend(factored[block])
-        return diag
-
     def __repr__(self):
         return f"LaurentChainComplex(m={self.m}, dims={self.dims})"
 
@@ -275,8 +257,34 @@ class QuotientSpec:
     def regular_generator(self, j: int) -> IntMatrix:
         """The permutation matrix of x_j on Z[Z^m / this quotient], on the
         group elements in the lexicographic order of base change."""
+        if not 0 <= j < self.m:
+            raise DimensionMismatch(f"generator {j} outside 0..{self.m - 1}")
         return IntMatrix._raw(self.index, self.index, _regular_rows(
             [[LaurentPoly.variable(self.m, j)]], self))
+
+    def deck_actions(self, ranks: Sequence[int]) -> List[List[IntMatrix]]:
+        """Per rank r, each `regular_generator(j)` r times down the diagonal."""
+        perms = [self.regular_generator(j) for j in range(self.m)]
+        return [[IntMatrix.block_diag([P] * r) for P in perms]
+                for r in ranks]
+
+    def norm_map(self, M: IntMatrix) -> IntMatrix:
+        """N_G M, N_G : e_i -> sum_v e_(i, v): each row of M repeated once
+        per group element v, sharing M's row dicts."""
+        reps = self.index
+        return IntMatrix._raw(M.rows * reps, M.cols,
+                              [r for r in M.data for _ in range(reps)])
+
+    def block_factors(self, block: Sequence[Sequence[LaurentPoly]]) -> tuple:
+        """The unchained invariant factors of a square Laurent block's base
+        change: through the companion matrix (`_cyclic_smith`) where it
+        applies, else by the Smith form of the base-changed block."""
+        sf = _cyclic_smith(block, self)
+        if sf is None:
+            size = len(block) * self.index
+            sf = smith_normal_form(IntMatrix._raw(
+                size, size, _regular_rows(block, self)))
+        return sf.invariant_factors
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .chain_complex import (
     MAX_PRIME,
@@ -225,7 +225,7 @@ def _check_levels(C: LaurentChainComplex,
 
 
 def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
-              primes: Sequence[int] = (2,), max_degree: Optional[int] = None,
+              primes: Iterable[int] = (2,), max_degree: Optional[int] = None,
               jobs: int = 1) -> TowerReport:
     """Compute the full invariant table along a tower of quotients.
 
@@ -238,6 +238,7 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     level order, so the output does not depend on scheduling.
     """
     levels = _check_levels(C, levels)
+    primes = tuple(primes)
     check_primes(primes)
     if max_degree is None:
         max_degree = C.top_degree
@@ -258,7 +259,7 @@ def run_tower(C: LaurentChainComplex, levels: Sequence[QuotientSpec],
     else:
         results = [_analyze_level(C, s, primes, max_degree) for s in levels]
 
-    report = TowerReport(results, max_degree, tuple(primes), lam)
+    report = TowerReport(results, max_degree, primes, lam)
     for lv in results:
         _check_level_bounds(lv, lam, max_degree)
     keys = list(_SERIES_FIELDS) + [f"betti_p_{p}" for p in primes]

@@ -121,6 +121,12 @@ class TestHomology:
             homology_from_analysis(ChainAnalysis(mult_complex(4)),
                                    primes=primes)
 
+    def test_primes_from_any_iterable(self):
+        an = ChainAnalysis(mult_complex(6))
+        h = homology_from_analysis(an, primes=iter([2, 3]))
+        assert h == homology_from_analysis(an, primes=(2, 3))
+        assert sorted(h.betti_mod_p) == [2, 3]
+
     def test_primality_against_trial_division(self):
         def trial(n):
             return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
@@ -394,20 +400,21 @@ class TestRhoIdentity:
             rho_identity_from_analysis(SkewedAlpha(circle_level(5)))
 
     def test_planted_block_factor_fails_the_laplacian_identity(self):
-        # the block dict's output still goes through the Laplacian identity
-        # circle level 5: L_0 = L_1 = 2 - t - t^-1, one block with factors
-        # (1, 1, 1, 5); a planted last factor of 10 has the right rank
+        # the memoized block factors still go through the Laplacian
+        # identity circle level 5: L_0 = L_1 = 2 - t - t^-1, one block with
+        # factors (1, 1, 1, 5); a planted last factor of 10 has the right
+        # rank
         level = QuotientSpec((5,))
         ref = base_change(circle_complex(), level)
         rho_identity_from_analysis(ref)
-        (key, factors), = ref._smith_blocks.items()
+        (key, factors), = _memoized_blocks(ref).items()
         assert factors == (1, 1, 1, 5)
         for planted, message in [
                 (factors[:-1] + (2 * factors[-1],),
                  "Laplacian determinant identity fails"),
                 (factors + (5,), "rank mismatch")]:
             an = base_change(circle_complex(), level)
-            an._smith_blocks[key] = planted
+            an._memo["_block_factors", key] = planted
             with pytest.raises(IdentityViolation, match=message):
                 rho_identity_from_analysis(an)
 
@@ -521,6 +528,12 @@ def _analysed_quotient(L, moduli):
 def _memoized(obj, name):
     """The values `obj._memo` keeps for one memoized method."""
     return [v for (key, _), v in obj._memo.items() if key == name]
+
+
+def _memoized_blocks(level):
+    """Laplacian block -> the factors a level's memo keeps for it."""
+    return {block: v for (key, block), v in level._memo.items()
+            if key == "_block_factors"}
 
 
 def _assert_layers_agree(C):
@@ -664,7 +677,7 @@ class TestSharedLayers:
                 == sum(len(_memoized(a, "smith")) for a in ours)
             assert len(blocks) == count
             assert len(factored) == count
-            assert an._smith_blocks == {
+            assert _memoized_blocks(an) == {
                 block: _sparse_smith(block, q).invariant_factors
                 for block in factored}
         assert calls["laplacian"] == []
@@ -755,9 +768,9 @@ class TestLaurentLaplacian:
     def test_chained_block_factors_equal_the_whole_smith_form(self, level):
         L, moduli = level
         qc = base_change(L, QuotientSpec(moduli))
-        factored = {}
         for n in range(L.top_degree + 1):
-            diag = L.laplacian_factors(n, qc.quotient, factored)
+            diag = [f for _, block in L.laplacian_components(n)
+                    for f in qc.quotient.block_factors(block)]
             assert tuple(_chain_divisibility(diag)) == smith_normal_form(
                 laplacian(qc.complex, n)).invariant_factors, n
 
@@ -1003,7 +1016,9 @@ class TestMemo:
         an = level()
         made = {name: len(log) for name, log in calls.items()}
         assert made["smith_normal_form"] and made["kernel_lattice"]
-        assert {name for name, _ in an._memo} == set(MEMOIZED)
+        # a split level also memoizes its Laplacian blocks
+        assert {name for name, _ in an._memo} == set(MEMOIZED) | (
+            {"_block_factors"} if characters else set())
         before = dict(an._memo)
         for name, n in before:
             assert getattr(an, name)(n) is before[name, n]
@@ -1069,6 +1084,7 @@ class TestMemo:
 
     def test_memoized_names_keep_name_and_doc(self):
         functions = [vars(ChainAnalysis)[name] for name in MEMOIZED] + [
+            ChainAnalysis._block_factors,
             group_ring.quotient_homology_module,
             finite_homology._homology_map_data]
         for fn in functions:

@@ -119,6 +119,15 @@ class TestFinAbGroup:
         assert FinAbGroup.from_orders((1, 4, 1)).factors == (4,)
         assert FinAbGroup.from_orders((1,)).factors == ()
 
+    def test_from_orders_is_the_smith_form_of_the_diagonal(self):
+        # the gcd/lcm chain against the route it replaced
+        rng = random.Random(5)
+        for _ in range(200):
+            orders = [rng.randint(1, 36) for _ in range(rng.randint(0, 5))]
+            assert FinAbGroup.from_orders(orders).factors == tuple(
+                f for f in smith_normal_form(
+                    IntMatrix.diagonal(orders)).invariant_factors if f > 1)
+
     def test_invalid_chain_rejected(self):
         with pytest.raises(DimensionMismatch):
             FinAbGroup((4, 2))

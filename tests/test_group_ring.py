@@ -15,7 +15,7 @@ from homgrow.chain_complex import (
     rho_identity_from_analysis,
 )
 from homgrow.corpus import random_complex
-from homgrow.errors import DimensionMismatch, NonSquareMatrix
+from homgrow.errors import DimensionMismatch, InvalidComplex, NonSquareMatrix
 from homgrow.exact_linalg import (
     IntMatrix,
     cokernel_structure,
@@ -123,6 +123,13 @@ class TestLaurentPoly:
         with pytest.raises(DimensionMismatch):
             LaurentChainComplex(1, [1.9], [])
 
+    def test_entry_of_another_arity_refused(self):
+        # x_2 - 1 over Z[Z^2] in an m = 1 complex: base change to (3,) read
+        # its exponents against one modulus and returned c_1 = 0
+        x2 = LaurentPoly.variable(2, 1) - LaurentPoly.const(2, 1)
+        with pytest.raises(InvalidComplex, match="arity"):
+            LaurentChainComplex(1, [1, 1], [[[x2]]])
+
 
 class TestLaurentDifferential:
     def test_zero_map_outside_the_degrees(self):
@@ -150,6 +157,12 @@ class TestBaseChange:
         assert q.m == 0 and q.index == 1
         with pytest.raises(DimensionMismatch):
             QuotientSpec((0,))
+
+    @pytest.mark.parametrize("j", [-1, 2, 5])
+    def test_regular_generator_outside_the_arity_refused(self, j):
+        # -1 read x_2 and 2 raised a bare IndexError
+        with pytest.raises(DimensionMismatch):
+            QuotientSpec((3, 4)).regular_generator(j)
 
     @pytest.mark.parametrize("moduli", [(2.7,), (2.0,), (4, 2.0), (True,),
                                         ("2",)])
@@ -392,7 +405,8 @@ class TestCyclicSmith:
                 for n in range(C.top_degree + 1):
                     an.fk_laplacian(n)
                     blocks.update(b for _, b in C.laplacian_components(n))
-                assert an._smith_blocks == {
+                assert {b: v for (key, b), v in an._memo.items()
+                        if key == "_block_factors"} == {
                     b: _sparse_smith(b, q).invariant_factors for b in blocks}
                 taken += sum(_cyclic_smith(b, q) is not None for b in blocks)
         assert taken == 8 + 49

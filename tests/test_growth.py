@@ -102,6 +102,14 @@ class TestRunTower:
         assert abs(rep.tail_estimates["betti_q"][1]) < 0.05
         assert all(rep.cauchy_flags["betti_q"][1:2])
 
+    def test_primes_from_any_iterable(self):
+        # a generator used to fail `check_primes` with "not subscriptable"
+        rep = run_tower(circle_complex(), [QuotientSpec((2,))],
+                        primes=(p for p in (2, 3)))
+        assert rep.primes == (2, 3)
+        assert rep == run_tower(circle_complex(), [QuotientSpec((2,))],
+                                primes=(2, 3))
+
     def test_increasing_index_required(self):
         with pytest.raises(DegenerateLevel):
             run_tower(circle_complex(),
