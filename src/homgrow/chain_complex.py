@@ -179,7 +179,10 @@ _MISSING = object()
 def _per_degree(method):
     """Memoize ``method(obj, n)`` in ``obj._memo`` under the key (method
     name, n): one value per object and degree, or per Laplacian block,
-    dropped with the object."""
+    dropped with the object.  The objects are a tower level (a
+    `ChainAnalysis`) and its source `group_ring.LaurentChainComplex`,
+    whose entries every level of the source shares.  Two threads may
+    compute one entry twice; both values are equal and one is kept."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -203,7 +206,11 @@ class ChainAnalysis:
     name, n or block), as do `group_ring.quotient_homology_module` and
     `finite_homology._homology_map_data` for a tower level; `lift`,
     `orbits` and `actions` are built on first access.  All live on the
-    analysis and die with it; no cache outlives the analysis.
+    analysis and die with it; no cache outlives the analysis.  What does
+    not depend on the quotient, the components of the Laurent Laplacian
+    and the Laurent characteristic polynomial of the character route, is
+    kept in the memo of the `source` instead, once for every level of a
+    tower, and dies with the source.
 
     Per degree n this derives: a saturated kernel basis K_n of c_n, the
     matrix X_n with K_n X_n = c_{n+1} (so H_n = coker(X_n)), integer cycle
@@ -233,7 +240,8 @@ class ChainAnalysis:
     it names.  A tower level carries its Laurent `source` over Z[Z^m] and
     its `quotient`; above index 1 (`split`) the deck group is nontrivial,
     and the rule also weighs the FK square of c_n over the Galois `orbits`
-    of characters of the quotient (`characters.orbit_factors`).  That route
+    of characters of the quotient (`characters.orbit_factors`), which
+    evaluates the source's `gram_char_poly(n)` once per orbit.  That route
     checks the orbit ranks against rank c_n.
 
     `lift` is the analysis of the augmented complex Z tensor_{ZG} C: for a
@@ -449,7 +457,7 @@ class ChainAnalysis:
     def _character_square(self, n: int) -> int:
         """Product of the orbit norms of c_n, once the orbit ranks add up,
         phi(d) times each, to the rank of the shared Smith form."""
-        factors = characters.orbit_factors(self.source.differential(n),
+        factors = characters.orbit_factors(self.source.gram_char_poly(n),
                                            self.orbits)
         r = sum(f * r_chi for f, r_chi, _ in factors)
         if r != self.rank(n):

@@ -10,16 +10,25 @@ c(chi), each variable t_j evaluated at chi(t_j), and
     rank c[G]      = sum_chi rank c(chi).
 
 A character of order d sends t_j to zeta_d^(a_j d / N_j), so c(chi) is the
-matrix M over Z[x]/Phi_d obtained by t_j -> x^(a_j d / N_j).  Its Galois
+matrix over Z[x]/Phi_d obtained by t_j -> x^(a_j d / N_j).  Its Galois
 conjugates are the generators of the cyclic subgroup it spans in the dual
 group: one orbit of phi(d) characters per cyclic subgroup, all of the same
-rank r.  Conjugation is x -> x^(d-1), so with H = M^* M (or M M^*, the
+rank r.  Conjugation is x -> x^(d-1), so with H = c^* c (or c c^*, the
 smaller) the product of the det' factors over the orbit is the norm
-N_{Q(zeta_d)/Q}(e_r(H)), where e_r, the sum of the principal r x r minors,
-is the last nonzero coefficient of the characteristic polynomial of H.  The
-polynomial comes from Berkowitz's division-free recursion, which costs
-O(k^4) ring products for k x k; the norm is the determinant of
-multiplication by e_r on the basis 1, x, ..., x^(phi(d)-1).
+N_{Q(zeta_d)/Q}(e_r(H(chi))), where e_r, the sum of the principal r x r
+minors, is the last nonzero coefficient of the characteristic polynomial
+of H(chi).
+
+Evaluation at chi is a ring homomorphism from Z[Z^m] that sends c^* to the
+conjugate transpose, so that polynomial is the evaluation of the
+characteristic polynomial of the Laurent matrix H = c^* c.  Berkowitz's
+division-free recursion therefore runs once per differential, over Z[Z^m]
+on term dicts (`gram_char_poly`), and each orbit costs one evaluation of
+one coefficient and one norm (`_orbit_factor`): H(chi) is positive
+semidefinite, so its rank is the index of its last nonzero coefficient.
+The norm is the determinant of multiplication by e_r on the basis
+1, x, ..., x^(phi(d)-1).  The same recursion over Z = Z[Z^0] gives the
+integer characteristic polynomial `char_poly`.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import add, mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact_linalg import det_bareiss
@@ -34,6 +44,7 @@ from .exact_linalg import det_bareiss
 __all__ = [
     "char_poly",
     "cyclotomic",
+    "gram_char_poly",
     "orbits",
     "orbit_cost",
     "orbit_factors",
@@ -93,7 +104,10 @@ def _orbit_counts(moduli: Sequence[int]) -> Dict[int, int]:
 def orbit_cost(moduli: Sequence[int], k: int) -> int:
     """Estimated work of the character route for a differential whose
     smaller side has k generators over Z[Z^m]: sum over orbits of
-    k^4 phi(d)^2 (the characteristic polynomial) + phi(d)^3 (the norm)."""
+    k^4 phi(d)^2 (a characteristic polynomial per orbit) + phi(d)^3 (the
+    norm).  The polynomial is now computed once per differential over
+    Z[Z^m], so the k^4 phi(d)^2 term overstates the work; it is kept so
+    that no level changes route."""
     total = 0
     for d, count in _orbit_counts(moduli).items():
         f = _totient(d)
@@ -126,7 +140,8 @@ def orbits(moduli: Sequence[int]) -> List[Tuple[int, tuple]]:
 
 
 class _Cyclotomic:
-    """Arithmetic in Z[x]/Phi_d on coefficient lists of length phi(d)."""
+    """Z[x]/Phi_d on coefficient lists of length phi(d): evaluation of a
+    Laurent polynomial and the norm to Q."""
 
     __slots__ = ("d", "f", "phi")
 
@@ -149,30 +164,11 @@ class _Cyclotomic:
         del p[f:]
         return p
 
-    def mul(self, a: list, b: list) -> list:
-        if self.f == 1:
-            return [a[0] * b[0]]
-        out = [0] * (2 * self.f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return self.reduce(out)
-
-    def dot(self, u: Sequence[list], v: Sequence[list]) -> list:
-        """sum_i u_i v_i, skipping zero terms."""
-        acc = [0] * self.f
-        for a, b in zip(u, v):
-            if any(a) and any(b):
-                for j, c in enumerate(self.mul(a, b)):
-                    acc[j] += c
-        return acc
-
-    def evaluate(self, poly, s: Sequence[int]) -> list:
-        """A Laurent polynomial at t_j -> x^(s_j)."""
+    def evaluate(self, terms: Dict[tuple, int], s: Sequence[int]) -> list:
+        """A Laurent polynomial, as its term dict, at t_j -> x^(s_j)."""
         p = [0] * self.d
-        for e, c in poly.terms.items():
-            p[sum(x * y for x, y in zip(e, s)) % self.d] += c
+        for e, c in terms.items():
+            p[sum(map(mul, e, s)) % self.d] += c
         return self.reduce(p)
 
     def norm(self, a: list) -> int:
@@ -191,60 +187,85 @@ class _Cyclotomic:
         return det_bareiss(columns)
 
 
-def _neg(a: list) -> list:
-    return [-c for c in a]
+def _neg(a: Dict[tuple, int]) -> Dict[tuple, int]:
+    return {e: -c for e, c in a.items()}
 
 
-def _charpoly(H: List[List[list]], R: _Cyclotomic) -> List[list]:
-    """Coefficients [1, c_1, ..., c_k] of det(lambda - H) over R, by
-    Berkowitz: the polynomial of the leading (s+1) x (s+1) block is a lower
-    triangular Toeplitz matrix with first column
+def _dot(u: Sequence[Dict[tuple, int]],
+         v: Sequence[Dict[tuple, int]]) -> Dict[tuple, int]:
+    """sum_i u_i v_i over Z[Z^m], on term dicts {exponent: coefficient}."""
+    acc: Dict[tuple, int] = {}
+    for a, b in zip(u, v):
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _charpoly(H: List[List[Dict[tuple, int]]], m: int
+              ) -> List[Dict[tuple, int]]:
+    """Coefficients [1, c_1, ..., c_k] of det(lambda - H) over Z[Z^m], as
+    term dicts, by Berkowitz: the polynomial of the leading (s+1) x (s+1)
+    block is a lower triangular Toeplitz matrix with first column
     [1, -a, -r C, -r A C, ..., -r A^(s-1) C] times that of the leading
     s x s block A, where C, r and a are the new column, row and corner."""
-    one = [1] + [0] * (R.f - 1)
+    one = {(0,) * m: 1}
     p = [one]
     for s in range(len(H)):
         row = H[s][:s]
         items = [one, _neg(H[s][s])]
         v = [H[i][s] for i in range(s)]
         for i in range(s):
-            items.append(_neg(R.dot(row, v)))
+            items.append(_neg(_dot(row, v)))
             if i < s - 1:
-                v = [R.dot(H[t][:s], v) for t in range(s)]
-        p = [R.dot([items[i - j] for j in range(min(i, s) + 1)],
-                   p[:min(i, s) + 1]) for i in range(s + 2)]
+                v = [_dot(H[t][:s], v) for t in range(s)]
+        p = [_dot([items[i - j] for j in range(min(i, s) + 1)],
+                  p[:min(i, s) + 1]) for i in range(s + 2)]
     return p
 
 
 def char_poly(A) -> List[int]:
     """Coefficients [1, c_1, ..., c_k] of det(lambda - A) for a square
-    integer matrix A: the Berkowitz recursion over Z = Z[x]/Phi_1."""
-    H = [[[x] for x in row] for row in A.to_lists()]
-    return [c for c, in _charpoly(H, _Cyclotomic(1))]
+    integer matrix A: the Berkowitz recursion over Z = Z[Z^0]."""
+    H = [[{(): x} if x else {} for x in row] for row in A.to_lists()]
+    return [c.get((), 0) for c in _charpoly(H, 0)]
 
 
-def _orbit_factor(matrix, d: int, s: tuple) -> Tuple[int, int]:
-    """(rank r, N(e_r(H))) of the Laurent matrix at the orbit (d, s)."""
+def gram_char_poly(D, m: int) -> List[Dict[tuple, int]]:
+    """Coefficients [1, c_1, ..., c_k] of det(lambda - H) over Z[Z^m] for a
+    Laurent matrix D, as term dicts: H = D^* D, or D D^* when D has fewer
+    rows than columns, * the transpose with x -> x^-1."""
+    conj = [[p.conjugate().terms for p in row] for row in D]
+    rows = [[p.terms for p in row] for row in D]
+    if rows and len(rows[0]) <= len(rows):
+        # H = D^* D: (D^*)_(a, i) = conj D_(i, a)
+        left, right = list(zip(*conj)), list(zip(*rows))
+    else:                       # H = D D^*
+        left, right = rows, conj
+    return _charpoly([[_dot(u, v) for v in right] for u in left], m)
+
+
+def _orbit_factor(E: Sequence[Dict[tuple, int]], d: int, s: tuple
+                  ) -> Tuple[int, int]:
+    """(rank r, N(e_r(H(chi)))) at the orbit (d, s), from the Laurent
+    coefficients E of `gram_char_poly`: evaluation is a ring homomorphism
+    that sends D^* to the conjugate transpose, so E_i(chi) is the
+    coefficient c_i of H(chi), and H(chi) is positive semidefinite, so r is
+    the last i with E_i(chi) != 0 and e_r = (-1)^r c_r."""
     R = _Cyclotomic(d)
-    M = [[R.evaluate(p, s) for p in row] for row in matrix]
-    conj = tuple(-x for x in s)
-    Mc = [[R.evaluate(p, conj) for p in row] for row in matrix]
-    rows, cols = len(M), len(M[0])
-    if cols <= rows:            # H = M^* M, (M^*)_(a, i) = conj M_(i, a)
-        Mt = [list(c) for c in zip(*M)]
-        Mct = [list(c) for c in zip(*Mc)]
-        H = [[R.dot(Mct[a], Mt[b]) for b in range(cols)] for a in range(cols)]
-    else:                       # H = M M^*
-        H = [[R.dot(M[a], Mc[b]) for b in range(rows)] for a in range(rows)]
-    coeffs = _charpoly(H, R)
-    r = max(j for j, c in enumerate(coeffs) if any(c))
-    e_r = coeffs[r] if r % 2 == 0 else _neg(coeffs[r])
-    return r, R.norm(e_r)
+    for r in range(len(E) - 1, 0, -1):
+        if E[r]:
+            c_r = R.evaluate(E[r], s)
+            if any(c_r):
+                return r, R.norm(c_r if r % 2 == 0 else [-c for c in c_r])
+    return 0, 1
 
 
-def orbit_factors(matrix, orbits: Sequence[Tuple[int, tuple]]
+def orbit_factors(E: Sequence[Dict[tuple, int]],
+                  orbits: Sequence[Tuple[int, tuple]]
                   ) -> List[Tuple[int, int, int]]:
-    """(phi(d), r, N(e_r)) per orbit (d, s) of `orbits` for a Laurent
-    matrix c: the product of the norms is det_FK(c[G])^2 and sum phi(d) r
-    is rank c[G]."""
-    return [(_totient(d), *_orbit_factor(matrix, d, s)) for d, s in orbits]
+    """(phi(d), r, N(e_r)) per orbit (d, s) of `orbits` for the Laurent
+    coefficients E of a differential c (`gram_char_poly`): the product of
+    the norms is det_FK(c[G])^2 and sum phi(d) r is rank c[G]."""
+    return [(_totient(d), *_orbit_factor(E, d, s)) for d, s in orbits]

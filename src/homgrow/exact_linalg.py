@@ -858,12 +858,19 @@ def det_fraction(M: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def _gram_det(B: IntMatrix) -> int:
-    """det(B^T B); 1 when B has no columns, returned before the transpose,
-    which walks every row: the empty kernels of full-rank tower
-    differentials have index x rank of them."""
+    """det(B^T B), B^T B summed as the outer products of B's row dicts;
+    1 when B has no columns, returned before the rows are walked: the
+    empty kernels of full-rank tower differentials have index x rank of
+    them."""
     if not B.cols:
         return 1
-    return det_bareiss_psd((B.transpose() @ B).to_lists())
+    G = [[0] * B.cols for _ in range(B.cols)]
+    for row in B.data:
+        for i, a in row.items():
+            Gi = G[i]
+            for j, b in row.items():
+                Gi[j] += a * b
+    return det_bareiss_psd(G)
 
 
 def ln_of_fraction(x) -> float:

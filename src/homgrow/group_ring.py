@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import characters
 from .chain_complex import ChainAnalysis, IntChainComplex, _per_degree
 from .errors import (
     DimensionMismatch,
@@ -139,9 +140,16 @@ class LaurentPoly:
 
 
 class LaurentChainComplex:
-    """Finite based free chain complex over Z[Z^m]."""
+    """Finite based free chain complex over Z[Z^m].
 
-    __slots__ = ("m", "top_degree", "dims", "differentials")
+    Its level-independent work, `laplacian_components` and
+    `gram_char_poly`, is kept per degree in the one dict `_memo`
+    (`chain_complex._per_degree`), which every tower level of the complex
+    reads and which dies with the complex.
+    """
+
+    __slots__ = ("m", "top_degree", "dims", "differentials", "_memo",
+                 "__weakref__")
 
     def __init__(self, m: int, dims: Sequence[int],
                  differentials: Sequence[Sequence[Sequence[LaurentPoly]]]):
@@ -164,6 +172,7 @@ class LaurentChainComplex:
             prod = _poly_matmul(self.differentials[n - 1], self.differentials[n], m)
             if any(not p.is_zero() for row in prod for p in row):
                 raise InvalidComplex(f"c_{n} c_{n+1} != 0 over the group ring")
+        self._memo: Dict[tuple, object] = {}
 
     def differential(self, n: int) -> List[List[LaurentPoly]]:
         """c_n : C_n -> C_{n-1}; the zero map outside 1..top_degree, as
@@ -182,6 +191,7 @@ class LaurentChainComplex:
         """Z tensor_{ZG} C: every Laurent entry evaluated at 1."""
         return base_change(self, QuotientSpec((1,) * self.m)).complex
 
+    @_per_degree
     def laplacian_components(self, n: int) -> List[Tuple[List[int], tuple]]:
         """The components of the Laurent Laplacian L_n = D_n* D_n +
         D_(n+1) D_(n+1)*, * the transpose with x -> x^-1, joining i and j
@@ -208,6 +218,14 @@ class LaurentChainComplex:
             components.append(
                 (comp, tuple(tuple(L[i][j] for j in comp) for i in comp)))
         return components
+
+    @_per_degree
+    def gram_char_poly(self, n: int) -> List[Dict[tuple, int]]:
+        """The coefficients [1, c_1, ..., c_k] of det(lambda - H) over
+        Z[Z^m], H = D_n* D_n or D_n D_n*, the smaller, as term dicts
+        (`characters.gram_char_poly`): every character orbit of every
+        level evaluates them."""
+        return characters.gram_char_poly(self.differential(n), self.m)
 
     def __repr__(self):
         return f"LaurentChainComplex(m={self.m}, dims={self.dims})"

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from homgrow import (
     chain_complex,
+    characters,
     corpus,
     exact_linalg,
     finite_homology,
     group_ring,
+    growth,
+    serialize,
 )
 from homgrow.chain_complex import (
     ChainAnalysis,
@@ -1065,6 +1068,62 @@ class TestMemo:
         M = group_ring.quotient_homology_module(other, 1)
         assert M is not memo["quotient_homology_module", 1]
         assert len(solved) > made
+
+    SOURCE_MEMOIZED = ("laplacian_components", "gram_char_poly")
+
+    def test_source_work_runs_once_per_source_and_degree(self, monkeypatch):
+        # the Laurent complex keeps its level-independent work: a torus3
+        # tower of three levels builds each degree's components and
+        # coefficients once, and a second tower on the same source none
+        class Writes(dict):
+            """A memo that logs its writes, one per body run."""
+
+            def __init__(self):
+                super().__init__()
+                self.log = []
+
+            def __setitem__(self, key, value):
+                self.log.append(key)
+                super().__setitem__(key, value)
+
+        polys = []
+        real = characters.gram_char_poly
+        monkeypatch.setattr(characters, "gram_char_poly",
+                            lambda *a: polys.append(a) or real(*a))
+        C = torus_complex(3)
+        monkeypatch.setattr(C, "_memo", Writes())
+        levels = [QuotientSpec(q) for q in ((2, 2, 2), (4, 4, 2), (4, 4, 4))]
+        expected = sorted([("gram_char_poly", n) for n in (1, 2, 3)]
+                          + [("laplacian_components", n) for n in range(4)])
+        for _ in range(2):
+            growth.run_tower(C, levels, primes=(2,))
+            assert sorted(C._memo.log) == expected
+            assert len(polys) == 3
+        for name in self.SOURCE_MEMOIZED:
+            fn = vars(LaurentChainComplex)[name]
+            assert fn.__name__ == fn.__wrapped__.__name__ == name
+            assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
+
+    def test_source_memo_dies_with_the_source(self):
+        C = torus_complex(3)
+        level = base_change(C, QuotientSpec((2, 2, 2)))
+        rho_identity_from_analysis(level)
+        assert {name for name, _ in C._memo} == set(self.SOURCE_MEMOIZED)
+        ref = weakref.ref(C)
+        del C, level
+        assert ref() is None
+
+    def test_threads_sharing_a_fresh_source_give_one_report(self):
+        # two threads may compute one source entry twice, never differently
+        levels = [QuotientSpec(q) for q in ((2, 2, 2), (4, 4, 2), (4, 4, 4))]
+        tables = []
+        for jobs in (2, 1):
+            C = torus_complex(3)
+            assert not C._memo
+            report = growth.run_tower(C, levels, primes=(2, 3), jobs=jobs)
+            tables.append(serialize.tower_rows_to_csv(
+                *serialize.tower_report_rows(report)))
+        assert tables[0] == tables[1]
 
     def test_no_cache_outlives_its_object(self):
         # a tower level is one object with one memo, holding the analysis

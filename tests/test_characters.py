@@ -2,18 +2,23 @@
 
 The oracle is the regular route: `ChainAnalysis` of the base-changed
 integer complex without a character split, so `_fk_route` sends its FK
-squares to the Gram routes.
+squares to the Gram routes.  Each orbit factor is also checked against the
+per-orbit route it replaced, which evaluates the matrix entry by entry and
+runs Berkowitz over Z[x]/Phi_d (`_per_orbit_factor`).
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 
 from homgrow import characters, chain_complex, exact_linalg, growth, serialize
 from homgrow.chain_complex import ChainAnalysis, rho_identity_from_analysis
 from homgrow.characters import (
+    _Cyclotomic,
     char_poly,
     cyclotomic,
     orbit_cost,
@@ -24,6 +29,8 @@ from homgrow.cli import builtin_complex
 from homgrow.errors import IdentityViolation
 from homgrow.exact_linalg import IntMatrix, _fk_route
 from homgrow.group_ring import (
+    LaurentChainComplex,
+    LaurentPoly,
     QuotientSpec,
     base_change,
     circle_complex,
@@ -55,7 +62,7 @@ def test_orbit_factors_match_regular_route(name, C, levels):
         phis = [len(cyclotomic(d)) - 1 for d, _ in level.orbits]
         ranks = {0: [0] * len(phis), top + 1: [0] * len(phis)}
         for n in range(1, top + 1):
-            factors = orbit_factors(C.differential(n), level.orbits)
+            factors = orbit_factors(C.gram_char_poly(n), level.orbits)
             assert [f for f, _, _ in factors] == phis
             square = math.prod(norm for _, _, norm in factors)
             assert square == regular.fk_differential(n).square_exact, \
@@ -67,6 +74,102 @@ def test_orbit_factors_match_regular_route(name, C, levels):
             betti = sum(f * (C.dim(n) - r_n - r_up) for f, r_n, r_up
                         in zip(phis, ranks[n], ranks[n + 1]))
             assert betti == regular.betti(n), (moduli, n)
+
+
+def _per_orbit_factor(D, d, s):
+    """(r, N(e_r)) of a Laurent matrix D at the orbit (d, s) by the route
+    the Laurent coefficients replaced: M = D(chi) and its conjugate entry
+    by entry over Z[x]/Phi_d, H = M^* M (or M M^*, the smaller) by
+    cyclotomic dot products, and Berkowitz over Z[x]/Phi_d."""
+    R = _Cyclotomic(d)
+
+    def dot(u, v):
+        out = [0] * (2 * R.f - 1)
+        for a, b in zip(u, v):
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return R.reduce(out)
+
+    def neg(a):
+        return [-c for c in a]
+
+    M = [[R.evaluate(p.terms, s) for p in row] for row in D]
+    conj = tuple(-x for x in s)
+    Mc = [[R.evaluate(p.terms, conj) for p in row] for row in D]
+    if len(M[0]) <= len(M):
+        H = [[dot(a, b) for b in zip(*M)] for a in zip(*Mc)]
+    else:
+        H = [[dot(a, b) for b in Mc] for a in M]
+    one = [1] + [0] * (R.f - 1)
+    p = [one]
+    for k in range(len(H)):
+        row = H[k][:k]
+        items = [one, neg(H[k][k])]
+        v = [H[i][k] for i in range(k)]
+        for i in range(k):
+            items.append(neg(dot(row, v)))
+            if i < k - 1:
+                v = [dot(H[t][:k], v) for t in range(k)]
+        p = [dot([items[i - j] for j in range(min(i, k) + 1)],
+                 p[:min(i, k) + 1]) for i in range(k + 2)]
+    r = max(j for j, c in enumerate(p) if any(c))
+    return r, R.norm(p[r] if r % 2 == 0 else neg(p[r]))
+
+
+@st.composite
+def _laurent_entries(draw, m):
+    """0, a random Laurent polynomial, or +-x^e (x_j^a -+ 1), which
+    vanishes only at the characters with zeta^(a s_j) = +-1."""
+    kind = draw(st.sampled_from(["zero", "random", "cyclotomic"]))
+    exponent = st.tuples(*[st.integers(-2, 2)] * m)
+    if kind == "zero":
+        return LaurentPoly.zero(m)
+    if kind == "random":
+        return LaurentPoly(m, draw(st.dictionaries(
+            exponent, st.integers(-3, 3), min_size=1, max_size=3)))
+    j, a = draw(st.integers(0, m - 1)), draw(st.integers(1, 3))
+    e, sign = draw(exponent), draw(st.sampled_from([1, -1]))
+    shifted = tuple(x + a * (k == j) for k, x in enumerate(e))
+    return LaurentPoly(m, {shifted: sign, e: sign * draw(
+        st.sampled_from([1, -1]))})
+
+
+@st.composite
+def _orbit_cases(draw):
+    """A Laurent matrix of up to 3 x 4 over Z[Z^m], m in 1..3, with a
+    repeated row (or column, when it has more rows) when `repeated`, and
+    the moduli of a quotient of index at most 32."""
+    m = draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    D = [[draw(_laurent_entries(m)) for _ in range(cols)]
+         for _ in range(rows)]
+    repeated = draw(st.booleans()) and min(rows, cols) >= 2
+    if repeated and rows <= cols:
+        D[-1] = list(D[0])
+    elif repeated:
+        for row in D:
+            row[-1] = row[0]
+    moduli = []
+    for _ in range(m):
+        moduli.append(draw(st.integers(1, 32 // math.prod(moduli))))
+    return D, tuple(moduli), repeated
+
+
+@settings(max_examples=150, deadline=None)
+@given(_orbit_cases())
+def test_orbit_factor_matches_the_per_orbit_route(case):
+    D, moduli, repeated = case
+    E = LaurentChainComplex(len(moduli), [len(D), len(D[0])],
+                            [D]).gram_char_poly(1)
+    assert len(E) == min(len(D), len(D[0])) + 1
+    if repeated:
+        # H is singular over Z[Z^m]: the top coefficient vanishes
+        # identically, and the scan starts below it
+        assert not E[-1]
+    for d, s in orbits(moduli):
+        assert characters._orbit_factor(E, d, s) \
+            == _per_orbit_factor(D, d, s), (d, s)
 
 
 @pytest.mark.parametrize("moduli", [(1,), (12,), (4, 6), (2, 2, 2), (8, 8, 4),

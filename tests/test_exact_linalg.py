@@ -51,9 +51,9 @@ def _random_matrix(rng, max_dim=6, bound=5):
 
 
 @st.composite
-def _small_matrices(draw, max_dim=8, bound=5):
+def _small_matrices(draw, max_dim=8, max_cols=None, bound=5):
     n = draw(st.integers(1, max_dim))
-    m = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_cols or max_dim))
     entries = draw(st.lists(st.integers(-bound, bound),
                             min_size=n * m, max_size=n * m))
     return IntMatrix(n, m, entries)
@@ -864,6 +864,15 @@ class TestBareiss:
             B = _random_matrix(rng, max_dim=5, bound=4)
             G = (B.transpose() @ B).to_lists()
             assert det_bareiss(G) == det_bareiss_psd(G) == _gram_det(B)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(40, 4), (4, 8)]).flatmap(
+        lambda shape: _small_matrices(*shape, bound=3)))
+    def test_gram_equals_the_product_route(self, B):
+        # tall (up to 40 x 4) and wide (up to 4 x 8) B: the outer products
+        # of the row dicts sum to the sparse product B^T B
+        assert _gram_det(B) == det_bareiss_psd(
+            (B.transpose() @ B).to_lists())
 
     def test_gram_of_no_columns_is_one(self):
         assert _gram_det(IntMatrix.zeros(3, 0)) == 1
